@@ -15,6 +15,7 @@ against the concrete semantics over bounded models.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .assertions import (
@@ -102,6 +103,12 @@ def _reachable(gamma: ImplContext, fid: str) -> frozenset:
     return frozenset(seen)
 
 
+# the angelic choice prefixes verify_ox tries: values below ORACLE_FANOUT at
+# up to ORACLE_DEPTH positions
+ORACLE_FANOUT = 3
+ORACLE_DEPTH = 3
+
+
 def verify_ox(
     gamma: ImplContext,
     specs: SpecContext,
@@ -110,8 +117,6 @@ def verify_ox(
     bundle: MemoryModelBundle,
     preds=None,
     bounds: Bounds = None,
-    oracle_fanout: int = 3,
-    oracle_depth: int = 3,
 ):
     """Verify an SL or ESL quadruple against the implementation."""
     preds = preds if preds is not None else {}
@@ -145,15 +150,19 @@ def verify_ox(
     seed_pc = [InVal(LVar(param_map[x])) for x in q.params]
     state0 = SymbolicState(store, bundle.smm.empty, (), tuple(seed_pc))
 
-    # search over angelic choice prefixes; most verifications need none
+    # search over angelic choice prefixes; most verifications need none.
+    # A run reads the oracle only below its read horizon, so a later prefix
+    # that agrees with an earlier run's below that horizon would replay it
+    # (runs are deterministic) and is skipped.
     oracles = [Oracle.constant(0)]
-    import itertools as _it
-
-    for depth in range(1, oracle_depth + 1):
-        for prefix in _it.product(range(oracle_fanout), repeat=depth):
+    for depth in range(1, ORACLE_DEPTH + 1):
+        for prefix in itertools.product(range(ORACLE_FANOUT), repeat=depth):
             oracles.append(Oracle(prefix, 0, 0))
+    done = []  # (oracle, read horizon) of every run so far
     best = None
     for oracle in oracles:
+        if any(all(oracle.at(i) == prev.at(i) for i in range(k)) for prev, k in done):
+            continue
         verdict = _verify_once(
             gamma, specs2, f, q, bundle, preds, bounds, mode, param_map, spatial_pre, state0, oracle
         )
@@ -161,6 +170,7 @@ def verify_ox(
             return verdict
         if best is None or isinstance(best, Failed) and isinstance(verdict, Inconclusive):
             best = verdict
+        done.append((oracle, max(oracle.reads, default=-1) + 1))
     return best if best is not None else Inconclusive("no oracle explored")
 
 

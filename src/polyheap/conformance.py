@@ -20,6 +20,7 @@ side can make.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -48,11 +49,20 @@ def _fmt_mem(mem):
     return repr(mem)
 
 
-def _sample(items: list, cap: int, seed: int) -> list:
-    if len(items) <= cap:
-        return items
-    rng = Random(seed)
-    return [items[i] for i in sorted(rng.sample(range(len(items)), cap))]
+def _sample_product(sizes: tuple, cap: int, seed: int):
+    """The index tuples of `itertools.product(*map(range, sizes))`, in order;
+    past `cap` of them, a seeded sample of `cap`, still in order. Sampled
+    tuples are decoded from their flat index, so the product is never built."""
+    total = math.prod(sizes)
+    if total <= cap:
+        yield from itertools.product(*map(range, sizes))
+        return
+    for k in sorted(Random(seed).sample(range(total), cap)):
+        idx = []
+        for n in reversed(sizes):
+            k, r = divmod(k, n)
+            idx.append(r)
+        yield tuple(reversed(idx))
 
 
 def _mems(cmm, bounds: Bounds, cap: int = 4096) -> list:
@@ -88,8 +98,7 @@ def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckRes
         a, b = pair
         return cmm.compose(a, b) != cmm.compose(b, a)
 
-    pairs = _sample(list(itertools.product(range(len(mems)), repeat=2)), 250_000, bounds.seed)
-    for i, j in pairs:
+    for i, j in _sample_product((len(mems), len(mems)), 250_000, bounds.seed):
         trials += 1
         if commut_fails((mems[i], mems[j])):
             w = _shrink(lambda xs: commut_fails(xs), (mems[i], mems[j]), cmm, bounds)
@@ -186,15 +195,8 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
     assert mode in ("ox", "ux")
     mems = _mems(cmm, bounds)
     cases = list(cmm.action_cases(bounds))
-    combos = [
-        (i, j, c)
-        for i in range(len(mems))
-        for j in range(len(mems))
-        for c in range(len(cases))
-    ]
-    combos = _sample(combos, cap, bounds.seed)
     trials = 0
-    for i, j, c in combos:
+    for i, j, c in _sample_product((len(mems), len(mems), len(cases)), cap, bounds.seed):
         mu, frame = mems[i], mems[j]
         composed = cmm.compose(mu, frame)
         name, args = cases[c]
@@ -316,13 +318,8 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
     cmm, smm = bundle.cmm, bundle.smm
     mems = _mems(cmm, bounds, cap=256)
     cases = list(cmm.action_cases(bounds))
-    combos = _sample(
-        [(i, c, s) for i in range(len(mems)) for c in range(len(cases)) for s in range(2)],
-        cap,
-        bounds.seed,
-    )
     trials = 0
-    for i, c, s in combos:
+    for i, c, s in _sample_product((len(mems), len(cases), 2), cap, bounds.seed):
         mem = mems[i]
         name, args = cases[c]
         for smem, theta0 in _lift_styles(smm, mem):
@@ -467,11 +464,8 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     mems = _mems(cmm, bounds, cap=128)
     cases = list(_resource_cases(rm, bounds))
-    combos = _sample(
-        [(i, c) for i in range(len(mems)) for c in range(len(cases))], cap, bounds.seed
-    )
     trials = 0
-    for i, c in combos:
+    for i, c in _sample_product((len(mems), len(cases)), cap, bounds.seed):
         mem = mems[i]
         name, ins_v, outs_v = cases[c]
         for smem, theta0 in _lift_styles(smm, mem):

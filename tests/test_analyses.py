@@ -1,9 +1,12 @@
+import itertools
 import os
 
 import pytest
 
+from polyheap import analyses
 from polyheap.analyses import (
     Failed,
+    Inconclusive,
     UnsupportedCapability,
     Verified,
     biabduct,
@@ -12,6 +15,7 @@ from polyheap.analyses import (
 from polyheap.assertions import Emp, format_assertion, normalize
 from polyheap.memmodel import Bounds
 from polyheap.models import get_model
+from polyheap.oracle import Oracle
 from polyheap.parser import parse_program
 from polyheap.quadcheck import Valid, check_quadruple_bounded
 from polyheap.syntax import Action, Lit, Seq, Skip
@@ -92,6 +96,135 @@ def test_call_through_spec_verifies():
     for fid in ("inner", "outer"):
         r = verify_ox(prog.functions, prog.specs, fid, prog.specs[fid][0], b, prog.preds, B)
         assert isinstance(r, Verified), fid
+
+
+
+# -- oracle search: differential against the full 40-prefix loop ---------------
+
+
+def _old_verify_ox(monkeypatch, *args):
+    """verify_ox as it was before it skipped replayed prefixes: run every one
+    of the 40 prefixes until one verifies. Returns (verdict, passes)."""
+    real = analyses._verify_once
+    calls = []
+
+    def capture(*a):
+        calls.append(a)
+        return Verified()
+
+    # run verify_ox's own set-up once and keep the arguments it hands on
+    monkeypatch.setattr(analyses, "_verify_once", capture)
+    early = verify_ox(*args)
+    monkeypatch.setattr(analyses, "_verify_once", real)
+    if not calls:
+        return early, 0
+    setup = calls[0][:-1]
+    oracles = [Oracle.constant(0)]
+    for depth in range(1, 4):
+        for prefix in itertools.product(range(3), repeat=depth):
+            oracles.append(Oracle(prefix, 0, 0))
+    best = None
+    for n, oracle in enumerate(oracles, 1):
+        verdict = real(*setup, oracle)
+        if isinstance(verdict, Verified):
+            return verdict, n
+        if best is None or isinstance(best, Failed) and isinstance(verdict, Inconclusive):
+            best = verdict
+    return best, len(oracles)
+
+
+def _new_verify_ox(monkeypatch, *args):
+    """verify_ox with the prefix of each pass recorded. Returns (verdict, prefixes)."""
+    real = analyses._verify_once
+    passes = []
+
+    def counted(*a):
+        passes.append(a[-1].prefix)
+        return real(*a)
+
+    monkeypatch.setattr(analyses, "_verify_once", counted)
+    verdict = verify_ox(*args)
+    monkeypatch.setattr(analyses, "_verify_once", real)
+    return verdict, passes
+
+
+def _same_verdict(old, new):
+    assert type(old) is type(new), (old, new)
+    if isinstance(old, Failed):
+        assert old.paths == new.paths
+    if not isinstance(old, (Failed, Verified)):
+        assert old.reason == new.reason
+
+
+def _fixture_specs():
+    from test_acceptance import FIXTURES
+
+    for fname, model, domain in FIXTURES:
+        prog = load(fname)
+        bounds = Bounds(value_domain=domain, max_cells=2, max_addresses=3, trials=300, seed=0)
+        for fid in sorted(prog.specs):
+            for q in prog.specs[fid]:
+                if q.flavor != "ISL":
+                    yield pytest.param(prog, fid, q, model, bounds, id=f"{fname}-{fid}")
+
+
+@pytest.mark.parametrize("prog, fid, q, model, bounds", list(_fixture_specs()))
+def test_oracle_search_matches_full_loop_on_fixtures(monkeypatch, prog, fid, q, model, bounds):
+    args = (prog.functions, prog.specs, fid, q, get_model(model), prog.preds, bounds)
+    old, old_passes = _old_verify_ox(monkeypatch, *args)
+    new, new_passes = _new_verify_ox(monkeypatch, *args)
+    _same_verdict(old, new)
+    assert len(new_passes) <= old_passes
+
+
+def test_oracle_search_runs_a_choice_free_failure_once(monkeypatch):
+    prog = parse_program(
+        """
+        func chain(x) {
+          y := 0;
+          if (x = 5) { y := y + 1 } else { skip };
+          if (x = 9) { y := y + 1 } else { skip };
+          return y
+        }
+        spec SL chain(x) { requires: x = #x * emp; ensures_ok: (ret = 0) * emp; }
+        """
+    )
+    args = (prog.functions, prog.specs, "chain", prog.specs["chain"][0], get_model("linear"), prog.preds, B)
+    old, old_passes = _old_verify_ox(monkeypatch, *args)
+    new, new_passes = _new_verify_ox(monkeypatch, *args)
+    assert isinstance(new, Failed) and new.paths
+    _same_verdict(old, new)
+    assert (old_passes, new_passes) == (40, [()])
+
+
+TWO_SPECS = """
+func inner(x) { y := lookup(x); return y }
+func outer(x) { r := inner(x); return r }
+func wrong(x) { r := inner(x); return r }
+spec SL inner(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * ret = #v; }
+spec SL inner(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * ret = 0; }
+spec SL outer(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * ret = 0; }
+spec SL wrong(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * ret = 1; }
+"""
+
+
+@pytest.mark.parametrize(
+    "fid, verdict, old_count, new_prefixes",
+    [
+        # the second spec of inner verifies outer; (0,) replays ()
+        ("outer", Verified, 3, [(), (1,)]),
+        # neither spec verifies wrong; only position 0 is ever read
+        ("wrong", Failed, 40, [(), (1,), (2,)]),
+    ],
+)
+def test_oracle_search_branches_only_on_read_positions(monkeypatch, fid, verdict, old_count, new_prefixes):
+    prog = parse_program(TWO_SPECS)
+    args = (prog.functions, prog.specs, fid, prog.specs[fid][0], get_model("linear"), prog.preds, B)
+    old, old_passes = _old_verify_ox(monkeypatch, *args)
+    new, new_passes = _new_verify_ox(monkeypatch, *args)
+    assert isinstance(new, verdict)
+    _same_verdict(old, new)
+    assert (old_passes, new_passes) == (old_count, new_prefixes)
 
 
 # -- bi-abduction -------------------------------------------------------------

@@ -71,6 +71,34 @@ def test_fully_sound_models_pass_everything(name):
         assert check_cp_soundness(bundle, mode, bounds, cap=150).passed, (name, mode)
 
 
+
+def _materialised_sample(items, cap, seed):
+    """The sampler the harness used before it drew indices lazily."""
+    from random import Random
+
+    if len(items) <= cap:
+        return items
+    rng = Random(seed)
+    return [items[i] for i in sorted(rng.sample(range(len(items)), cap))]
+
+
+@pytest.mark.parametrize("cap", [50, 10**9])
+def test_lazy_frame_sample_matches_materialised_sample(cap):
+    """check_frame's trials, in order, are those of sampling the full list of
+    mems x mems x cases index tuples."""
+    import itertools
+
+    from polyheap.conformance import _mems, _sample_product
+
+    cmm = get_model("linear").cmm
+    sizes = (len(_mems(cmm, SMALL)),) * 2 + (len(list(cmm.action_cases(SMALL))),)
+    full = list(itertools.product(*map(range, sizes)))
+    expected = _materialised_sample(full, cap, SMALL.seed)
+    assert (len(expected) < len(full)) == (cap == 50)
+    assert list(_sample_product(sizes, cap, SMALL.seed)) == expected
+    assert check_frame(cmm, "ox", SMALL, cap=50).trials == 50
+
+
 def test_unit_law_instance():
     cmm = get_model("linear").cmm
     assert cmm.compose({1: 5}, cmm.empty) == {1: 5}

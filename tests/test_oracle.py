@@ -24,6 +24,27 @@ def test_constant_oracle_picks_first():
     assert o.pick([10, 20])[0] == 10
 
 
+
+def test_read_log_survives_shift_and_pick():
+    o = Oracle.of(1, 2)
+    _, o2 = o.pick(["a", "b"])
+    o3 = o2.shift(2)
+    o3.query(1)
+    _, o4 = o3.pick(["c"])
+    assert o4.reads is o.reads
+    assert o.reads == [0, 4, 3]
+
+
+def test_read_log_does_not_affect_equality_or_hash():
+    a, b = Oracle.of(1, 2), Oracle.of(1, 2)
+    a.query(5)
+    assert a.reads != b.reads
+    assert a == b and hash(a) == hash(b)
+    assert a.shift(1) == b.shift(1)
+    assert repr(a) == repr(b)
+    assert a != Oracle.of(1, 3)
+
+
 def test_trace_collector_records_rules():
     from polyheap.assertions import PredTable, SpecContext
     from polyheap.engine import EngineContext, Mode, initial_state, sym_exec
