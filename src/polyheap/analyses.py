@@ -151,17 +151,16 @@ def verify_ox(
     state0 = SymbolicState(store, bundle.smm.empty, (), tuple(seed_pc))
 
     # search over angelic choice prefixes; most verifications need none.
-    # A run reads the oracle only below its read horizon, so a later prefix
-    # that agrees with an earlier run's below that horizon would replay it
-    # (runs are deterministic) and is skipped.
+    # A later prefix that answers every read of an earlier run alike would
+    # replay it (runs are deterministic) and is skipped.
     oracles = [Oracle.constant(0)]
     for depth in range(1, ORACLE_DEPTH + 1):
         for prefix in itertools.product(range(ORACLE_FANOUT), repeat=depth):
             oracles.append(Oracle(prefix, 0, 0))
-    done = []  # (oracle, read horizon) of every run so far
+    done = []  # the oracle of every run so far, with its read logs
     best = None
     for oracle in oracles:
-        if any(all(oracle.at(i) == prev.at(i) for i in range(k)) for prev, k in done):
+        if any(oracle.replays(prev) for prev in done):
             continue
         verdict = _verify_once(
             gamma, specs2, f, q, bundle, preds, bounds, mode, param_map, spatial_pre, state0, oracle
@@ -170,7 +169,7 @@ def verify_ox(
             return verdict
         if best is None or isinstance(best, Failed) and isinstance(verdict, Inconclusive):
             best = verdict
-        done.append((oracle, max(oracle.reads, default=-1) + 1))
+        done.append(oracle)
     return best if best is not None else Inconclusive("no oracle explored")
 
 

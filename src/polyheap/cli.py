@@ -340,6 +340,9 @@ def main(argv=None) -> int:
         if ns.command == "check-model":
             return cmd_checkmodel(ns)
         raise AssertionError(ns.command)
+    except RecursionError:
+        print("error: program nests too deeply", file=sys.stderr)
+        return 2
     finally:
         solver.disable_smtlib_dump()
 

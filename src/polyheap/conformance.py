@@ -442,8 +442,8 @@ def _resource_cases(rm, bounds: Bounds):
                 yield name, ins, outs
 
 
-def _resource_heaps(rm, cmm, bounds, name, ins, outs) -> list:
-    return [m for m in _mems(cmm, bounds, cap=512) if rm.holds_resource(m, name, ins, outs)]
+def _resource_heaps(rm, heaps, name, ins, outs) -> list:
+    return [m for m in heaps if rm.holds_resource(m, name, ins, outs)]
 
 
 def _consume_branches(smm, mode, name, ins, smem, fanout: int):
@@ -463,6 +463,7 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
     emode = Mode.OX if mode == "ox" else Mode.UX
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     mems = _mems(cmm, bounds, cap=128)
+    heaps = _mems(cmm, bounds, cap=512)  # candidate resource heaps
     cases = list(_resource_cases(rm, bounds))
     trials = 0
     for i, c in _sample_product((len(mems), len(cases)), cap, bounds.seed):
@@ -470,16 +471,16 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
         name, ins_v, outs_v = cases[c]
         for smem, theta0 in _lift_styles(smm, mem):
             trials += 1
-            w = _cp_consume_case(bundle, emode, mode, bounds, mem, smem, theta0, name, ins_v)
+            w = _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta0, name, ins_v)
             if w is None:
-                w = _cp_produce_case(bundle, mode, bounds, mem, smem, theta0, name, ins_v, outs_v)
+                w = _cp_produce_case(bundle, mode, heaps, mem, smem, theta0, name, ins_v, outs_v)
             if w is not None:
                 w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": _fmt_mem(mem)})
                 return CheckResult("cp", mode, "fail", trials, w)
     return CheckResult("cp", mode, "pass", trials)
 
 
-def _cp_consume_case(bundle, emode, mode, bounds, mem, smem, theta, name, ins_v):
+def _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name, ins_v):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     ins = tuple(Lit(v) for v in ins_v)
     fanout = (len(mem) if isinstance(mem, dict) else 4) + 1
@@ -499,7 +500,7 @@ def _cp_consume_case(bundle, emode, mode, bounds, mem, smem, theta, name, ins_v)
                 mem_f = smm.concretize(th, smem_f)
                 if mem_f is None:
                     continue
-                for mem_r in _resource_heaps(rm, cmm, bounds, name, ins_v, outs_th):
+                for mem_r in _resource_heaps(rm, heaps, name, ins_v, outs_th):
                     whole = cmm.compose(mem_r, mem_f)
                     if whole is None:
                         continue
@@ -569,7 +570,7 @@ def _outs_present(rm, name, ins_v, mem_r, bounds):
     return None
 
 
-def _cp_produce_case(bundle, mode, bounds, mem_f, smem_f, theta, name, ins_v, outs_v):
+def _cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v, outs_v):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     ins = tuple(Lit(v) for v in ins_v)
     outs = tuple(Lit(v) for v in outs_v)
@@ -577,7 +578,7 @@ def _cp_produce_case(bundle, mode, bounds, mem_f, smem_f, theta, name, ins_v, ou
     if mode == "ox":
         if not smm.sat_mem(theta, mem_f, smem_f):
             return None
-        for mem_r in _resource_heaps(rm, cmm, bounds, name, ins_v, outs_v):
+        for mem_r in _resource_heaps(rm, heaps, name, ins_v, outs_v):
             whole = cmm.compose(mem_r, mem_f)
             if whole is None:
                 continue

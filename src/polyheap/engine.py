@@ -778,7 +778,7 @@ def models_of(
 ):
     """Bounded enumeration of (interpretation, concrete state) models of a
     symbolic state; the ground-truth relation for the soundness harnesses."""
-    from .solver import enumeration_domain, _assignments
+    from .solver import enumeration_domain, models
 
     lvars = sorted(state.lvars(bundle.smm) | set(extra_lvars))
     domain = enumeration_domain(state.pc, bounds)
@@ -789,7 +789,7 @@ def models_of(
 
     domain = sorted(set(domain), key=value_key)
     out = []
-    for theta in _assignments(lvars, domain, bounds):
+    for theta in models(state.pc, lvars, domain, bounds):
         for st in models_under(theta, state, bundle, preds, bounds):
             out.append((theta, st))
     return out

@@ -9,6 +9,17 @@ bounded model enumeration:
     when the condition is ground (no logical variables) and false.
   * everything else is Unknown.
 
+The core looks inside branch guards: a conjunct `g = true` also asserts
+`g`, and `g = false` asserts `Not(g)`, which is exact under `eval_lexpr`.
+So the guards of two `if`s taken on one path (`x = 7`, `x = 9`) clash in
+the core and the path is Unsat instead of Unknown.
+
+Bounded enumeration (`models`) forward-checks: when the space is small
+enough to enumerate in full, it backtracks over the sorted variables and
+checks each conjunct as soon as its last variable is decided, so a failed
+conjunct prunes every extension. It yields exactly what filtering
+`_assignments` by the whole condition yields, in the same order.
+
 Path conditions are tuples of program-variable-free expressions, read
 conjunctively.
 """
@@ -23,7 +34,7 @@ from random import Random
 
 from .evaluation import eval_lexpr
 from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr, pv_expr
-from .values import TRUE, UNDEF, is_nat, is_rat, value_key
+from .values import FALSE, TRUE, UNDEF, is_nat, is_rat, value_key
 
 
 class PathCondError(ValueError):
@@ -371,6 +382,13 @@ class RewriteCore:
         if isinstance(c, Bin):
             if c.op == "=":
                 self._union(c.left, c.right)
+                # a branch guard: (g = true) holds iff g does, (g = false)
+                # iff Not(g) does
+                for g, lit in ((c.left, c.right), (c.right, c.left)):
+                    if lit == Lit(TRUE):
+                        self._absorb(g)
+                    elif lit == Lit(FALSE):
+                        self._absorb(Not(g))
             elif c.op in ("<", "<="):
                 self._comparison(c.left, c.op, c.right)
             elif c.op == "and":
@@ -504,6 +522,44 @@ def _holds_all(pc, theta) -> bool:
     return all(eval_lexpr(c, theta, {}) is TRUE for c in pc)
 
 
+def models(pc, lvars, domain, bounds):
+    """The interpretations of `_assignments(lvars, domain, bounds)` that make
+    every conjunct of `pc` true, in the same order and with the same key
+    order. When the space is enumerated in full, the search backtracks over
+    the sorted variables and checks each conjunct right after the step that
+    decides its last variable (leaving a variable unbound decides it too);
+    a conjunct over variables outside `lvars` waits for the last step. The
+    sampled stream is filtered as it comes."""
+    order = sorted(lvars)
+    options = list(domain) + [_OMIT]
+    if len(options) ** len(order) > _ENUM_CAP:
+        yield from (theta for theta in _assignments(order, domain, bounds) if _holds_all(pc, theta))
+        return
+    step = {x: i + 1 for i, x in enumerate(order)}
+    checks = [[] for _ in range(len(order) + 1)]  # checks[i]: after deciding order[i - 1]
+    for c in pc:
+        vs = lv_expr(c)
+        last = len(order) if vs - step.keys() else max((step[x] for x in vs), default=0)
+        checks[last].append(c)
+    theta = {}
+
+    def extend(i):
+        if i == len(order):
+            yield dict(theta)
+            return
+        x = order[i]
+        for v in options:  # _OMIT comes last and leaves x unbound again
+            if v is _OMIT:
+                theta.pop(x, None)
+            else:
+                theta[x] = v
+            if _holds_all(checks[i + 1], theta):
+                yield from extend(i + 1)
+
+    if _holds_all(checks[0], theta):
+        yield from extend(0)
+
+
 _sat_cache: dict = {}
 _dump_state = {"dir": None, "n": 0}
 
@@ -561,13 +617,9 @@ def _check_sat(pc, bounds):
     if not lvars:
         # ground: the core already evaluated every conjunct
         return Sat({})
-    domain = enumeration_domain(pc, bounds)
-    exhaustive = len(domain) ** len(lvars) <= _ENUM_CAP
-    for theta in _assignments(lvars, domain, bounds):
-        if _holds_all(pc, theta):
-            return Sat(dict(sorted(theta.items())))
-    del exhaustive  # bounded domains never justify Unsat for lvars
-    return UNKNOWN
+    # bounded domains never justify Unsat for lvars
+    theta = next(models(pc, lvars, enumeration_domain(pc, bounds), bounds), None)
+    return UNKNOWN if theta is None else Sat(theta)
 
 
 def entails(pc, e: Expr, bounds) -> Entail:
@@ -586,7 +638,7 @@ def entails(pc, e: Expr, bounds) -> Entail:
     # countermodel search
     lvars = pc_lvars(pc) | lv_expr(e)
     domain = enumeration_domain(pc + (e,), bounds)
-    for theta in _assignments(lvars, domain, bounds):
-        if _holds_all(pc, theta) and eval_lexpr(e, theta, {}) is not TRUE:
+    for theta in models(pc, lvars, domain, bounds):
+        if eval_lexpr(e, theta, {}) is not TRUE:
             return Entail.NO
     return Entail.UNKNOWN

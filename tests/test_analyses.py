@@ -213,8 +213,9 @@ spec SL wrong(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * r
     [
         # the second spec of inner verifies outer; (0,) replays ()
         ("outer", Verified, 3, [(), (1,)]),
-        # neither spec verifies wrong; only position 0 is ever read
-        ("wrong", Failed, 40, [(), (1,), (2,)]),
+        # neither spec verifies wrong; only position 0 is ever read, as a
+        # choice between two specs, so (2,) replays ()
+        ("wrong", Failed, 40, [(), (1,)]),
     ],
 )
 def test_oracle_search_branches_only_on_read_positions(monkeypatch, fid, verdict, old_count, new_prefixes):

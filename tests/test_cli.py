@@ -46,6 +46,14 @@ def test_run_parse_error_exit_two(tmp_path):
     assert p.returncode == 2
 
 
+def test_deep_program_exit_two(tmp_path):
+    deep = tmp_path / "deep.ph"
+    deep.write_text("func f(x) { " + "x := x + 1; " * 1500 + "return x }")
+    p = run_cli("run", str(deep), "f", "1")
+    assert p.returncode == 2
+    assert p.stderr.strip() == "error: program nests too deeply"
+
+
 def test_verify_fixture_exit_zero():
     p = run_cli("verify", prog("verify_suite.ph"), "--bounds-values", "nil,0,1,2,7")
     assert p.returncode == 0, p.stdout + p.stderr

@@ -239,3 +239,17 @@ def test_action_target_arity_mismatch(ctx):
     branches = sym_exec(ctx, O, st, Action(("x", "y"), "lookup", (Lit(1),)))
     errs = [b for b in branches if b.outcome is ERR and b.state.store["err"] == Lit("ActionArgsLength")]
     assert errs
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_if_chain_explores_linearly_many_paths(ctx, n):
+    # clashing guards x = c_i, x = c_j close in the solver core, so the
+    # chain has n + 1 feasible paths instead of 2^n
+    chain = Assign("y", Lit(0))
+    for c in range(5, 5 + 4 * n, 4):
+        bump = Assign("y", Bin("+", PVar("y"), Lit(1)))
+        chain = Seq(chain, IfElse(eq(PVar("x"), Lit(c)), bump, Skip()))
+    st = SymbolicState({"x": LVar("a"), "y": Lit(NIL)}, {}, (), (InVal(LVar("a")),))
+    ok = [br for br in sym_exec(ctx, O, st, chain) if br.outcome is OK]
+    assert len(ok) == n + 1
+    assert len(sat_branches(ctx, ok)) == n + 1

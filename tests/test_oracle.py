@@ -45,6 +45,29 @@ def test_read_log_does_not_affect_equality_or_hash():
     assert a != Oracle.of(1, 3)
 
 
+def test_size_log_records_choice_set_sizes():
+    o = Oracle.of(1, 2)
+    _, o2 = o.pick(["a", "b"])
+    o2.shift(2).query(1)
+    _, o3 = o2.pick(["c", "d", "e"])
+    assert o3.sizes is o.sizes
+    assert o.sizes == [(0, 2), (4, None), (1, 3)]
+    assert o.reads == [0, 4, 1]
+    b = Oracle.of(1, 2)
+    assert o == b and hash(o) == hash(b) and repr(o) == repr(b)
+
+
+def test_replays_compares_picks_modulo_their_size():
+    run = Oracle.of()
+    run.pick(["a", "b"])
+    assert Oracle.of(2).replays(run)  # 2 % 2 == 0 picks "a" again
+    assert not Oracle.of(1).replays(run)
+    assert Oracle.of(0, 5).replays(run)  # position 1 was never read
+    raw = Oracle.of()
+    raw.query(0)
+    assert not Oracle.of(2).replays(raw)  # a raw read sees the whole value
+
+
 def test_trace_collector_records_rules():
     from polyheap.assertions import PredTable, SpecContext
     from polyheap.engine import EngineContext, Mode, initial_state, sym_exec

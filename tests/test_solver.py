@@ -6,16 +6,23 @@ from polyheap.evaluation import eval_lexpr
 from polyheap.memmodel import Bounds
 from polyheap.smtlib import export_smtlib
 from polyheap.solver import (
+    _ENUM_CAP,
     Entail,
+    RewriteCore,
     Sat,
     UNKNOWN,
     UNSAT,
+    _assignments,
+    _holds_all,
     check_sat,
     entails,
+    enumeration_domain,
+    models,
     pc_extend,
+    pc_lvars,
 )
 from polyheap.syntax import Bin, InType, InVal, Lit, LVar, Not, eq
-from polyheap.values import NIL, TRUE
+from polyheap.values import FALSE, NIL, TRUE
 
 B = Bounds(value_domain=(NIL, TRUE, 0, 1, 2, 3), max_cells=2, max_addresses=3, trials=100, seed=0)
 x, y = LVar("x"), LVar("y")
@@ -121,3 +128,88 @@ def test_smtlib_covers_every_construct():
     )
     text = export_smtlib(pc)
     assert "declare-datatypes" in text
+
+
+# -- branch guards reach the core ---------------------------------------------
+
+
+def test_clashing_branch_guards_are_unsat():
+    pc = (eq(eq(x, Lit(7)), Lit(TRUE)), eq(eq(x, Lit(9)), Lit(TRUE)))
+    assert RewriteCore(pc).contradiction
+    assert check_sat(pc, B) is UNSAT
+
+
+def test_guard_true_and_false_is_unsat():
+    g = Bin("<", x, y)
+    for pc in ((eq(g, Lit(TRUE)), eq(g, Lit(FALSE))), (eq(Lit(TRUE), g), eq(Lit(FALSE), g))):
+        assert RewriteCore(pc).contradiction
+        assert check_sat(pc, B) is UNSAT
+
+
+def test_taken_and_skipped_guards_stay_sat():
+    pc = (eq(eq(x, Lit(7)), Lit(TRUE)), eq(eq(x, Lit(9)), Lit(FALSE)))
+    assert check_sat(pc, B) == Sat({"x": 7})
+
+
+_z = LVar("z")
+_ATOMS = st.sampled_from([x, y, _z, Lit(0), Lit(1), Lit(3), Lit(TRUE), Lit(NIL)])
+_EXPRS = st.recursive(
+    _ATOMS,
+    lambda sub: st.one_of(
+        st.builds(Bin, st.sampled_from(["=", "<", "<=", "+", "and"]), sub, sub),
+        st.builds(Not, sub),
+        st.builds(InVal, sub),
+    ),
+    max_leaves=4,
+)
+_PCS = st.lists(_EXPRS, max_size=4).map(tuple)
+
+
+def _generate_and_test(pc, lvars, domain, bounds):
+    """The loop that `models` replaces."""
+    return [theta for theta in _assignments(lvars, domain, bounds) if _holds_all(pc, theta)]
+
+
+def _same_stream(got, want):
+    assert got == want
+    assert [list(theta) for theta in got] == [list(theta) for theta in want]
+
+
+@given(_PCS, st.sets(st.sampled_from("xyzw"), max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_models_match_generate_and_test(pc, lvars):
+    # lvars may miss variables of pc, or be empty
+    domain = enumeration_domain(pc, B)
+    assert (len(domain) + 1) ** len(lvars) <= _ENUM_CAP
+    _same_stream(list(models(pc, lvars, domain, B)), _generate_and_test(pc, lvars, domain, B))
+
+
+@given(_PCS)
+@settings(max_examples=40, deadline=None)
+def test_models_match_generate_and_test_when_sampled(pc):
+    lvars = set("xyzabcd")
+    domain = enumeration_domain(pc, B)
+    assert (len(domain) + 1) ** len(lvars) > _ENUM_CAP
+    _same_stream(list(models(pc, lvars, domain, B)), _generate_and_test(pc, lvars, domain, B))
+
+
+_GUARDS = st.recursive(
+    st.builds(
+        Bin, st.sampled_from(["=", "<", "<="]), st.sampled_from([x, y]), st.sampled_from([Lit(0), Lit(1), Lit(2), y])
+    ),
+    lambda sub: st.one_of(
+        st.builds(lambda g, v: eq(g, Lit(v)), sub, st.sampled_from([TRUE, FALSE])),
+        st.builds(lambda g, v: eq(Lit(v), g), sub, st.sampled_from([TRUE, FALSE])),
+        st.builds(Not, sub),
+        st.builds(Bin, st.just("and"), sub, sub),
+    ),
+    max_leaves=3,
+)
+
+
+@given(st.lists(_GUARDS, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_core_contradiction_has_no_bounded_model(pc):
+    if RewriteCore(pc).contradiction:
+        domain = enumeration_domain(pc, B)
+        assert not any(_holds_all(pc, theta) for theta in _assignments(pc_lvars(pc), domain, B))
