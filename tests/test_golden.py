@@ -1,0 +1,45 @@
+"""Byte-identity of CLI reports against committed golden files.
+
+Each case runs `polyheap.cli.main` in process and compares its JSON report
+with `tests/golden/<name>.json` byte for byte, and its exit code with the
+recorded one. The check-model cases use small bounds so the whole matrix
+stays fast; `linear-cut` is also run with two cells, which its action/ox
+refutation needs. To regenerate a file after an announced change of output:
+
+    PYTHONPATH=src python -m polyheap.cli <argv...> > tests/golden/<name>.json
+"""
+
+import os
+
+import pytest
+
+from conftest import programs_dir
+from polyheap.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SMALL = ("--bounds-values", "0,1", "--bounds-cells", "1")
+
+CASES = [
+    (f"check-model-{m}", ("check-model", m, *SMALL), 1 if m in ("linear-cut", "chunks") else 0)
+    for m in (
+        "linear", "linear-unique", "linear-cut", "linear-ox",
+        "frac", "block-offset", "objects", "chunks",
+    )
+] + [
+    ("check-model-linear-cut-cells2", ("check-model", "linear-cut", "--bounds-values", "0,1"), 0),
+] + [
+    (f"verify-{p}", ("verify", os.path.join(programs_dir(), f"{p}.ph"), "--model", m), 0)
+    for p, m in (
+        ("verify_suite", "linear"),
+        ("verify_frac", "frac"),
+        ("verify_block", "block-offset"),
+        ("verify_objects", "objects"),
+    )
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, argv, code, capsys):
+    assert main([*argv, "--format", "json"]) == code
+    with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
