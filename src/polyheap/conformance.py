@@ -28,8 +28,9 @@ from .evaluation import eval_lexpr
 from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT, MISS, OK
+from .solver import _extensions, _holds_all
 from .syntax import LVar, Lit, lv_expr
-from .values import TRUE, UNDEF, value_key
+from .values import UNDEF, value_key
 
 
 @dataclass
@@ -290,15 +291,6 @@ def _arg_styles(case_args):
     return [(ground, {}), (lvars, theta_l)]
 
 
-def _extensions(theta, new_lvars, domain):
-    new_lvars = sorted(new_lvars)
-    if not new_lvars:
-        yield dict(theta)
-        return
-    for combo in itertools.product(domain, repeat=len(new_lvars)):
-        yield {**theta, **dict(zip(new_lvars, combo))}
-
-
 def _eval_vec(exprs, theta):
     vals = []
     for e in exprs:
@@ -307,10 +299,6 @@ def _eval_vec(exprs, theta):
             return None
         vals.append(v)
     return tuple(vals)
-
-
-def _pc_true(pc, theta) -> bool:
-    return all(eval_lexpr(c, theta, {}) is TRUE for c in pc)
 
 
 def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap: int = 4000) -> CheckResult:
@@ -352,7 +340,7 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
         for o, smem2, pc, outs in branches:
             if o is ABORT:
                 for th in _extensions(theta, _branch_lvars(smm, smem2, pc, outs) - known, domain):
-                    if _pc_true(pc, th) and _eval_vec(outs, th) is not None:
+                    if _holds_all(pc, th) and _eval_vec(outs, th) is not None:
                         return None
         concrete = cmm.exec_action(mem, name, args, bounds.max_addresses)
         for o, mem2, outs_c in concrete:
@@ -375,7 +363,7 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
             continue
         new = _branch_lvars(smm, smem2, pc, outs) - known
         for th in _extensions(theta, new, domain):
-            if not _pc_true(pc, th):
+            if not _holds_all(pc, th):
                 continue
             mem2 = smm.concretize(th, smem2)
             if mem2 is None:
@@ -413,7 +401,7 @@ def _ox_matched(smm, branches, theta, known, domain, o, mem2, outs_c):
             continue
         new = _branch_lvars(smm, smem2, pc, outs) - known
         for th in _extensions(theta, new, domain):
-            if not _pc_true(pc, th):
+            if not _holds_all(pc, th):
                 continue
             if _eval_vec(outs, th) != tuple(outs_c):
                 continue
@@ -495,7 +483,7 @@ def _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name,
             new = _branch_lvars(smm, smem_f, tuple(checks) + tuple(pc), outs) - known
             for th in _extensions(theta, new, domain):
                 outs_th = _eval_vec(outs, th)
-                if outs_th is None or not _pc_true(pc, th):
+                if outs_th is None or not _holds_all(pc, th):
                     continue
                 mem_f = smm.concretize(th, smem_f)
                 if mem_f is None:
@@ -504,7 +492,7 @@ def _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name,
                     whole = cmm.compose(mem_r, mem_f)
                     if whole is None:
                         continue
-                    if not _pc_true(checks, th) or not smm.sat_mem(th, whole, smem):
+                    if not _holds_all(checks, th) or not smm.sat_mem(th, whole, smem):
                         return {
                             "kind": "consume-ux",
                             "outs": [repr(v) for v in outs_th],
@@ -518,10 +506,10 @@ def _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name,
         return None
     plausible_abort = False
     for o, _, outs, (smem_f, checks, pc) in branches:
-        if o is ABORT and _pc_true(checks, theta):
+        if o is ABORT and _holds_all(checks, theta):
             new = _branch_lvars(smm, smem_f, tuple(pc), outs) - known
             for th in _extensions(theta, new, domain):
-                if _pc_true(pc, th) and smm.concretize(th, smem_f) is not None:
+                if _holds_all(pc, th) and smm.concretize(th, smem_f) is not None:
                     plausible_abort = True
                     break
         if plausible_abort:
@@ -532,11 +520,11 @@ def _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name,
     for o, _, outs, (smem_f, checks, pc) in branches:
         if o is not OK:
             continue
-        if not _pc_true(checks, theta):
+        if not _holds_all(checks, theta):
             covered = True  # implication vacuous for this branch
             break
         outs_th = _eval_vec(outs, theta)
-        if outs_th is None or not _pc_true(pc, theta):
+        if outs_th is None or not _holds_all(pc, theta):
             continue
         mem_f = smm.concretize(theta, smem_f)
         if mem_f is None:
@@ -584,7 +572,7 @@ def _cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v, out
                 continue
             hit = False
             for smem2, pc in results:
-                if _pc_true(pc, theta) and smm.sat_mem(theta, whole, smem2):
+                if _holds_all(pc, theta) and smm.sat_mem(theta, whole, smem2):
                     hit = True
                     break
             if not hit:
@@ -592,7 +580,7 @@ def _cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v, out
         return None
     # UX: every produced state's models split into resource + frame models
     for smem2, pc in results:
-        if not _pc_true(pc, theta):
+        if not _holds_all(pc, theta):
             continue
         whole = smm.concretize(theta, smem2)
         if whole is None:

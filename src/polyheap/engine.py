@@ -797,9 +797,8 @@ def models_of(
 
 def models_under(theta, state: SymbolicState, bundle, preds, bounds) -> list:
     """Concrete states related to the symbolic state under a fixed
-    interpretation."""
-    if not all(eval_lexpr(c, theta, {}) is TRUE for c in state.pc):
-        return []
+    interpretation. The caller must pass a `theta` that makes every
+    conjunct of `state.pc` true: it is not checked again here."""
     mem_part = bundle.smm.concretize(theta, state.mem)
     if mem_part is None:
         return []

@@ -26,11 +26,10 @@ from .engine import (
     models_under,
     sym_exec,
 )
-from .evaluation import eval_lexpr
 from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT, MISS
-from .solver import Sat, check_sat
+from .solver import Sat, _extensions, _holds_all, check_sat
 from .syntax import (
     Action,
     Assign,
@@ -44,7 +43,7 @@ from .syntax import (
     Seq,
     Skip,
 )
-from .values import TRUE, UNDEF, value_key
+from .values import UNDEF, value_key
 
 _PVARS = ("x", "y", "z")
 
@@ -120,21 +119,12 @@ def _match_domain(bounds, bundle, state: ConcreteState):
     return sorted(vals, key=value_key)
 
 
-def _extensions(theta, new_lvars, domain):
-    new_lvars = sorted(new_lvars)
-    if not new_lvars:
-        yield dict(theta)
-        return
-    for combo in itertools.product(domain, repeat=len(new_lvars)):
-        yield {**theta, **dict(zip(new_lvars, combo))}
-
-
 def _branch_matches(bundle, preds, bounds, branch, theta, known, final: ConcreteState) -> bool:
     state = branch.state
     new = state.lvars(bundle.smm) - known
     domain = _match_domain(bounds, bundle, final)
     for th in _extensions(theta, new, domain):
-        if not all(eval_lexpr(c, th, {}) is TRUE for c in state.pc):
+        if not _holds_all(state.pc, th):
             continue
         for model in models_under(th, state, bundle, preds, bounds):
             if model.mem == final.mem and all(

@@ -10,103 +10,61 @@ and deallocation.
 
 from __future__ import annotations
 
-import itertools
-
 from ..assertions import Res
 from ..memmodel import (
     Bounds,
-    ConcreteMemoryModel,
     FREED,
     MemoryModelBundle,
     ResourceModel,
     Soundness,
-    SymbolicMemoryModel,
     UnknownActionError,
 )
 from ..outcomes import ABORT, ERR, MISS, OK
-from ..syntax import Bin, InType, InVal, LVar, Lit, NIL_E, Not, eq, format_expr, lv_expr, not_in
+from ..syntax import Bin, InType, InVal, LVar, Lit, NIL_E, Not, eq, not_in
 from ..values import NIL, UNDEF, is_nat, is_value
 from ..evaluation import eval_lexpr
-from .linear import fresh_addresses
+from .maps import (
+    MISSING_CELL,
+    TYPE,
+    USE_AFTER_FREE,
+    NestedConcrete,
+    NestedSymbolic,
+    fresh_addresses,
+    key_tail,
+    missing,
+    produce_freed,
+    sorted_exprs,
+)
+
+_MISSING_BLOCK = Lit("MissingBlock")
+_MISSING_BOUND = Lit("MissingBound")
 
 
-def _skey(e):
-    return format_expr(e)
-
-
-def _wf_size(cells: dict, bound) -> bool:
-    if bound is None:
-        return True
+def _fits(cells: dict, bound) -> bool:
     return all(i < bound for i in cells)
 
 
-def _block_nonempty(cells, bound) -> bool:
-    return bool(cells) or bound is not None
-
-
-class BlockConcrete(ConcreteMemoryModel):
+class BlockConcrete(NestedConcrete):
     actions = ("lookup", "new", "free")
+    fits = staticmethod(_fits)
 
-    @property
-    def empty(self):
-        return {}
+    def inner_ok(self, o, v) -> bool:
+        return is_nat(o) and is_value(v)
 
-    def is_wf(self, mem) -> bool:
-        if not isinstance(mem, dict):
-            return False
-        for nb, blk in mem.items():
-            if not is_nat(nb):
-                return False
-            if blk is FREED:
-                continue
-            cells, bound = blk
-            if bound is not None and not is_nat(bound):
-                return False
-            if not all(is_nat(o) and is_value(v) for o, v in cells.items()):
-                return False
-            if not (_wf_size(cells, bound) and _block_nonempty(cells, bound)):
-                return False
-        return True
+    def know_ok(self, bound) -> bool:
+        return is_nat(bound)
 
-    def compose(self, a, b):
-        out = dict(a)
-        for nb, blk in b.items():
-            if nb not in out:
-                out[nb] = blk
-                continue
-            cur = out[nb]
-            if cur is FREED or blk is FREED:
-                return None
-            (c1, b1), (c2, b2) = cur, blk
-            if c1.keys() & c2.keys():
-                return None
-            if b1 is not None and b2 is not None:
-                return None
-            bound = b1 if b1 is not None else b2
-            # cross well-formedness: each part fits the other's bound
-            if not (_wf_size(c1, b2) and _wf_size(c2, b1)):
-                return None
-            out[nb] = ({**c1, **c2}, bound)
-        return out
+    def know_values(self, bound):
+        return (bound,)
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":
             nb, no = args
-            if not is_nat(nb):
-                return [(ERR, mem, ("Type",))]
             if not is_nat(no):
                 return [(ERR, mem, ("Type",))]
-            if nb not in mem:
-                return [(MISS, mem, ("MissingBlock", nb))]
-            blk = mem[nb]
-            if blk is FREED:
-                return [(ERR, mem, ("UseAfterFree", nb))]
-            cells, bound = blk
-            if no in cells:
-                return [(OK, mem, (cells[no],))]
-            if bound is None or no < bound:
-                return [(MISS, mem, ("MissingCell", nb, no))]
-            return [(ERR, mem, ("OutOfBounds", nb, no))]
+            return self._match(
+                mem, nb, lambda blk: self._lookup(mem, nb, no, *blk), "MissingBlock"
+            )
         if name == "new":
             (n,) = args
             if not is_nat(n):
@@ -118,83 +76,36 @@ class BlockConcrete(ConcreteMemoryModel):
             ]
         if name == "free":
             (nb,) = args
-            if not is_nat(nb):
-                return [(ERR, mem, ("Type",))]
-            if nb not in mem:
-                return [(MISS, mem, ("MissingBlock", nb))]
-            blk = mem[nb]
-            if blk is FREED:
-                return [(ERR, mem, ("UseAfterFree", nb))]
-            cells, bound = blk
-            if bound is None:
-                return [(MISS, mem, ("MissingBound", nb))]
-            if len(cells) != bound:
-                return [(MISS, mem, ("MissingCells", nb))]
-            return [(OK, {**mem, nb: FREED}, ())]
+            return self._match(mem, nb, lambda blk: self._free(mem, nb, *blk), "MissingBlock")
         raise UnknownActionError(name)
 
-    def enumerate_splits(self, mem):
-        ids = sorted(mem)
-        per_block = []
-        for nb in ids:
-            blk = mem[nb]
-            opts = []
-            if blk is FREED:
-                opts = [(blk, None), (None, blk)]
-            else:
-                cells, bound = blk
-                offs = sorted(cells)
-                for r in range(len(offs) + 1):
-                    for left in itertools.combinations(offs, r):
-                        lset = set(left)
-                        c1 = {o: cells[o] for o in offs if o in lset}
-                        c2 = {o: cells[o] for o in offs if o not in lset}
-                        for b1, b2 in ((bound, None), (None, bound)) if bound is not None else ((None, None),):
-                            lhs = (c1, b1) if _block_nonempty(c1, b1) else None
-                            rhs = (c2, b2) if _block_nonempty(c2, b2) else None
-                            if (c1 or b1 is not None or not c1) and True:
-                                opts.append((lhs, rhs))
-            per_block.append((nb, opts))
-        for combo in itertools.product(*(opts for _, opts in per_block)):
-            left, right = {}, {}
-            ok = True
-            for (nb, _), (lhs, rhs) in zip(per_block, combo):
-                blk = mem[nb]
-                if blk is not FREED:
-                    cells, bound = blk
-                    got_l = lhs if lhs is not None else ({}, None)
-                    got_r = rhs if rhs is not None else ({}, None)
-                    if len(got_l[0]) + len(got_r[0]) != len(cells):
-                        ok = False
-                        break
-                if lhs is not None:
-                    left[nb] = lhs
-                if rhs is not None:
-                    right[nb] = rhs
-            if ok:
-                yield left, right
+    def _lookup(self, mem, nb, no, cells, bound):
+        if no in cells:
+            return [(OK, mem, (cells[no],))]
+        if bound is None or no < bound:
+            return [(MISS, mem, ("MissingCell", nb, no))]
+        return [(ERR, mem, ("OutOfBounds", nb, no))]
 
-    def generator(self, bounds: Bounds):
+    def _free(self, mem, nb, cells, bound):
+        if bound is None:
+            return [(MISS, mem, ("MissingBound", nb))]
+        if len(cells) != bound:
+            return [(MISS, mem, ("MissingCells", nb))]
+        return [(OK, {**mem, nb: FREED}, ())]
+
+    def payload_states(self, bounds: Bounds):
         vals = bounds.sorted_domain()[:3]
         offsets = (0, 1)
-        blocks = [FREED]
         cell_maps = [{}]
         for o in offsets:
             cell_maps.extend({o: v} for v in vals)
         for v1 in vals:
             for v2 in vals:
                 cell_maps.append({0: v1, 1: v2})
-        for cells in cell_maps:
-            for bound in (None, 1, 2):
-                if _wf_size(cells, bound) and _block_nonempty(cells, bound):
-                    blocks.append((cells, bound))
-        ids = range(min(bounds.max_addresses, 2))
-        for size in range(min(bounds.max_cells, len(ids)) + 1):
-            for keys in itertools.combinations(ids, size):
-                for blks in itertools.product(blocks, repeat=size):
-                    mem = dict(zip(keys, blks))
-                    if sum(len(b[0]) if b is not FREED else 1 for b in blks) <= bounds.max_cells:
-                        yield mem
+        return [FREED] + self.entries_over(cell_maps, (None, 1, 2))
+
+    def weight(self, blk) -> int:
+        return 1 if blk is FREED else len(blk[0])
 
     def action_cases(self, bounds: Bounds):
         cases = [("new", (0,)), ("new", (1,)), ("new", (2,)), ("new", ("x",))]
@@ -206,20 +117,6 @@ class BlockConcrete(ConcreteMemoryModel):
         cases.append(("lookup", (0, "x")))
         cases.append(("free", ("x",)))
         return cases
-
-    def mem_values(self, mem):
-        out = set()
-        for nb, blk in mem.items():
-            out.add(nb)
-            if blk is FREED:
-                continue
-            cells, bound = blk
-            for o, v in cells.items():
-                out.add(o)
-                out.add(v)
-            if bound is not None:
-                out.add(bound)
-        return out
 
 
 class BlockResources(ResourceModel):
@@ -248,61 +145,32 @@ class BlockResources(ResourceModel):
             yield "freed", (nb,), ()
 
 
-class BlockSymbolic(SymbolicMemoryModel):
+class BlockSymbolic(NestedSymbolic):
     """Symbolic lifting: expr block ids, expr offsets/values, expr bound.
 
     Satisfaction folds per-entry denotations with the concrete composition,
     so distinct symbolic entries may denote parts of one concrete block.
     """
 
-    @property
-    def empty(self):
-        return {}
+    fits = staticmethod(_fits)
+    inner_key_ok = staticmethod(is_nat)
 
-    def lvars(self, smem) -> frozenset:
-        out = frozenset()
-        for k, blk in smem.items():
-            out |= lv_expr(k)
-            if blk is FREED:
-                continue
-            cells, bound = blk
-            for o, v in cells.items():
-                out |= lv_expr(o) | lv_expr(v)
-            if bound is not None:
-                out |= lv_expr(bound)
-        return out
+    def eval_know(self, bound, theta):
+        b = eval_lexpr(bound, theta, {})
+        return b if is_nat(b) else UNDEF
 
-    def concretize(self, theta, smem):
-        # strictly disjoint denotation: two entries never denote parts of
-        # one block (mirrors the linear model's use of disjoint union)
-        acc = {}
-        for k, blk in sorted(smem.items(), key=lambda kv: _skey(kv[0])):
-            nb = eval_lexpr(k, theta, {})
-            if not is_nat(nb) or nb in acc:
-                return None
-            if blk is FREED:
-                acc[nb] = FREED
-                continue
-            cells, bound = blk
-            c = {}
-            for o, v in cells.items():
-                ov = eval_lexpr(o, theta, {})
-                vv = eval_lexpr(v, theta, {})
-                if not is_nat(ov) or vv is UNDEF or ov in c:
-                    return None
-                c[ov] = vv
-            b = None
-            if bound is not None:
-                b = eval_lexpr(bound, theta, {})
-                if not is_nat(b):
-                    return None
-            if not (_wf_size(c, b) and _block_nonempty(c, b)):
-                return None
-            acc[nb] = (c, b)
-        return acc
+    def know_exprs(self, bound):
+        return (bound,)
 
-    def _entries(self, smem):
-        return sorted(smem.items(), key=lambda kv: _skey(kv[0]))
+    def lift_know(self, bound):
+        return Lit(bound)
+
+    def payload_assertions(self, k, blk):
+        cells, bound = blk
+        parts = [Res("cell", (k, o), (cells[o],)) for o in sorted_exprs(cells)]
+        if bound is not None:
+            parts.append(Res("bound", (k,), (bound,)))
+        return parts
 
     def exec_action(self, smem, name, args, fresh):
         if name == "lookup":
@@ -315,7 +183,7 @@ class BlockSymbolic(SymbolicMemoryModel):
                 block = ({Lit(i): NIL_E for i in range(en.value)}, en)
                 return [(OK, {**smem, x: block}, (InVal(x),), (x,))]
             if isinstance(en, Lit):
-                return [(ERR, smem, (), (Lit("Type"),))]
+                return [(ERR, smem, (), (TYPE,))]
             # dynamically sized allocations cannot be represented
             return [(ABORT, smem, (), (Lit("NonConstantAlloc"), en))]
         if name == "free":
@@ -328,11 +196,11 @@ class BlockSymbolic(SymbolicMemoryModel):
         for k, blk in self._entries(smem):
             if blk is FREED:
                 out.append(
-                    (ERR, smem, (eq(eb, k), InType(eo, "nat")), (Lit("UseAfterFree"), eb))
+                    (ERR, smem, (eq(eb, k), InType(eo, "nat")), (USE_AFTER_FREE, eb))
                 )
                 continue
             cells, bound = blk
-            offs = sorted(cells, key=_skey)
+            offs = sorted_exprs(cells)
             for o in offs:
                 out.append((OK, smem, (eq(eb, k), eq(eo, o)), (cells[o],)))
             miss_pc = [eq(eb, k), InType(eo, "nat")] + not_in(eo, offs)
@@ -342,7 +210,7 @@ class BlockSymbolic(SymbolicMemoryModel):
                         MISS,
                         smem,
                         tuple(miss_pc + [Bin("<", eo, bound)]),
-                        (Lit("MissingCell"), eb, eo),
+                        (MISSING_CELL, eb, eo),
                     )
                 )
                 out.append(
@@ -354,55 +222,29 @@ class BlockSymbolic(SymbolicMemoryModel):
                     )
                )
             else:
-                out.append((MISS, smem, tuple(miss_pc), (Lit("MissingCell"), eb, eo)))
-        out.append(
-            (
-                MISS,
-                smem,
-                tuple(
-                    [InType(eb, "nat"), InType(eo, "nat")]
-                    + not_in(eb, sorted(smem, key=_skey))
-                ),
-                (Lit("MissingBlock"), eb),
-            )
-        )
-        out.append((ERR, smem, (Not(InType(eb, "nat")),), (Lit("Type"),)))
-        out.append((ERR, smem, (InType(eb, "nat"), Not(InType(eo, "nat"))), (Lit("Type"),)))
+                out.append((MISS, smem, tuple(miss_pc), (MISSING_CELL, eb, eo)))
+        out.extend(key_tail(smem, _MISSING_BLOCK, eb, (InType(eo, "nat"),)))
+        out.append((ERR, smem, (InType(eb, "nat"), Not(InType(eo, "nat"))), (TYPE,)))
         return out
 
     def _free(self, smem, eb):
-        out = []
-        for k, blk in self._entries(smem):
-            if blk is FREED:
-                out.append((ERR, smem, (eq(eb, k),), (Lit("UseAfterFree"), eb)))
-                continue
+        def hit(k, blk):
             cells, bound = blk
             if bound is None:
-                out.append((MISS, smem, (eq(eb, k),), (Lit("MissingBound"), eb)))
-                continue
+                return [(MISS, smem, (eq(eb, k),), (_MISSING_BOUND, eb))]
             size = Lit(len(cells))
             guards = [InVal(v) for v in cells.values()]
-            out.append(
+            return [
                 (
                     OK,
                     {**smem, k: FREED},
                     tuple([eq(eb, k), eq(size, bound)] + guards),
                     (),
-                )
-            )
-            out.append(
-                (MISS, smem, (eq(eb, k), Not(eq(size, bound))), (Lit("MissingCells"), eb))
-            )
-        out.append(
-            (
-                MISS,
-                smem,
-                tuple([InType(eb, "nat")] + not_in(eb, sorted(smem, key=_skey))),
-                (Lit("MissingBlock"), eb),
-            )
-        )
-        out.append((ERR, smem, (Not(InType(eb, "nat")),), (Lit("Type"),)))
-        return out
+                ),
+                (MISS, smem, (eq(eb, k), Not(eq(size, bound))), (Lit("MissingCells"), eb)),
+            ]
+
+        return self._matching(smem, eb, hit, _MISSING_BLOCK)
 
     # consume / produce --------------------------------------------------------
 
@@ -412,7 +254,7 @@ class BlockSymbolic(SymbolicMemoryModel):
         if name == "bound" and len(ins) == 1:
             return self._consume_bound(oracle, ins, smem)
         if name == "freed" and len(ins) == 1:
-            return self._consume_freed(oracle, ins, smem)
+            return self._consume_freed(oracle, ins[0], smem, _MISSING_BLOCK)
         return [(ABORT, oracle, (), (smem, (), ()))]
 
     def _consume_cell(self, oracle, ins, smem):
@@ -422,37 +264,20 @@ class BlockSymbolic(SymbolicMemoryModel):
             if blk is FREED:
                 out.append((ABORT, oracle, (), (smem, (), (eq(eb, k),))))
                 continue
-            cells, bound = blk
-            offs = sorted(cells, key=_skey)
-            singleton = len(cells) == 1 and bound is None
+            cells, _ = blk
+            offs = sorted_exprs(cells)
             for o in offs:
-                v = cells[o]
-                if singleton:
-                    frame = {k2: b2 for k2, b2 in smem.items() if k2 != k}
-                    pc = [eq(eb, k), eq(eo, o)] + not_in(k, sorted(frame, key=_skey))
-                    out.append((OK, oracle, (v,), (frame, (), tuple(pc))))
-                else:
-                    c2 = {o2: v2 for o2, v2 in cells.items() if o2 != o}
-                    frame = {**smem, k: (c2, bound)}
-                    out.append(
-                        (OK, oracle, (v,), (frame, (), (eq(eb, k), eq(eo, o))))
-                    )
+                frame, pc = self._take_inner(smem, k, o)
+                out.append((OK, oracle, (cells[o],), (frame, (), (eq(eb, k), eq(eo, o), *pc))))
             out.append(
                 (
                     ABORT,
                     oracle,
-                    (Lit("MissingCell"), eb, eo),
+                    (MISSING_CELL, eb, eo),
                     (smem, (), tuple([eq(eb, k)] + not_in(eo, offs))),
                 )
             )
-        out.append(
-            (
-                ABORT,
-                oracle,
-                (Lit("MissingBlock"), eb),
-                (smem, (), tuple(not_in(eb, sorted(smem, key=_skey)))),
-            )
-        )
+        out.append(missing(oracle, smem, _MISSING_BLOCK, eb))
         return out
 
     def _consume_bound(self, oracle, ins, smem):
@@ -462,45 +287,12 @@ class BlockSymbolic(SymbolicMemoryModel):
             if blk is FREED:
                 out.append((ABORT, oracle, (), (smem, (), (eq(eb, k),))))
                 continue
-            cells, bound = blk
+            bound = blk[1]
             if bound is None:
                 continue
-            if not cells:
-                frame = {k2: b2 for k2, b2 in smem.items() if k2 != k}
-                # removing the whole entry drops disjointness knowledge: a
-                # bound composes with unbounded frames, so record it
-                pc = [eq(eb, k)] + not_in(k, sorted(frame, key=_skey))
-                out.append((OK, oracle, (bound,), (frame, (), tuple(pc))))
-            else:
-                frame = {**smem, k: (cells, None)}
-                out.append((OK, oracle, (bound,), (frame, (), (eq(eb, k),))))
-        out.append(
-            (
-                ABORT,
-                oracle,
-                (Lit("MissingBound"), eb),
-                (smem, (), tuple(not_in(eb, sorted(smem, key=_skey)))),
-            )
-        )
-        return out
-
-    def _consume_freed(self, oracle, ins, smem):
-        (eb,) = ins
-        out = []
-        for k, blk in self._entries(smem):
-            if blk is FREED:
-                frame = {k2: b2 for k2, b2 in smem.items() if k2 != k}
-                out.append((OK, oracle, (), (frame, (), (eq(eb, k),))))
-            else:
-                out.append((ABORT, oracle, (), (smem, (), (eq(eb, k),))))
-        out.append(
-            (
-                ABORT,
-                oracle,
-                (Lit("MissingBlock"), eb),
-                (smem, (), tuple(not_in(eb, sorted(smem, key=_skey)))),
-            )
-        )
+            frame, pc = self._take_know(smem, k)
+            out.append((OK, oracle, (bound,), (frame, (), (eq(eb, k), *pc))))
+        out.append(missing(oracle, smem, _MISSING_BOUND, eb))
         return out
 
     def produce_res(self, name, ins, outs, smem):
@@ -521,71 +313,18 @@ class BlockSymbolic(SymbolicMemoryModel):
                 )
             return results
         if name == "bound" and len(ins) == 1 and len(outs) == 1:
-            (eb,) = ins
-            (n,) = outs
-            results = []
-            if eb not in smem:
-                results.append(({**smem, eb: ({}, n)}, ()))
-            for k, blk in self._entries(smem):
-                if blk is FREED:
-                    continue
-                cells, bound = blk
-                if bound is not None or not cells:
-                    continue
-                results.append(({**smem, k: (cells, n)}, (eq(eb, k),)))
-            return results
+            return self._produce_know(ins[0], outs[0], smem)
         if name == "freed" and len(ins) == 1 and not outs:
-            (eb,) = ins
-            if eb in smem:
-                return []
-            return [({**smem, eb: FREED}, ())]
+            return produce_freed(ins[0], smem)
         return []
-
-    def mem_to_assertion(self, smem) -> list:
-        parts = []
-        for k, blk in self._entries(smem):
-            if blk is FREED:
-                parts.append(Res("freed", (k,), ()))
-                continue
-            cells, bound = blk
-            for o in sorted(cells, key=_skey):
-                parts.append(Res("cell", (k, o), (cells[o],)))
-            if bound is not None:
-                parts.append(Res("bound", (k,), (bound,)))
-        return parts
-
-    def lift(self, mem, fresh, ground: bool):
-        smem, theta = {}, {}
-        for nb in sorted(mem):
-            blk = mem[nb]
-            if ground:
-                key = Lit(nb)
-            else:
-                kb = fresh()
-                theta[kb] = nb
-                key = LVar(kb)
-            if blk is FREED:
-                smem[key] = FREED
-                continue
-            cells, bound = blk
-            c = {}
-            for o in sorted(cells):
-                if ground:
-                    c[Lit(o)] = Lit(cells[o])
-                else:
-                    kv = fresh()
-                    theta[kv] = cells[o]
-                    c[Lit(o)] = LVar(kv)
-            smem[key] = (c, Lit(bound) if bound is not None else None)
-        return smem, theta
 
     def fixes(self, payload, state, fresh):
         tag = payload[0] if payload else None
-        if tag == Lit("MissingBlock") and len(payload) == 2:
+        if tag == _MISSING_BLOCK and len(payload) == 2:
             return [Res("cell", (payload[1], LVar(fresh())), (LVar(fresh()),))]
-        if tag == Lit("MissingCell") and len(payload) == 3:
+        if tag == MISSING_CELL and len(payload) == 3:
             return [Res("cell", (payload[1], payload[2]), (LVar(fresh()),))]
-        if tag == Lit("MissingBound") and len(payload) == 2:
+        if tag == _MISSING_BOUND and len(payload) == 2:
             return [Res("bound", (payload[1],), (LVar(fresh()),))]
         if tag == Lit("MissingCells") and len(payload) == 2:
             return [Res("cell", (payload[1], LVar(fresh())), (LVar(fresh()),))]

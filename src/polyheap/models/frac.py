@@ -9,87 +9,60 @@ distinguish it from an absent cell.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from ..assertions import Res
 from ..memmodel import (
     Bounds,
-    ConcreteMemoryModel,
     FREED,
     MemoryModelBundle,
     ResourceModel,
     Soundness,
-    SymbolicMemoryModel,
     UnknownActionError,
 )
-from ..outcomes import ABORT, ERR, MISS, OK
-from ..syntax import Bin, InType, InVal, LVar, Lit, NIL_E, Not, eq, format_expr, lv_expr, not_in
+from ..outcomes import ABORT, MISS, OK
+from ..syntax import Bin, InType, InVal, LVar, Lit, NIL_E, Not, eq
 from ..values import NIL, Rat, UNDEF, is_nat, is_value
 from ..evaluation import eval_lexpr
-from .linear import fresh_addresses
+from .maps import (
+    MISSING_CELL,
+    MapConcrete,
+    MapSymbolic,
+    absent,
+    fresh_addresses,
+    missing,
+    produce_freed,
+    without,
+)
 
-_MISSING = Lit("MissingCell")
 _SHORT = Lit("InsufficientPermission")
-_UAF = Lit("UseAfterFree")
-_TYPE = Lit("Type")
 FULL = Lit(Rat(1))
 
 
-def _skey(e):
-    return format_expr(e)
-
-
-class FracConcrete(ConcreteMemoryModel):
+class FracConcrete(MapConcrete):
     actions = ("lookup", "mutate", "new", "free")
 
-    @property
-    def empty(self):
-        return {}
-
-    def is_wf(self, mem) -> bool:
-        if not isinstance(mem, dict):
+    def payload_ok(self, v) -> bool:
+        if not (isinstance(v, tuple) and len(v) == 2):
             return False
-        for k, v in mem.items():
-            if not is_nat(k):
-                return False
-            if v is FREED:
-                continue
-            if not (isinstance(v, tuple) and len(v) == 2):
-                return False
-            val, q = v
-            if not is_value(val) or not isinstance(q, Fraction) or not (0 < q <= 1):
-                return False
-        return True
+        val, q = v
+        return is_value(val) and isinstance(q, Fraction) and 0 < q <= 1
 
-    def compose(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            if k not in out:
-                out[k] = v
-                continue
-            u = out[k]
-            if u is FREED or v is FREED:
-                return None
-            (val1, q1), (val2, q2) = u, v
-            if val1 != val2 or q1 + q2 > 1:
-                return None
-            out[k] = (val1, q1 + q2)
-        return out
+    def join(self, u, v):
+        if u is FREED or v is FREED:
+            return None
+        (val1, q1), (val2, q2) = u, v
+        if val1 != val2 or q1 + q2 > 1:
+            return None
+        return (val1, q1 + q2)
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":
             (addr,) = args
-            return self._match(mem, addr, lambda v, q: [(OK, mem, (v,))])
+            return self._match(mem, addr, lambda v: [(OK, mem, (v[0],))])
         if name == "mutate":
             addr, val = args
-
-            def write(v, q):
-                if q == 1:
-                    return [(OK, {**mem, addr: (val, Fraction(1))}, ())]
-                return [(MISS, mem, ("InsufficientPermission", addr))]
-
-            return self._match(mem, addr, write)
+            return self._match(mem, addr, self._whole(mem, addr, (val, Fraction(1))))
         if name == "new":
             if args:
                 raise ValueError("new takes no arguments")
@@ -99,59 +72,33 @@ class FracConcrete(ConcreteMemoryModel):
             ]
         if name == "free":
             (addr,) = args
-
-            def drop(v, q):
-                if q == 1:
-                    return [(OK, {**mem, addr: FREED}, ())]
-                return [(MISS, mem, ("InsufficientPermission", addr))]
-
-            return self._match(mem, addr, drop)
+            return self._match(mem, addr, self._whole(mem, addr, FREED))
         raise UnknownActionError(name)
 
-    def _match(self, mem, addr, hit):
-        if not is_nat(addr):
-            return [(ERR, mem, ("Type",))]
-        if addr not in mem:
-            return [(MISS, mem, ("MissingCell", addr))]
-        v = mem[addr]
+    def _whole(self, mem, addr, new):
+        """Writes and frees need the whole permission; the rest of it is
+        the missing resource."""
+
+        def hit(v):
+            if v[1] == 1:
+                return [(OK, {**mem, addr: new}, ())]
+            return [(MISS, mem, ("InsufficientPermission", addr))]
+
+        return hit
+
+    def split_payload(self, v):
+        # left, right, or an exact permission split
         if v is FREED:
-            return [(ERR, mem, ("UseAfterFree", addr))]
-        return hit(*v)
+            return super().split_payload(v)
+        half = (v[0], v[1] / 2)
+        return [(v, None), (None, v), (half, half)]
 
-    def enumerate_splits(self, mem):
-        keys = sorted(mem)
-        # per key: left, right, or an exact permission split
-        options = []
-        for k in keys:
-            v = mem[k]
-            opts = [("L",), ("R",)]
-            if v is not FREED:
-                opts.append(("S",))
-            options.append(opts)
-        for combo in itertools.product(*options):
-            left, right = {}, {}
-            for k, (tag,) in zip(keys, combo):
-                v = mem[k]
-                if tag == "L":
-                    left[k] = v
-                elif tag == "R":
-                    right[k] = v
-                else:
-                    val, q = v
-                    left[k] = (val, q / 2)
-                    right[k] = (val, q / 2)
-            yield left, right
-
-    def generator(self, bounds: Bounds):
+    def payload_states(self, bounds: Bounds):
         states = [FREED]
         for v in bounds.sorted_domain():
             for q in (Fraction(1, 2), Fraction(1)):
                 states.append((v, q))
-        addrs = range(bounds.max_addresses)
-        for size in range(min(bounds.max_cells, bounds.max_addresses) + 1):
-            for keys in itertools.combinations(addrs, size):
-                for vals in itertools.product(states, repeat=size):
-                    yield dict(zip(keys, vals))
+        return states
 
     def action_cases(self, bounds: Bounds):
         addrs = list(range(bounds.max_addresses + 1))
@@ -165,14 +112,8 @@ class FracConcrete(ConcreteMemoryModel):
         cases.append(("lookup", ("x",)))
         return cases
 
-    def mem_values(self, mem):
-        out = set()
-        for k, v in mem.items():
-            out.add(k)
-            if v is not FREED:
-                out.add(v[0])
-                out.add(Rat(v[1]))
-        return out
+    def payload_values(self, v):
+        return (v[0], Rat(v[1]))
 
 
 class FracResources(ResourceModel):
@@ -199,84 +140,44 @@ class FracResources(ResourceModel):
             yield "freed", (a,), ()
 
 
-class FracSymbolic(SymbolicMemoryModel):
-    @property
-    def empty(self):
-        return {}
+class FracSymbolic(MapSymbolic):
+    def payload_exprs(self, v):
+        return v
 
-    def lvars(self, smem) -> frozenset:
-        out = frozenset()
-        for k, v in smem.items():
-            out |= lv_expr(k)
-            if v is not FREED:
-                out |= lv_expr(v[0]) | lv_expr(v[1])
-        return out
+    def eval_payload(self, v, theta):
+        val = eval_lexpr(v[0], theta, {})
+        qv = eval_lexpr(v[1], theta, {})
+        if val is UNDEF or not isinstance(qv, Rat) or not (0 < qv.q <= 1):
+            return UNDEF
+        return (val, qv.q)
 
-    def concretize(self, theta, smem):
-        out = {}
-        for k, v in smem.items():
-            addr = eval_lexpr(k, theta, {})
-            if not is_nat(addr) or addr in out:
-                return None
-            if v is FREED:
-                out[addr] = FREED
-                continue
-            val = eval_lexpr(v[0], theta, {})
-            qv = eval_lexpr(v[1], theta, {})
-            if val is UNDEF or not isinstance(qv, Rat) or not (0 < qv.q <= 1):
-                return None
-            out[addr] = (val, qv.q)
-        return out
+    def lift_payload(self, v, name):
+        return (name(v[0]), name(Rat(v[1])))
 
-    def _entries(self, smem):
-        return sorted(smem.items(), key=lambda kv: _skey(kv[0]))
+    def payload_assertions(self, k, v):
+        return [Res("cell", (k, v[1]), (v[0],))]
 
     def exec_action(self, smem, name, args, fresh):
         if name == "lookup":
             (e,) = args
-            return self._matching(smem, e, lambda k, v, q: [(OK, smem, (eq(e, k),), (v,))])
+            return self._matching(smem, e, lambda k, v: [(OK, smem, (eq(e, k),), (v[0],))])
         if name == "mutate":
             e, val = args
-
-            def write(k, v, q):
-                return [
-                    (OK, {**smem, k: (val, q)}, (eq(e, k), eq(q, FULL), InVal(v)), ()),
-                    (MISS, smem, (eq(e, k), Not(eq(q, FULL))), (_SHORT, e)),
-                ]
-
-            return self._matching(smem, e, write)
+            return self._matching(smem, e, lambda k, v: self._whole(smem, e, k, v, (val, v[1])))
         if name == "new":
             x = LVar(fresh())
             return [(OK, {**smem, x: (NIL_E, FULL)}, (InVal(x),), (x,))]
         if name == "free":
             (e,) = args
-
-            def drop(k, v, q):
-                return [
-                    (OK, {**smem, k: FREED}, (eq(e, k), eq(q, FULL), InVal(v)), ()),
-                    (MISS, smem, (eq(e, k), Not(eq(q, FULL))), (_SHORT, e)),
-                ]
-
-            return self._matching(smem, e, drop)
+            return self._matching(smem, e, lambda k, v: self._whole(smem, e, k, v, FREED))
         raise UnknownActionError(name)
 
-    def _matching(self, smem, e, hit):
-        branches = []
-        for k, v in self._entries(smem):
-            if v is FREED:
-                branches.append((ERR, smem, (eq(e, k),), (_UAF, e)))
-            else:
-                branches.extend(hit(k, v[0], v[1]))
-        branches.append(
-            (
-                MISS,
-                smem,
-                tuple([InType(e, "nat")] + not_in(e, sorted(smem, key=_skey))),
-                (_MISSING, e),
-            )
-        )
-        branches.append((ERR, smem, (Not(InType(e, "nat")),), (_TYPE,)))
-        return branches
+    def _whole(self, smem, e, k, v, new):
+        val, q = v
+        return [
+            (OK, {**smem, k: new}, (eq(e, k), eq(q, FULL), InVal(val)), ()),
+            (MISS, smem, (eq(e, k), Not(eq(q, FULL))), (_SHORT, e)),
+        ]
 
     def consume_res(self, mode, oracle, name, ins, smem):
         out = []
@@ -287,21 +188,14 @@ class FracSymbolic(SymbolicMemoryModel):
                     out.append((ABORT, oracle, (), (smem, (), (eq(e_l, k),))))
                     continue
                 val, q = v
-                frame = {k2: v2 for k2, v2 in smem.items() if k2 != k}
+                frame = without(smem, k)
                 # take the whole permission
                 out.append(
                     (
                         OK,
                         oracle,
                         (val,),
-                        (
-                            frame,
-                            (),
-                            tuple(
-                                [eq(e_l, k), eq(e_q, q)]
-                                + not_in(k, sorted(frame, key=_skey))
-                            ),
-                        ),
+                        (frame, (), tuple([eq(e_l, k), eq(e_q, q)] + absent(k, frame))),
                     )
                 )
                 # take part, leaving the remainder
@@ -314,32 +208,10 @@ class FracSymbolic(SymbolicMemoryModel):
                         ({**frame, k: (val, rest)}, (), (eq(e_l, k), Bin("<", e_q, q))),
                     )
                 )
-            out.append(
-                (
-                    ABORT,
-                    oracle,
-                    (_MISSING, e_l),
-                    (smem, (), tuple(not_in(e_l, sorted(smem, key=_skey)))),
-                )
-            )
+            out.append(missing(oracle, smem, MISSING_CELL, e_l))
             return out
         if name == "freed" and len(ins) == 1:
-            (e,) = ins
-            for k, v in self._entries(smem):
-                if v is FREED:
-                    frame = {k2: v2 for k2, v2 in smem.items() if k2 != k}
-                    out.append((OK, oracle, (), (frame, (), (eq(e, k),))))
-                else:
-                    out.append((ABORT, oracle, (), (smem, (), (eq(e, k),))))
-            out.append(
-                (
-                    ABORT,
-                    oracle,
-                    (_MISSING, e),
-                    (smem, (), tuple(not_in(e, sorted(smem, key=_skey)))),
-                )
-            )
-            return out
+            return self._consume_freed(oracle, ins[0], smem, MISSING_CELL)
         return [(ABORT, oracle, (), (smem, (), ()))]
 
     def produce_res(self, name, ins, outs, smem):
@@ -363,46 +235,11 @@ class FracSymbolic(SymbolicMemoryModel):
                 )
             return results
         if name == "freed" and len(ins) == 1 and not outs:
-            (e,) = ins
-            if e in smem:
-                return []
-            return [({**smem, e: FREED}, ())]
+            return produce_freed(ins[0], smem)
         return []
 
-    def mem_to_assertion(self, smem) -> list:
-        parts = []
-        for k, v in self._entries(smem):
-            if v is FREED:
-                parts.append(Res("freed", (k,), ()))
-            else:
-                parts.append(Res("cell", (k, v[1]), (v[0],)))
-        return parts
-
-    def lift(self, mem, fresh, ground: bool):
-        smem, theta = {}, {}
-        for a in sorted(mem):
-            v = mem[a]
-            if ground:
-                key = Lit(a)
-                payload = FREED if v is FREED else (Lit(v[0]), Lit(Rat(v[1])))
-            else:
-                ka = fresh()
-                theta[ka] = a
-                key = LVar(ka)
-                if v is FREED:
-                    payload = FREED
-                else:
-                    kv, kq = fresh(), fresh()
-                    theta[kv] = v[0]
-                    theta[kq] = Rat(v[1])
-                    payload = (LVar(kv), LVar(kq))
-            smem[key] = payload
-        return smem, theta
-
     def fixes(self, payload, state, fresh):
-        if len(payload) == 2 and payload[0] == _MISSING:
-            return [Res("cell", (payload[1], LVar(fresh())), (LVar(fresh()),))]
-        if len(payload) == 2 and payload[0] == _SHORT:
+        if len(payload) == 2 and payload[0] in (MISSING_CELL, _SHORT):
             return [Res("cell", (payload[1], LVar(fresh())), (LVar(fresh()),))]
         return []
 

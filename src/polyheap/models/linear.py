@@ -13,71 +13,39 @@ tracking and in how multiple matches branch:
 
 from __future__ import annotations
 
-import itertools
-
 from ..assertions import Res
+from ..evaluation import eval_lexpr
 from ..memmodel import (
     Bounds,
-    ConcreteMemoryModel,
     FREED,
     MemoryModelBundle,
     ResourceModel,
     Soundness,
-    SymbolicMemoryModel,
     UnknownActionError,
 )
-from ..outcomes import ABORT, ERR, MISS, OK
-from ..syntax import InType, InVal, LVar, Lit, NIL_E, Not, eq, format_expr, lv_expr, not_in
-from ..values import NIL, UNDEF, is_nat, is_value
-from ..evaluation import eval_lexpr
+from ..outcomes import ABORT, ERR, OK
+from ..syntax import InVal, LVar, NIL_E, eq
+from ..values import NIL, is_nat, is_value
+from .maps import (
+    MISSING_CELL,
+    MapConcrete,
+    MapSymbolic,
+    bipartitions,
+    fresh_addresses,
+    missing,
+    produce_freed,
+    without,
+)
 
 
-_MISSING = Lit("MissingCell")
-_UAF = Lit("UseAfterFree")
-_TYPE = Lit("Type")
-
-
-def _skey(e):
-    return format_expr(e)
-
-
-def fresh_addresses(mem: dict, count: int):
-    out = []
-    n = 0
-    while len(out) < count:
-        if n not in mem:
-            out.append(n)
-        n += 1
-    return out
-
-
-class LinearConcrete(ConcreteMemoryModel):
+class LinearConcrete(MapConcrete):
     actions = ("lookup", "mutate", "new", "free")
 
     def __init__(self, track_freed: bool = True):
         self.track_freed = track_freed
 
-    @property
-    def empty(self):
-        return {}
-
-    def is_wf(self, mem) -> bool:
-        if not isinstance(mem, dict):
-            return False
-        for k, v in mem.items():
-            if not is_nat(k):
-                return False
-            if v is FREED:
-                if not self.track_freed:
-                    return False
-            elif not is_value(v):
-                return False
-        return True
-
-    def compose(self, a, b):
-        if a.keys() & b.keys():
-            return None
-        return {**a, **b}
+    def payload_ok(self, v) -> bool:
+        return is_value(v)
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":
@@ -99,42 +67,19 @@ class LinearConcrete(ConcreteMemoryModel):
             def freed(v):
                 if self.track_freed:
                     return [(OK, {**mem, addr: FREED}, ())]
-                out = dict(mem)
-                del out[addr]
-                return [(OK, out, ())]
+                return [(OK, without(mem, addr), ())]
 
             return self._match(mem, addr, freed)
         raise UnknownActionError(name)
 
-    def _match(self, mem, addr, on_value):
-        if not is_nat(addr):
-            return [(ERR, mem, ("Type",))]
-        if addr not in mem:
-            return [(MISS, mem, ("MissingCell", addr))]
-        v = mem[addr]
-        if v is FREED:
-            return [(ERR, mem, ("UseAfterFree", addr))]
-        return on_value(v)
-
     def enumerate_splits(self, mem):
-        keys = sorted(mem)
-        for r in range(len(keys) + 1):
-            for left in itertools.combinations(keys, r):
-                l = set(left)
-                yield (
-                    {k: mem[k] for k in keys if k in l},
-                    {k: mem[k] for k in keys if k not in l},
-                )
+        return bipartitions(mem)
 
-    def generator(self, bounds: Bounds):
+    def payload_states(self, bounds: Bounds):
         states = list(bounds.sorted_domain())
         if self.track_freed:
             states.append(FREED)
-        addrs = range(bounds.max_addresses)
-        for size in range(min(bounds.max_cells, bounds.max_addresses) + 1):
-            for keys in itertools.combinations(addrs, size):
-                for vals in itertools.product(states, repeat=size):
-                    yield dict(zip(keys, vals))
+        return states
 
     def action_cases(self, bounds: Bounds):
         addrs = list(range(bounds.max_addresses + 1))
@@ -151,13 +96,8 @@ class LinearConcrete(ConcreteMemoryModel):
         cases.append(("free", (junk,)))
         return cases
 
-    def mem_values(self, mem):
-        out = set()
-        for k, v in mem.items():
-            out.add(k)
-            if v is not FREED:
-                out.add(v)
-        return out
+    def payload_values(self, v):
+        return (v,)
 
 
 class LinearResources(ResourceModel):
@@ -177,7 +117,7 @@ class LinearResources(ResourceModel):
         return False
 
 
-class LinearSymbolic(SymbolicMemoryModel):
+class LinearSymbolic(MapSymbolic):
     def __init__(self, variant: str = "exact"):
         assert variant in ("exact", "unique", "cut", "noneg")
         self.variant = variant
@@ -185,42 +125,27 @@ class LinearSymbolic(SymbolicMemoryModel):
         # noneg mirrors the traditional verification-only model: it drops
         # the evaluation information of overwritten cells
         self.keep_info = variant != "noneg"
+        if variant == "noneg":
+            # verification only: no bi-abductive fixes
+            self.fixes = None
 
-    @property
-    def empty(self):
-        return {}
+    def payload_exprs(self, v):
+        return (v,)
 
-    def lvars(self, smem) -> frozenset:
-        out = frozenset()
-        for k, v in smem.items():
-            out |= lv_expr(k)
-            if v is not FREED:
-                out |= lv_expr(v)
-        return out
+    def eval_payload(self, v, theta):
+        return eval_lexpr(v, theta, {})
 
-    def concretize(self, theta, smem):
-        out = {}
-        for k, v in smem.items():
-            addr = eval_lexpr(k, theta, {})
-            if not is_nat(addr) or addr in out:
-                return None
-            if v is FREED:
-                out[addr] = FREED
-            else:
-                val = eval_lexpr(v, theta, {})
-                if val is UNDEF:
-                    return None
-                out[addr] = val
-        return out
+    def lift_payload(self, v, name):
+        return name(v)
 
-    def _entries(self, smem):
-        return sorted(smem.items(), key=lambda kv: _skey(kv[0]))
+    def payload_assertions(self, k, v):
+        return [Res("cell", (k,), (v,))]
 
     def exec_action(self, smem, name, args, fresh):
         if name == "lookup":
             (e,) = args
             return self._matching(
-                smem, e, lambda k, v: (OK, smem, (eq(e, k),), (v,))
+                smem, e, lambda k, v: [(OK, smem, (eq(e, k),), (v,))]
             )
         if name == "mutate":
             e, val = args
@@ -229,7 +154,7 @@ class LinearSymbolic(SymbolicMemoryModel):
                 pc = [eq(e, k)]
                 if self.keep_info:
                     pc.append(InVal(v))
-                return (OK, {**smem, k: val}, tuple(pc), ())
+                return [(OK, {**smem, k: val}, tuple(pc), ())]
 
             return self._matching(smem, e, hit)
         if name == "new":
@@ -244,36 +169,19 @@ class LinearSymbolic(SymbolicMemoryModel):
                 pc = [eq(e, k)]
                 if self.keep_info:
                     pc.append(InVal(v))
-                if self.track_freed:
-                    mem = {**smem, k: FREED}
-                else:
-                    mem = {k2: v2 for k2, v2 in smem.items() if k2 != k}
-                return (OK, mem, tuple(pc), ())
+                mem = {**smem, k: FREED} if self.track_freed else without(smem, k)
+                return [(OK, mem, tuple(pc), ())]
 
             return self._matching(smem, e, hit)
         raise UnknownActionError(name)
 
-    def _matching(self, smem, e, on_value):
-        hits, uafs = [], []
-        for k, v in self._entries(smem):
-            if v is FREED:
-                uafs.append((ERR, smem, (eq(e, k),), (_UAF, e)))
-            else:
-                hits.append(on_value(k, v))
+    def _order(self, branches):
+        # every hit before every use-after-free; cut keeps the first of each
+        hits = [b for b in branches if b[0] is OK]
+        uafs = [b for b in branches if b[0] is ERR]
         if self.variant == "cut":
-            hits = hits[:1]
-            uafs = uafs[:1]
-        branches = hits + uafs
-        branches.append(
-            (
-                MISS,
-                smem,
-                tuple([InType(e, "nat")] + not_in(e, sorted(smem, key=_skey))),
-                (_MISSING, e),
-            )
-        )
-        branches.append((ERR, smem, (Not(InType(e, "nat")),), (_TYPE,)))
-        return branches
+            return hits[:1] + uafs[:1]
+        return hits + uafs
 
     # consume / produce -------------------------------------------------------
 
@@ -292,26 +200,17 @@ class LinearSymbolic(SymbolicMemoryModel):
         if self.variant == "cut":
             if matches:
                 (k, v), oracle2 = oracle.pick(matches)
-                frame = {k2: v2 for k2, v2 in smem.items() if k2 != k}
                 outs = () if want_freed else (v,)
-                out.append((OK, oracle2, outs, (frame, (), (eq(e, k),))))
+                out.append((OK, oracle2, outs, (without(smem, k), (), (eq(e, k),))))
         else:
             check = self.variant == "unique"
             for k, v in matches:
-                frame = {k2: v2 for k2, v2 in smem.items() if k2 != k}
                 outs = () if want_freed else (v,)
                 cond = (eq(e, k),)
-                out.append((OK, oracle, outs, (frame, cond if check else (), cond)))
+                out.append((OK, oracle, outs, (without(smem, k), cond if check else (), cond)))
         for k, v in wrong:
             out.append((ABORT, oracle, (), (smem, (), (eq(e, k),))))
-        out.append(
-            (
-                ABORT,
-                oracle,
-                (_MISSING, e),
-                (smem, (), tuple(not_in(e, sorted(smem, key=_skey)))),
-            )
-        )
+        out.append(missing(oracle, smem, MISSING_CELL, e))
         return out
 
     def produce_res(self, name, ins, outs, smem):
@@ -321,43 +220,11 @@ class LinearSymbolic(SymbolicMemoryModel):
                 return []
             return [({**smem, e: outs[0]}, ())]
         if name == "freed" and self.track_freed and len(ins) == 1 and not outs:
-            (e,) = ins
-            if e in smem:
-                return []
-            return [({**smem, e: FREED}, ())]
+            return produce_freed(ins[0], smem)
         return []
 
-    def mem_to_assertion(self, smem) -> list:
-        parts = []
-        for k, v in self._entries(smem):
-            if v is FREED:
-                parts.append(Res("freed", (k,), ()))
-            else:
-                parts.append(Res("cell", (k,), (v,)))
-        return parts
-
-    def lift(self, mem, fresh, ground: bool):
-        smem, theta = {}, {}
-        for a in sorted(mem):
-            v = mem[a]
-            if ground:
-                key = Lit(a)
-                payload = FREED if v is FREED else Lit(v)
-            else:
-                ka = fresh()
-                theta[ka] = a
-                key = LVar(ka)
-                if v is FREED:
-                    payload = FREED
-                else:
-                    kv = fresh()
-                    theta[kv] = v
-                    payload = LVar(kv)
-            smem[key] = payload
-        return smem, theta
-
     def fixes(self, payload, state, fresh):
-        if len(payload) == 2 and payload[0] == _MISSING:
+        if len(payload) == 2 and payload[0] == MISSING_CELL:
             return [Res("cell", (payload[1],), (LVar(fresh()),))]
         return []
 
@@ -378,13 +245,10 @@ def instantiate_linear(variant: str = "exact") -> MemoryModelBundle:
         "cut": Soundness(ox=False, ux=True),
         "noneg": Soundness(ox=True, ux=False),
     }[variant]
-    smm = LinearSymbolic(variant)
-    if variant == "noneg":
-        smm.fixes = None
     return MemoryModelBundle(
         name=names[variant],
         cmm=LinearConcrete(track),
         rm=LinearResources(track),
-        smm=smm,
+        smm=LinearSymbolic(variant),
         declared_soundness=sound,
     )

@@ -11,83 +11,51 @@ Resources: field(o, f; v), unset(o, f;), domain(o, fields-list;).
 
 from __future__ import annotations
 
-import itertools
-
 from ..assertions import Res
 from ..memmodel import (
     Bounds,
-    ConcreteMemoryModel,
     FREED,
     MemoryModelBundle,
     ResourceModel,
     Soundness,
-    SymbolicMemoryModel,
     UnknownActionError,
 )
 from ..outcomes import ABORT, ERR, MISS, OK
-from ..syntax import Bin, InType, InVal, LVar, Lit, LstE, NIL_E, Not, eq, format_expr, lv_expr, not_in
+from ..syntax import InType, InVal, LVar, Lit, LstE, NIL_E, Not, eq, not_in
 from ..values import NIL, UNDEF, is_nat, is_string, is_value
 from ..evaluation import eval_lexpr
-from .linear import fresh_addresses
+from .maps import (
+    TYPE,
+    NestedConcrete,
+    NestedSymbolic,
+    fresh_addresses,
+    key_tail,
+    missing,
+    one_of,
+    sorted_exprs,
+)
+
+_MISSING_FIELD = Lit("MissingField")
+_MISSING_OBJECT = Lit("MissingObject")
 
 
-def _skey(e):
-    return format_expr(e)
-
-
-def _fields_ok(fields: dict, dom) -> bool:
-    if dom is None:
-        return True
+def _fits(fields: dict, dom) -> bool:
     return set(fields) <= dom
 
 
-def _entry_nonempty(fields, dom) -> bool:
-    return bool(fields) or dom is not None
-
-
-class ObjectConcrete(ConcreteMemoryModel):
+class ObjectConcrete(NestedConcrete):
     actions = ("newObj", "lookup", "mutate", "deleteField")
+    track_freed = False
+    fits = staticmethod(_fits)
 
-    @property
-    def empty(self):
-        return {}
+    def inner_ok(self, f, v) -> bool:
+        return is_string(f) and (v is FREED or is_value(v))
 
-    def is_wf(self, mem) -> bool:
-        if not isinstance(mem, dict):
-            return False
-        for o, entry in mem.items():
-            if not is_nat(o) or not isinstance(entry, tuple):
-                return False
-            fields, dom = entry
-            for f, v in fields.items():
-                if not is_string(f):
-                    return False
-                if v is not FREED and not is_value(v):
-                    return False
-            if dom is not None and not (
-                isinstance(dom, frozenset) and all(is_string(f) for f in dom)
-            ):
-                return False
-            if not (_fields_ok(fields, dom) and _entry_nonempty(fields, dom)):
-                return False
-        return True
+    def know_ok(self, dom) -> bool:
+        return isinstance(dom, frozenset) and all(is_string(f) for f in dom)
 
-    def compose(self, a, b):
-        out = dict(a)
-        for o, entry in b.items():
-            if o not in out:
-                out[o] = entry
-                continue
-            (f1, d1), (f2, d2) = out[o], entry
-            if f1.keys() & f2.keys():
-                return None
-            if d1 is not None and d2 is not None:
-                return None
-            dom = d1 if d1 is not None else d2
-            if not (_fields_ok(f1, d2) and _fields_ok(f2, d1)):
-                return None
-            out[o] = ({**f1, **f2}, dom)
-        return out
+    def know_values(self, dom):
+        return dom
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "newObj":
@@ -105,7 +73,7 @@ class ObjectConcrete(ConcreteMemoryModel):
             return self._with_field(mem, o, f, lambda *a: self._write(v, *a))
         if name == "deleteField":
             o, f = args
-            return self._with_field(mem, o, f, self._delete)
+            return self._with_field(mem, o, f, lambda *a: self._write(FREED, *a))
         raise UnknownActionError(name)
 
     def _with_field(self, mem, o, f, k):
@@ -127,56 +95,14 @@ class ObjectConcrete(ConcreteMemoryModel):
         return [(MISS, mem, ("MissingField", o, f))]
 
     def _write(self, v, mem, o, f, fields, dom):
+        """Set field `f` to `v`, or delete it when `v` is FREED."""
         if f in fields:
             return [(OK, {**mem, o: ({**fields, f: v}, dom)}, ())]
         if dom is not None and f not in dom:
             return [(OK, {**mem, o: ({**fields, f: v}, dom | {f})}, ())]
         return [(MISS, mem, ("MissingField", o, f))]
 
-    def _delete(self, mem, o, f, fields, dom):
-        if f in fields:
-            return [(OK, {**mem, o: ({**fields, f: FREED}, dom)}, ())]
-        if dom is not None and f not in dom:
-            return [(OK, {**mem, o: ({**fields, f: FREED}, dom | {f})}, ())]
-        return [(MISS, mem, ("MissingField", o, f))]
-
-    def enumerate_splits(self, mem):
-        ids = sorted(mem)
-        per_obj = []
-        for o in ids:
-            fields, dom = mem[o]
-            names = sorted(fields)
-            opts = []
-            for r in range(len(names) + 1):
-                for left in itertools.combinations(names, r):
-                    lset = set(left)
-                    f1 = {f: fields[f] for f in names if f in lset}
-                    f2 = {f: fields[f] for f in names if f not in lset}
-                    dom_opts = ((dom, None), (None, dom)) if dom is not None else ((None, None),)
-                    for d1, d2 in dom_opts:
-                        lhs = (f1, d1) if _entry_nonempty(f1, d1) else None
-                        rhs = (f2, d2) if _entry_nonempty(f2, d2) else None
-                        if (f1 or d1 is not None) or lhs is None:
-                            opts.append((lhs, rhs))
-            per_obj.append((o, opts))
-        for combo in itertools.product(*(opts for _, opts in per_obj)):
-            left, right = {}, {}
-            ok = True
-            for (o, _), (lhs, rhs) in zip(per_obj, combo):
-                fields, _ = mem[o]
-                l_n = len(lhs[0]) if lhs else 0
-                r_n = len(rhs[0]) if rhs else 0
-                if l_n + r_n != len(fields):
-                    ok = False
-                    break
-                if lhs is not None:
-                    left[o] = lhs
-                if rhs is not None:
-                    right[o] = rhs
-            if ok:
-                yield left, right
-
-    def generator(self, bounds: Bounds):
+    def payload_states(self, bounds: Bounds):
         vals = bounds.sorted_domain()[:2]
         names = ("f", "g")
         field_maps = [{}]
@@ -184,17 +110,11 @@ class ObjectConcrete(ConcreteMemoryModel):
             field_maps.extend({f: v} for v in list(vals) + [FREED])
         for v1 in list(vals) + [FREED]:
             field_maps.append({"f": v1, "g": vals[0]})
-        entries = []
-        for fields in field_maps:
-            for dom in (None, frozenset(), frozenset({"f"}), frozenset(names)):
-                if _fields_ok(fields, dom) and _entry_nonempty(fields, dom):
-                    entries.append((fields, dom))
-        ids = range(min(bounds.max_addresses, 2))
-        for size in range(min(bounds.max_cells, len(ids)) + 1):
-            for keys in itertools.combinations(ids, size):
-                for es in itertools.product(entries, repeat=size):
-                    if sum(max(len(e[0]), 1) for e in es) <= bounds.max_cells:
-                        yield dict(zip(keys, es))
+        doms = (None, frozenset(), frozenset({"f"}), frozenset(names))
+        return self.entries_over(field_maps, doms)
+
+    def weight(self, entry) -> int:
+        return max(len(entry[0]), 1)
 
     def action_cases(self, bounds: Bounds):
         vals = bounds.sorted_domain()[:2]
@@ -208,18 +128,6 @@ class ObjectConcrete(ConcreteMemoryModel):
         cases.append(("lookup", ("x", "f")))
         cases.append(("lookup", (0, 1)))
         return cases
-
-    def mem_values(self, mem):
-        out = set()
-        for o, (fields, dom) in mem.items():
-            out.add(o)
-            for f, v in fields.items():
-                out.add(f)
-                if v is not FREED:
-                    out.add(v)
-            if dom:
-                out.update(dom)
-        return out
 
 
 class ObjectResources(ResourceModel):
@@ -252,59 +160,38 @@ class ObjectResources(ResourceModel):
                 yield "domain", (o, d), ()
 
 
-class ObjectSymbolic(SymbolicMemoryModel):
-    @property
-    def empty(self):
-        return {}
+class ObjectSymbolic(NestedSymbolic):
+    fits = staticmethod(_fits)
+    inner_key_ok = staticmethod(is_string)
 
-    def lvars(self, smem) -> frozenset:
-        out = frozenset()
-        for k, (fields, dom) in smem.items():
-            out |= lv_expr(k)
-            for f, v in fields.items():
-                out |= lv_expr(f)
-                if v is not FREED:
-                    out |= lv_expr(v)
-            if dom is not None:
-                for e in dom:
-                    out |= lv_expr(e)
-        return out
+    def eval_know(self, dom, theta):
+        d = set()
+        for e in dom:
+            f = eval_lexpr(e, theta, {})
+            if not is_string(f):
+                return UNDEF
+            d.add(f)
+        return frozenset(d)
 
-    def concretize(self, theta, smem):
-        # strictly disjoint denotation, mirroring the linear model
-        acc = {}
-        for k, (fields, dom) in sorted(smem.items(), key=lambda kv: _skey(kv[0])):
-            o = eval_lexpr(k, theta, {})
-            if not is_nat(o) or o in acc:
-                return None
-            fs = {}
-            for fe, ve in fields.items():
-                f = eval_lexpr(fe, theta, {})
-                if not is_string(f) or f in fs:
-                    return None
-                if ve is FREED:
-                    fs[f] = FREED
-                else:
-                    v = eval_lexpr(ve, theta, {})
-                    if v is UNDEF:
-                        return None
-                    fs[f] = v
-            d = None
-            if dom is not None:
-                d = set()
-                for e in dom:
-                    f = eval_lexpr(e, theta, {})
-                    if not is_string(f):
-                        return None
-                    d.add(f)
-                d = frozenset(d)
-            if not (_fields_ok(fs, d) and _entry_nonempty(fs, d)):
-                return None
-            acc[o] = (fs, d)
-        return acc
+    def know_exprs(self, dom):
+        return dom
 
-    def _entries(self, smem):
-        return sorted(smem.items(), key=lambda kv: _skey(kv[0]))
+    def lift_know(self, dom):
+        return frozenset(Lit(f) for f in sorted(dom))
+
+    def payload_assertions(self, k, entry):
+        fields, dom = entry
+        parts = []
+        for fe in sorted_exprs(fields):
+            v = fields[fe]
+            if v is FREED:
+                parts.append(Res("unset", (k, fe), ()))
+            else:
+                parts.append(Res("field", (k, fe), (v,)))
+        if dom is not None:
+            items = tuple(sorted_exprs(dom))
+            parts.append(Res("domain", (k, LstE(items)), ()))
+        return parts
 
     def exec_action(self, smem, name, args, fresh):
         if name == "newObj":
@@ -318,44 +205,29 @@ class ObjectSymbolic(SymbolicMemoryModel):
             return self._field_action(smem, eo, ef, lambda *a: self._sym_write(ev, *a))
         if name == "deleteField":
             eo, ef = args
-            return self._field_action(smem, eo, ef, self._sym_delete)
+            return self._field_action(smem, eo, ef, lambda *a: self._sym_write(FREED, *a))
         raise UnknownActionError(name)
 
     def _field_action(self, smem, eo, ef, hit):
         out = []
         for k, (fields, dom) in self._entries(smem):
-            names = sorted(fields, key=_skey)
+            names = sorted_exprs(fields)
             for fe in names:
                 out.extend(hit(smem, k, (eq(eo, k), eq(ef, fe)), fe, fields, dom, ef))
             # provably-unset: outside the domain set
             base = [eq(eo, k), InType(ef, "str")] + not_in(ef, names)
             if dom is not None:
-                unknown = sorted(set(dom) - set(names), key=_skey)
-                pc_unset = base + not_in(ef, sorted(dom, key=_skey))
+                unknown = sorted_exprs(set(dom) - set(names))
+                pc_unset = base + not_in(ef, sorted_exprs(dom))
                 out.extend(hit(smem, k, tuple(pc_unset), None, fields, dom, ef))
                 if unknown:
-                    one_of = None
-                    for e in unknown:
-                        t = eq(ef, e)
-                        one_of = t if one_of is None else Bin("or", one_of, t)
                     out.append(
-                        (MISS, smem, tuple(base + [one_of]), (Lit("MissingField"), eo, ef))
+                        (MISS, smem, tuple(base + [one_of(ef, unknown)]), (_MISSING_FIELD, eo, ef))
                     )
             else:
-                out.append((MISS, smem, tuple(base), (Lit("MissingField"), eo, ef)))
-        out.append(
-            (
-                MISS,
-                smem,
-                tuple(
-                    [InType(eo, "nat"), InType(ef, "str")]
-                    + not_in(eo, sorted(smem, key=_skey))
-                ),
-                (Lit("MissingObject"), eo),
-            )
-        )
-        out.append((ERR, smem, (Not(InType(eo, "nat")),), (Lit("Type"),)))
-        out.append((ERR, smem, (InType(eo, "nat"), Not(InType(ef, "str"))), (Lit("Type"),)))
+                out.append((MISS, smem, tuple(base), (_MISSING_FIELD, eo, ef)))
+        out.extend(key_tail(smem, _MISSING_OBJECT, eo, (InType(ef, "str"),)))
+        out.append((ERR, smem, (InType(eo, "nat"), Not(InType(ef, "str"))), (TYPE,)))
         return out
 
     def _sym_read(self, smem, k, pc, fe, fields, dom, ef):
@@ -367,21 +239,16 @@ class ObjectSymbolic(SymbolicMemoryModel):
         return [(OK, smem, pc, (v,))]
 
     def _sym_write(self, ev, smem, k, pc, fe, fields, dom, ef):
+        """Set the queried field to `ev`, or delete it when `ev` is FREED;
+        overwriting a set field needs its old value to be a value."""
         if fe is None:
             # provably unset: set the queried field, extending the domain
             smem2 = {**smem, k: ({**fields, ef: ev}, dom | {ef})}
             return [(OK, smem2, pc, ())]
         old = fields[fe]
-        guards = (InVal(old),) if old is not FREED else ()
+        guards = (InVal(old),) if old is not FREED and ev is not FREED else ()
         smem2 = {**smem, k: ({**fields, fe: ev}, dom)}
         return [(OK, smem2, pc + guards, ())]
-
-    def _sym_delete(self, smem, k, pc, fe, fields, dom, ef):
-        if fe is None:
-            smem2 = {**smem, k: ({**fields, ef: FREED}, dom | {ef})}
-            return [(OK, smem2, pc, ())]
-        smem2 = {**smem, k: ({**fields, fe: FREED}, dom)}
-        return [(OK, smem2, pc, ())]
 
     # consume / produce --------------------------------------------------------
 
@@ -398,67 +265,42 @@ class ObjectSymbolic(SymbolicMemoryModel):
         eo, ef = ins
         out = []
         for k, (fields, dom) in self._entries(smem):
-            names = sorted(fields, key=_skey)
+            names = sorted_exprs(fields)
             for fe in names:
                 v = fields[fe]
                 if (v is FREED) != want_unset:
                     out.append((ABORT, oracle, (), (smem, (), (eq(eo, k), eq(ef, fe)))))
                     continue
-                singleton = len(fields) == 1 and dom is None
-                if singleton:
-                    frame = {k2: e2 for k2, e2 in smem.items() if k2 != k}
-                    pc = [eq(eo, k), eq(ef, fe)] + not_in(k, sorted(frame, key=_skey))
-                else:
-                    f2 = {g: w for g, w in fields.items() if g != fe}
-                    frame = {**smem, k: (f2, dom)}
-                    pc = [eq(eo, k), eq(ef, fe)]
+                frame, pc = self._take_inner(smem, k, fe)
                 outs = () if want_unset else (v,)
-                out.append((OK, oracle, outs, (frame, (), tuple(pc))))
+                out.append((OK, oracle, outs, (frame, (), (eq(eo, k), eq(ef, fe), *pc))))
             out.append(
                 (
                     ABORT,
                     oracle,
-                    (Lit("MissingField"), eo, ef),
+                    (_MISSING_FIELD, eo, ef),
                     (smem, (), tuple([eq(eo, k)] + not_in(ef, names))),
                 )
             )
-        out.append(
-            (
-                ABORT,
-                oracle,
-                (Lit("MissingObject"), eo),
-                (smem, (), tuple(not_in(eo, sorted(smem, key=_skey)))),
-            )
-        )
+        out.append(missing(oracle, smem, _MISSING_OBJECT, eo))
         return out
 
     def _consume_domain(self, oracle, ins, smem):
         eo, elist = ins
-        want = _ground_string_set(elist)
+        items = _list_items(elist)
+        want = None if items is None else _ground_strings(items)
         out = []
         for k, (fields, dom) in self._entries(smem):
             if dom is None:
                 continue
-            have = _ground_string_set_exprs(dom)
+            have = _ground_strings(dom)
             if want is None or have is None or want != have:
                 out.append((ABORT, oracle, (), (smem, (), (eq(eo, k),))))
                 continue
-            if fields:
-                frame = {**smem, k: (fields, None)}
-                pc = [eq(eo, k)]
-            else:
-                frame = {k2: e2 for k2, e2 in smem.items() if k2 != k}
-                # a bare domain entry composes with field-only frames
-                pc = [eq(eo, k)] + not_in(k, sorted(frame, key=_skey))
-            out.append((OK, oracle, (), (frame, (), tuple(pc))))
-        out.append(
-            (
-                ABORT,
-                oracle,
-                (Lit("MissingDomain"), eo),
-                (smem, (), tuple(not_in(eo, sorted(smem, key=_skey)))),
-            )
-        )
+            # a bare domain entry composes with field-only frames
+            frame, pc = self._take_know(smem, k)
+            out.append((OK, oracle, (), (frame, (), (eq(eo, k), *pc))))
+        out.append(missing(oracle, smem, Lit("MissingDomain"), eo))
         return out
 
     def produce_res(self, name, ins, outs, smem):
@@ -467,19 +309,11 @@ class ObjectSymbolic(SymbolicMemoryModel):
         if name == "unset" and len(ins) == 2 and not outs:
             return self._produce_field(ins, FREED, smem)
         if name == "domain" and len(ins) == 2 and not outs:
-            eo, elist = ins
-            items = _list_items(elist)
+            items = _list_items(ins[1])
             if items is None:
                 return []
-            results = []
-            if eo not in smem:
-                results.append(({**smem, eo: ({}, frozenset(items))}, ()))
-            for k, (fields, dom) in self._entries(smem):
-                if dom is not None:
-                    continue
-                # satisfaction rejects models whose fields escape the domain
-                results.append(({**smem, k: (fields, frozenset(items))}, (eq(eo, k),)))
-            return results
+            # satisfaction rejects models whose fields escape the domain
+            return self._produce_know(ins[0], frozenset(items), smem)
         return []
 
     def _produce_field(self, ins, payload, smem):
@@ -492,82 +326,26 @@ class ObjectSymbolic(SymbolicMemoryModel):
                 continue
             if dom is not None:
                 # produced fields must be covered by the domain knowledge
-                covered = [e for e in sorted(dom, key=_skey)]
-                if not covered:
+                if not dom:
                     continue
-                one_of = None
-                for e in covered:
-                    t = eq(ef, e)
-                    one_of = t if one_of is None else Bin("or", one_of, t)
-                pc = (eq(eo, k), one_of)
+                pc = (eq(eo, k), one_of(ef, sorted_exprs(dom)))
             else:
                 pc = (eq(eo, k),)
             results.append(({**smem, k: ({**fields, ef: payload}, dom)}, pc))
         return results
 
-    def mem_to_assertion(self, smem) -> list:
-        parts = []
-        for k, (fields, dom) in self._entries(smem):
-            for fe in sorted(fields, key=_skey):
-                v = fields[fe]
-                if v is FREED:
-                    parts.append(Res("unset", (k, fe), ()))
-                else:
-                    parts.append(Res("field", (k, fe), (v,)))
-            if dom is not None:
-                items = tuple(sorted(dom, key=_skey))
-                parts.append(Res("domain", (k, LstE(items)), ()))
-        return parts
-
-    def lift(self, mem, fresh, ground: bool):
-        smem, theta = {}, {}
-        for o in sorted(mem):
-            fields, dom = mem[o]
-            if ground:
-                key = Lit(o)
-            else:
-                ko = fresh()
-                theta[ko] = o
-                key = LVar(ko)
-            fs = {}
-            for f in sorted(fields):
-                v = fields[f]
-                if ground or v is FREED:
-                    fs[Lit(f)] = FREED if v is FREED else Lit(v)
-                else:
-                    kv = fresh()
-                    theta[kv] = v
-                    fs[Lit(f)] = LVar(kv)
-            d = None
-            if dom is not None:
-                d = frozenset(Lit(f) for f in sorted(dom))
-            smem[key] = (fs, d)
-        return smem, theta
-
     def fixes(self, payload, state, fresh):
         tag = payload[0] if payload else None
-        if tag == Lit("MissingObject") and len(payload) == 2:
+        if tag == _MISSING_OBJECT and len(payload) == 2:
             return [Res("field", (payload[1], LVar(fresh())), (LVar(fresh()),))]
-        if tag == Lit("MissingField") and len(payload) == 3:
+        if tag == _MISSING_FIELD and len(payload) == 3:
             return [Res("field", (payload[1], payload[2]), (LVar(fresh()),))]
         return []
 
 
-def _ground_string_set(elist):
-    items = _list_items(elist)
-    if items is None:
-        return None
+def _ground_strings(exprs):
     out = set()
-    for e in items:
-        if not (isinstance(e, Lit) and is_string(e.value)):
-            return None
-        out.add(e.value)
-    return out
-
-
-def _ground_string_set_exprs(dom):
-    out = set()
-    for e in dom:
+    for e in exprs:
         if not (isinstance(e, Lit) and is_string(e.value)):
             return None
         out.add(e.value)

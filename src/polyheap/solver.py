@@ -522,6 +522,18 @@ def _holds_all(pc, theta) -> bool:
     return all(eval_lexpr(c, theta, {}) is TRUE for c in pc)
 
 
+def _extensions(theta, new_lvars, domain):
+    """`theta` extended by every assignment of `domain` values to the
+    sorted `new_lvars` (`itertools.product` order); `theta` alone when
+    there are none."""
+    new_lvars = sorted(new_lvars)
+    if not new_lvars:
+        yield dict(theta)
+        return
+    for combo in itertools.product(domain, repeat=len(new_lvars)):
+        yield {**theta, **dict(zip(new_lvars, combo))}
+
+
 def models(pc, lvars, domain, bounds):
     """The interpretations of `_assignments(lvars, domain, bounds)` that make
     every conjunct of `pc` true, in the same order and with the same key
