@@ -62,7 +62,7 @@ class FracConcrete(MapConcrete):
             return self._match(mem, addr, lambda v: [(OK, mem, (v[0],))])
         if name == "mutate":
             addr, val = args
-            return self._match(mem, addr, self._whole(mem, addr, (val, Fraction(1))))
+            return self._match(mem, addr, lambda v: self._whole(mem, addr, v, (val, Fraction(1))))
         if name == "new":
             if args:
                 raise ValueError("new takes no arguments")
@@ -72,19 +72,15 @@ class FracConcrete(MapConcrete):
             ]
         if name == "free":
             (addr,) = args
-            return self._match(mem, addr, self._whole(mem, addr, FREED))
+            return self._match(mem, addr, lambda v: self._whole(mem, addr, v, FREED))
         raise UnknownActionError(name)
 
-    def _whole(self, mem, addr, new):
+    def _whole(self, mem, addr, v, new):
         """Writes and frees need the whole permission; the rest of it is
         the missing resource."""
-
-        def hit(v):
-            if v[1] == 1:
-                return [(OK, {**mem, addr: new}, ())]
-            return [(MISS, mem, ("InsufficientPermission", addr))]
-
-        return hit
+        if v[1] == 1:
+            return [(OK, {**mem, addr: new}, ())]
+        return [(MISS, mem, ("InsufficientPermission", addr))]
 
     def split_payload(self, v):
         # left, right, or an exact permission split
@@ -173,6 +169,7 @@ class FracSymbolic(MapSymbolic):
         raise UnknownActionError(name)
 
     def _whole(self, smem, e, k, v, new):
+        """As the concrete `_whole`, with the permission as a branch guard."""
         val, q = v
         return [
             (OK, {**smem, k: new}, (eq(e, k), eq(q, FULL), InVal(val)), ()),

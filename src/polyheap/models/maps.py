@@ -77,7 +77,7 @@ def without(d: dict, k) -> dict:
 
 def absent(e, smem) -> list:
     """Conjuncts saying `e` is none of the keys of `smem`."""
-    return not_in(e, sorted_exprs(smem))
+    return not_in(e, sorted(smem, key=format_expr))
 
 
 def missing(oracle, smem, tag, e):
