@@ -148,8 +148,9 @@ class BlockResources(ResourceModel):
 class BlockSymbolic(NestedSymbolic):
     """Symbolic lifting: expr block ids, expr offsets/values, expr bound.
 
-    Satisfaction folds per-entry denotations with the concrete composition,
-    so distinct symbolic entries may denote parts of one concrete block.
+    The denotation is strictly disjoint, as in the linear model: distinct
+    symbolic entries denote distinct concrete blocks, and `concretize`
+    returns None when two of them evaluate to the same block id.
     """
 
     fits = staticmethod(_fits)

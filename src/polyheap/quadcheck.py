@@ -10,6 +10,19 @@ concrete interpreter:
 
 Deliberately independent of the symbolic engine: the only semantics used
 are `run_function` and the satisfaction relation.
+
+Pure conjuncts prune the search. The `Bool` leaves at the top of an
+assertion's star tree (`pure_conjuncts`) must all be true for it to hold on
+any heap, so they are evaluated before any heap is visited: once per
+interpretation for the precondition, once per interpretation and value for
+a postcondition. An interpretation whose precondition fails them has no
+precondition heap, and a value whose postcondition fails them meets no
+heap. Survivors go through `holds` on the whole assertion in the same
+heap-outer, value-inner order, so the verdict and the first counterexample
+are those of checking every heap. The one exception: a false conjunct next
+to a predicate that exceeds its unfolding depth now rules the pair out
+instead of truncating the enumeration, so such a check can be definite
+where it used to be Inconclusive.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from .assertions import Quadruple, lv_assertion
 from .concrete import BudgetExhausted, run_function
 from .memmodel import Bounds, MemoryModelBundle
 from .outcomes import ERR, MISS, OK
-from .satisfaction import DepthExceeded, holds
+from .satisfaction import DepthExceeded, holds, pure_conjuncts, pure_holds
 from .syntax import ImplContext
 from .values import value_key
 
@@ -87,16 +100,28 @@ def check_quadruple_bounded(
     sat = lambda theta, store, mem, a: holds(
         theta, store, mem, a, cmm=bundle.cmm, rm=bundle.rm, preds=preds, bounds=bounds
     )
+    pre_pure = pure_conjuncts(q.pre)
+    posts = [
+        (o, post, var, pure_conjuncts(post))
+        for o, post, var in ((OK, q.post_ok, "ret"), (ERR, q.post_err, "err"))
+    ]
+    # the ISL value list: the domain and every value some heap holds
+    isl_vals = set(domain)
+    for h in heaps:
+        isl_vals |= bundle.cmm.mem_values(h)
+    isl_vals = sorted(isl_vals, key=value_key)
 
     for combo in itertools.product(domain, repeat=len(lvars)):
         theta = dict(zip(lvars, combo))
         args = tuple(theta.get(param_map[x]) for x in q.params)
         store = dict(zip(q.params, args))
-        try:
-            pre_heaps = [h for h in heaps if sat(theta, store, h, q.pre)]
-        except DepthExceeded:
-            complete = False
-            continue
+        pre_heaps = []
+        if pure_holds(pre_pure, theta, store):
+            try:
+                pre_heaps = [h for h in heaps if sat(theta, store, h, q.pre)]
+            except DepthExceeded:
+                complete = False
+                continue
 
         if q.flavor in ("SL", "ESL"):
             for h in pre_heaps:
@@ -125,12 +150,10 @@ def check_quadruple_bounded(
                         )
 
         if q.flavor in ("ISL", "ESL"):
-            for o, post, var in ((OK, q.post_ok, "ret"), (ERR, q.post_err, "err")):
-                vals = set(domain)
+            for o, post, var, post_pure in posts:
+                vals = [v for v in isl_vals if pure_holds(post_pure, theta, {var: v})]
                 for h2 in heaps:
-                    vals |= bundle.cmm.mem_values(h2)
-                for h2 in heaps:
-                    for v in sorted(vals, key=value_key):
+                    for v in vals:
                         try:
                             if not sat(theta, {var: v}, h2, post):
                                 continue

@@ -5,6 +5,9 @@ state and an assertion. Separating conjunction enumerates the model's
 heap splittings; existential quantification enumerates a bounded witness
 domain (the bounds' value domain plus values occurring in the state);
 user-defined predicates unfold their bodies with a depth budget.
+`pure_conjuncts` gives the pure conjuncts of a star, a necessary condition
+that callers such as `quadcheck` evaluate once per interpretation before
+they enumerate heaps; `holds` itself still checks them on every split.
 
 This module is the ground-truth side of every dual-route check in the
 toolkit, so it deliberately stays independent of the symbolic engine and
@@ -24,6 +27,7 @@ from .assertions import (
     Res,
     Star,
     TrueA,
+    star_conjuncts,
 )
 from .evaluation import eval_lexpr
 from .memmodel import Bounds
@@ -88,6 +92,21 @@ def holds(
         body = d.instantiate(assertion.ins, assertion.outs)
         return holds(theta, store, mem, body, cmm=cmm, rm=rm, preds=preds, bounds=bounds, depth=depth - 1)
     raise TypeError(f"not an assertion: {assertion!r}")
+
+
+def pure_conjuncts(assertion: Assertion) -> list:
+    """The expressions of the `Bool` leaves at the top of a `Star` tree.
+
+    A `Bool` leaf holds only when its expression is TRUE, and a star holds
+    only when every leaf holds on its part of some split, so each of these
+    must be TRUE for `assertion` to hold on any heap. That is a necessary
+    condition which reads no heap and needs no PCM law."""
+    return [a.expr for a in star_conjuncts(assertion) if isinstance(a, Bool)]
+
+
+def pure_holds(exprs, theta: dict, store: dict) -> bool:
+    """Every expression evaluates to TRUE under theta and store."""
+    return all(eval_lexpr(e, theta, store) is TRUE for e in exprs)
 
 
 def witness_domain(store, mem, cmm, bounds: Bounds) -> list:

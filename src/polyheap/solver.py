@@ -44,28 +44,40 @@ class PathCondError(ValueError):
 def fold_expr(e: Expr):
     """Bottom-up constant folding. Ground subterms that evaluate to a value
     become literals; everything else is rebuilt."""
+    return _fold(e)[0]
+
+
+def _fold(e: Expr):
+    """One pass of `fold_expr`: returns (folded, ground), where ground means
+    no logical or program variable occurs. A ground subterm that evaluates
+    to UNDEF stays unfolded, yet its parent may still fold (`InVal(1 + nil)`
+    is `false`), so groundness comes from the children, not from literals."""
     if isinstance(e, Lit):
-        return e
+        return e, True
     if isinstance(e, (LVar, PVar)):
-        return e
+        return e, False
     if isinstance(e, Not):
-        a = fold_expr(e.arg)
+        a, ground = _fold(e.arg)
         e2 = Not(a)
     elif isinstance(e, Bin):
-        e2 = Bin(e.op, fold_expr(e.left), fold_expr(e.right))
+        (l, gl), (r, gr) = _fold(e.left), _fold(e.right)
+        e2, ground = Bin(e.op, l, r), gl and gr
     elif isinstance(e, InVal):
-        e2 = InVal(fold_expr(e.arg))
+        a, ground = _fold(e.arg)
+        e2 = InVal(a)
     elif isinstance(e, InType):
-        e2 = InType(fold_expr(e.arg), e.tau)
+        a, ground = _fold(e.arg)
+        e2 = InType(a, e.tau)
     elif isinstance(e, LstE):
-        e2 = LstE(tuple(fold_expr(i) for i in e.items))
+        items = [_fold(i) for i in e.items]
+        e2, ground = LstE(tuple(i for i, _ in items)), all(g for _, g in items)
     else:
         raise TypeError(f"not an expression: {e!r}")
-    if not lv_expr(e2) and not pv_expr(e2):
+    if ground:
         v = eval_lexpr(e2, {}, {})
         if v is not UNDEF:
-            return Lit(v)
-    return e2
+            return Lit(v), True
+    return e2, ground
 
 
 def pc_extend(pc: tuple, conjuncts) -> tuple:

@@ -144,6 +144,17 @@ def test_block_error_taxonomy():
     assert free({0: ({0: 1}, 2)})[::2] == (MISS, ("MissingCells", 0))
 
 
+def test_block_concretize_is_strictly_disjoint():
+    from polyheap.syntax import Lit, LVar
+
+    smm = get_model("block-offset").smm
+    # two entries with disjoint offsets: a denotation that let them be parts
+    # of one block would give {0: ({0: 5, 1: 6}, None)}
+    smem = {LVar("a"): ({Lit(0): Lit(5)}, None), LVar("b"): ({Lit(1): Lit(6)}, None)}
+    assert smm.concretize({"a": 0, "b": 1}, smem) == {0: ({0: 5}, None), 1: ({1: 6}, None)}
+    assert smm.concretize({"a": 0, "b": 0}, smem) is None
+
+
 def test_block_symbolic_new_needs_constant():
     smm = get_model("block-offset").smm
     from polyheap.outcomes import ABORT

@@ -1,12 +1,69 @@
+import dataclasses
+import itertools
+
 import pytest
 
+from polyheap import quadcheck
+from polyheap.analyses import biabduct
+from polyheap.assertions import lv_assertion, split_external_pre
+from polyheap.concrete import BudgetExhausted, run_function
 from polyheap.memmodel import Bounds
 from polyheap.models import get_model
+from polyheap.outcomes import ERR, MISS, OK
 from polyheap.parser import parse_program
 from polyheap.quadcheck import CounterExample, Inconclusive, Valid, check_quadruple_bounded
-from polyheap.values import NIL
+from polyheap.satisfaction import DepthExceeded, holds
+from polyheap.values import NIL, value_key
 
 B = Bounds(value_domain=(NIL, 0, 1, 2), max_cells=2, max_addresses=3, trials=200, seed=0)
+
+SKIP_VALID = "func f() { skip; return 0 }\nspec SL f() { requires: emp; ensures_ok: ret = 0 * emp; }"
+LOOKUP_FROM_EMP = """
+        func g() { x := lookup(1); return 0 }
+        spec SL g() { requires: emp; ensures_ok: True; ensures_err: True; }
+        """
+ISL_FREE = """
+        func h() { free(1); return nil }
+        spec ISL h() { requires: cell(1; #v); ensures_ok: ret = nil * freed(1;); }
+        """
+ISL_UNREACHABLE = """
+        func h() { skip; return nil }
+        spec ISL h() { requires: emp; ensures_ok: ret = 0 * emp; }
+        """
+ESL_LOOKUP = """
+        func k(x) { y := lookup(x); return y }
+        spec ESL k(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * ret = #v; }
+        """
+WRONG_POST = """
+        func k(x) { y := lookup(x); return y }
+        spec SL k(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; 0) * ret = #v; }
+        """
+DEPTH_LOOP = """
+        pred loop(;) { loop(;) }
+        func f() { skip; return 0 }
+        spec SL f() { requires: loop(;); ensures_ok: True; }
+        """
+# the first unreachable (heap, value) pair shows the enumeration order
+ISL_TRUE_POST = """
+        func h() { skip; return nil }
+        spec ISL h() { requires: emp; ensures_ok: True; }
+        """
+# the false conjunct rules out every heap before the predicate is unfolded
+LOOP_AND_FALSE = """
+        pred loop(;) { loop(;) }
+        func f() { skip; return 0 }
+        spec SL f() { requires: loop(;) * (false); ensures_ok: True; }
+        """
+CASES = {
+    "skip-valid": SKIP_VALID,
+    "lookup-from-emp": LOOKUP_FROM_EMP,
+    "isl-free": ISL_FREE,
+    "isl-unreachable": ISL_UNREACHABLE,
+    "esl-lookup": ESL_LOOKUP,
+    "wrong-post": WRONG_POST,
+    "depth-loop": DEPTH_LOOP,
+    "isl-true-post": ISL_TRUE_POST,
+}
 
 
 @pytest.fixture
@@ -21,75 +78,212 @@ def check(src, lin, bounds=B):
 
 
 def test_sl_skip_valid(lin):
-    r = check(
-        "func f() { skip; return 0 }\nspec SL f() { requires: emp; ensures_ok: ret = 0 * emp; }",
-        lin,
-    )
-    assert isinstance(r, Valid)
+    assert isinstance(check(SKIP_VALID, lin), Valid)
 
 
 def test_sl_lookup_from_emp_misses(lin):
-    r = check(
-        """
-        func g() { x := lookup(1); return 0 }
-        spec SL g() { requires: emp; ensures_ok: True; ensures_err: True; }
-        """,
-        lin,
-    )
+    r = check(LOOKUP_FROM_EMP, lin)
     assert isinstance(r, CounterExample) and r.kind == "miss"
 
 
 def test_isl_free_valid_within_bounds(lin):
-    r = check(
-        """
-        func h() { free(1); return nil }
-        spec ISL h() { requires: cell(1; #v); ensures_ok: ret = nil * freed(1;); }
-        """,
-        lin,
-    )
-    assert isinstance(r, Valid)
+    assert isinstance(check(ISL_FREE, lin), Valid)
 
 
 def test_isl_unreachable_post_detected(lin):
-    r = check(
-        """
-        func h() { skip; return nil }
-        spec ISL h() { requires: emp; ensures_ok: ret = 0 * emp; }
-        """,
-        lin,
-    )
+    r = check(ISL_UNREACHABLE, lin)
     assert isinstance(r, CounterExample) and r.kind == "unreachable-post"
 
 
 def test_esl_checks_both_directions(lin):
-    r = check(
-        """
-        func k(x) { y := lookup(x); return y }
-        spec ESL k(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * ret = #v; }
-        """,
-        lin,
-    )
-    assert isinstance(r, Valid)
+    assert isinstance(check(ESL_LOOKUP, lin), Valid)
 
 
 def test_wrong_post_refuted(lin):
-    r = check(
-        """
-        func k(x) { y := lookup(x); return y }
-        spec SL k(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; 0) * ret = #v; }
-        """,
-        lin,
-    )
+    r = check(WRONG_POST, lin)
     assert isinstance(r, CounterExample) and r.kind == "post-violated"
 
 
 def test_depth_exhaustion_is_inconclusive(lin):
-    r = check(
-        """
-        pred loop(;) { loop(;) }
+    assert isinstance(check(DEPTH_LOOP, lin), Inconclusive)
+
+
+def test_false_pure_conjunct_hides_depth_exhaustion(lin):
+    # the precondition has no model, so the quadruple is valid; the loop
+    # that checked every heap against the whole assertion unfolded
+    # `loop` first and gave Inconclusive
+    prog = parse_program(LOOP_AND_FALSE)
+    q = prog.specs["f"][0]
+    assert isinstance(check(LOOP_AND_FALSE, lin), Valid)
+    assert isinstance(_old_check(prog.functions, q, B, lin, prog.preds), Inconclusive)
+
+
+def test_isl_post_with_false_pure_part_never_calls_holds(lin, monkeypatch):
+    src = """
         func f() { skip; return 0 }
-        spec SL f() { requires: loop(;); ensures_ok: True; }
-        """,
-        lin,
+        spec ISL f() { requires: emp; ensures_ok: ret = #v * (1 = 2); }
+        """
+    prog = parse_program(src)
+    q = prog.specs["f"][0]
+    seen = []
+
+    def counting(theta, store, mem, a, **kw):
+        seen.append(a)
+        return holds(theta, store, mem, a, **kw)
+
+    monkeypatch.setattr(quadcheck, "holds", counting)
+    assert isinstance(check_quadruple_bounded(prog.functions, q, B, lin, prog.preds), Valid)
+    assert seen and all(a is q.pre for a in seen)
+
+
+# ---------------------------------------------------------------------------
+# Differential against the loop that checked every theta x heap x value with
+# the whole assertion
+# ---------------------------------------------------------------------------
+
+
+def _old_check(gamma, q, bounds, bundle, preds=None, budget=16):
+    """`check_quadruple_bounded` before it pruned by pure conjuncts."""
+    preds = preds if preds is not None else {}
+    q.check_external_shape()
+    lvars = sorted(lv_assertion(q.pre) | lv_assertion(q.post_ok) | lv_assertion(q.post_err))
+    domain = bounds.sorted_domain()
+    if len(domain) ** len(lvars) > quadcheck._ENUM_CAP:
+        return Inconclusive("interpretation space exceeds the enumeration cap")
+    param_map, _ = split_external_pre(q.pre, q.params)
+    heaps = list(bundle.cmm.generator(bounds))
+    complete = True
+    run_cache = {}
+
+    def runs(args, mem):
+        key = (args, quadcheck._freeze(mem))
+        if key not in run_cache:
+            run_cache[key] = run_function(gamma, q.fid, args, mem, bundle.cmm, budget, bounds.max_addresses)
+        return run_cache[key]
+
+    sat = lambda theta, store, mem, a: holds(
+        theta, store, mem, a, cmm=bundle.cmm, rm=bundle.rm, preds=preds, bounds=bounds
     )
-    assert isinstance(r, Inconclusive)
+
+    for combo in itertools.product(domain, repeat=len(lvars)):
+        theta = dict(zip(lvars, combo))
+        args = tuple(theta.get(param_map[x]) for x in q.params)
+        store = dict(zip(q.params, args))
+        try:
+            pre_heaps = [h for h in heaps if sat(theta, store, h, q.pre)]
+        except DepthExceeded:
+            complete = False
+            continue
+        if q.flavor in ("SL", "ESL"):
+            for h in pre_heaps:
+                try:
+                    results = runs(args, h)
+                except BudgetExhausted:
+                    complete = False
+                    continue
+                for o, out, h2 in results:
+                    if o is MISS:
+                        return CounterExample("miss", theta, {"heap": h, "payload": out})
+                    post = q.post_ok if o is OK else q.post_err
+                    var = "ret" if o is OK else "err"
+                    try:
+                        ok = sat(theta, {var: out}, h2, post)
+                    except DepthExceeded:
+                        complete = False
+                        continue
+                    if not ok:
+                        return CounterExample(
+                            "post-violated", theta, {"heap": h, "outcome": o.value, var: out, "final-heap": h2}
+                        )
+        if q.flavor in ("ISL", "ESL"):
+            for o, post, var in ((OK, q.post_ok, "ret"), (ERR, q.post_err, "err")):
+                vals = set(domain)
+                for h2 in heaps:
+                    vals |= bundle.cmm.mem_values(h2)
+                for h2 in heaps:
+                    for v in sorted(vals, key=value_key):
+                        try:
+                            if not sat(theta, {var: v}, h2, post):
+                                continue
+                        except DepthExceeded:
+                            complete = False
+                            continue
+                        reached = False
+                        for h in pre_heaps:
+                            try:
+                                results = runs(args, h)
+                            except BudgetExhausted:
+                                complete = False
+                                continue
+                            if any(o2 is o and out == v and h3 == h2 for o2, out, h3 in results):
+                                reached = True
+                                break
+                        if not reached:
+                            return CounterExample(
+                                "unreachable-post", theta, {"outcome": o.value, var: v, "final-heap": h2}
+                            )
+    return Valid() if complete else Inconclusive("bounded enumeration was truncated")
+
+
+def _same_verdict(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, CounterExample):
+        assert (got.kind, got.theta, got.detail) == (want.kind, want.theta, want.detail)
+    if isinstance(want, Inconclusive):
+        assert got.reason == want.reason
+
+
+@pytest.mark.parametrize("src", CASES.values(), ids=CASES.keys())
+def test_matches_old_loop_on_cases(src, lin):
+    prog = parse_program(src)
+    for specs in prog.specs.values():
+        for q in specs:
+            _same_verdict(
+                check_quadruple_bounded(prog.functions, q, B, lin, prog.preds),
+                _old_check(prog.functions, q, B, lin, prog.preds),
+            )
+
+
+STRAIGHT_8 = "func inc(x) {\n" + "  x := x + 1;\n" * 8 + "  return x\n}\n"
+USE_AFTER_FREE = """
+func uaf(p) {
+  mutate(1, p);
+  if (p = 2) { free(1) } else { skip };
+  y := lookup(1);
+  return y
+}
+"""
+FRESH_CELL = "func fresh() {\n  a := new();\n  mutate(a, 1);\n  free(a);\n  return nil\n}\n"
+
+
+def _bugs_ph():
+    from pathlib import Path
+
+    return (Path(__file__).resolve().parent.parent / "programs" / "bugs.ph").read_text()
+
+
+@pytest.mark.parametrize(
+    "src, values",
+    [
+        (_bugs_ph(), None),
+        (STRAIGHT_8, (0, 1, NIL)),
+        (USE_AFTER_FREE, (0, 1, 2, 3)),
+        (FRESH_CELL, None),
+    ],
+    ids=["bugs.ph", "straight-8", "use-after-free", "fresh-cell"],
+)
+def test_matches_old_loop_on_biabduct_quadruples(src, values, lin):
+    bounds = Bounds() if values is None else Bounds(value_domain=values)
+    prog = parse_program(src)
+    quads = [
+        r.quadruple
+        for fid in sorted(prog.functions)
+        for r in biabduct(prog.functions, prog.specs, fid, lin, prog.preds, bounds, budget=32, validate=False)
+    ]
+    assert quads
+    # the SL and ESL readings of each quadruple reach the other branches
+    for q in (dataclasses.replace(q, flavor=f) for q in quads for f in ("ISL", "SL", "ESL")):
+        _same_verdict(
+            check_quadruple_bounded(prog.functions, q, bounds, lin, prog.preds),
+            _old_check(prog.functions, q, bounds, lin, prog.preds),
+        )

@@ -89,3 +89,21 @@ def test_heap_models_filters_generator(lin):
     a = Res("cell", (Lit(1),), (Lit(5),))
     models = heap_models({}, {}, a, **lin)
     assert models == [{1: 5}]
+
+
+def test_pure_conjuncts_are_necessary(lin):
+    from polyheap.assertions import Or
+    from polyheap.satisfaction import pure_conjuncts, pure_holds
+
+    x = LVar("x")
+    cell = Res("cell", (Lit(1),), (x,))
+    a = Star(Star(Bool(eq(x, Lit(2))), cell), Star(Or(Bool(eq(x, Lit(0))), Emp()), Bool(eq(PVar("r"), x))))
+    # only the top of the star tree: the disjunct is not a conjunct
+    assert pure_conjuncts(a) == [eq(x, Lit(2)), eq(PVar("r"), x)]
+    assert pure_conjuncts(cell) == []
+    heaps = list(lin["cmm"].generator(B))
+    for v in B.value_domain:
+        theta, store = {"x": v}, {"r": 2}
+        if not pure_holds(pure_conjuncts(a), theta, store):
+            assert not any(holds(theta, store, h, a, **lin) for h in heaps)
+    assert holds({"x": 2}, {"r": 2}, {1: 2}, a, **lin)

@@ -17,12 +17,13 @@ from polyheap.solver import (
     check_sat,
     entails,
     enumeration_domain,
+    fold_expr,
     models,
     pc_extend,
     pc_lvars,
 )
-from polyheap.syntax import Bin, InType, InVal, Lit, LVar, Not, eq
-from polyheap.values import FALSE, NIL, TRUE
+from polyheap.syntax import BIN_OPS, TYPE_NAMES, Bin, InType, InVal, Lit, LstE, LVar, Not, PVar, eq, lv_expr, pv_expr
+from polyheap.values import FALSE, NIL, TRUE, UNDEF
 
 B = Bounds(value_domain=(NIL, TRUE, 0, 1, 2, 3), max_cells=2, max_addresses=3, trials=100, seed=0)
 x, y = LVar("x"), LVar("y")
@@ -213,3 +214,56 @@ def test_core_contradiction_has_no_bounded_model(pc):
     if RewriteCore(pc).contradiction:
         domain = enumeration_domain(pc, B)
         assert not any(_holds_all(pc, theta) for theta in _assignments(pc_lvars(pc), domain, B))
+
+
+def _old_fold_expr(e):
+    """`fold_expr` as it was: it asks each rebuilt node for its variables."""
+    if isinstance(e, (Lit, LVar, PVar)):
+        return e
+    if isinstance(e, Not):
+        e2 = Not(_old_fold_expr(e.arg))
+    elif isinstance(e, Bin):
+        e2 = Bin(e.op, _old_fold_expr(e.left), _old_fold_expr(e.right))
+    elif isinstance(e, InVal):
+        e2 = InVal(_old_fold_expr(e.arg))
+    elif isinstance(e, InType):
+        e2 = InType(_old_fold_expr(e.arg), e.tau)
+    elif isinstance(e, LstE):
+        e2 = LstE(tuple(_old_fold_expr(i) for i in e.items))
+    if not lv_expr(e2) and not pv_expr(e2):
+        v = eval_lexpr(e2, {}, {})
+        if v is not UNDEF:
+            return Lit(v)
+    return e2
+
+
+# mostly ground, so that UNDEF subterms (`1 + nil`, `true < 0`) turn up
+# under InVal and InType
+_FOLD_ATOMS = st.sampled_from([x, PVar("p"), Lit(0), Lit(1), Lit(3), Lit(TRUE), Lit(FALSE), Lit(NIL), Lit("a")])
+_FOLD_EXPRS = st.recursive(
+    _FOLD_ATOMS,
+    lambda sub: st.one_of(
+        st.builds(Bin, st.sampled_from(BIN_OPS), sub, sub),
+        st.builds(Not, sub),
+        st.builds(InVal, sub),
+        st.builds(InType, sub, st.sampled_from(TYPE_NAMES)),
+        st.builds(LstE, st.lists(sub, max_size=3).map(tuple)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_FOLD_EXPRS)
+@settings(max_examples=400, deadline=None)
+def test_fold_expr_matches_old_fold(e):
+    got, want = fold_expr(e), _old_fold_expr(e)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_fold_expr_folds_above_an_undefined_ground_subterm():
+    undef = Bin("+", Lit(1), Lit(NIL))
+    assert fold_expr(undef) == undef
+    assert fold_expr(InVal(undef)) == Lit(FALSE)
+    assert fold_expr(InType(undef, "nat")) == Lit(FALSE)
+    assert fold_expr(Not(InVal(undef))) == Lit(TRUE)
