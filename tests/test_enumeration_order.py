@@ -73,8 +73,8 @@ def test_enumeration_order_matches_golden(model):
     got = lines(model)
     for i, (g, w) in enumerate(zip(got, want)):
         if g != w:
-            mem = list(get_model(model).cmm.generator(BOUNDS))[i]
-            shown = "\n".join(splits_listing(get_model(model).cmm, mem))
+            cmm = get_model(model).cmm
+            shown = "\n".join(splits_listing(cmm, list(cmm.generator(BOUNDS))[i]))
             pytest.fail(f"{model}: heap {i} is now\n  {g}\nnot\n  {w}\nits splits now:\n{shown}")
     assert len(got) == len(want)
 

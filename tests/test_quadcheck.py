@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import os
 
 import pytest
 
+from conftest import programs_dir
 from polyheap import quadcheck
 from polyheap.analyses import biabduct
 from polyheap.assertions import lv_assertion, split_external_pre
@@ -257,9 +259,8 @@ FRESH_CELL = "func fresh() {\n  a := new();\n  mutate(a, 1);\n  free(a);\n  retu
 
 
 def _bugs_ph():
-    from pathlib import Path
-
-    return (Path(__file__).resolve().parent.parent / "programs" / "bugs.ph").read_text()
+    with open(os.path.join(programs_dir(), "bugs.ph"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from polyheap.assertions import (
     Bool,
     Emp,
     Exists,
+    Or,
     Pred,
     PredDef,
     Res,
@@ -14,7 +15,7 @@ from polyheap.assertions import (
 )
 from polyheap.memmodel import Bounds
 from polyheap.models import get_model
-from polyheap.satisfaction import DepthExceeded, heap_models, holds
+from polyheap.satisfaction import DepthExceeded, heap_models, holds, pure_conjuncts, pure_holds
 from polyheap.syntax import Lit, LVar, PVar, eq
 from polyheap.values import NIL
 
@@ -92,9 +93,6 @@ def test_heap_models_filters_generator(lin):
 
 
 def test_pure_conjuncts_are_necessary(lin):
-    from polyheap.assertions import Or
-    from polyheap.satisfaction import pure_conjuncts, pure_holds
-
     x = LVar("x")
     cell = Res("cell", (Lit(1),), (x,))
     a = Star(Star(Bool(eq(x, Lit(2))), cell), Star(Or(Bool(eq(x, Lit(0))), Emp()), Bool(eq(PVar("r"), x))))
