@@ -8,8 +8,9 @@
 Reports are JSON (deterministic for identical file + configuration); the
 human format is rendered from the same dictionary. Exit codes: 0 success,
 1 verification failure / conformance mismatch, 2 parse or configuration
-error, 3 faults or bugs found, 4 inconclusive verification, 5 analysis
-unsupported by the model.
+error (including a program whose actions do not fit the model), 3 faults
+or bugs found, 4 inconclusive verification, 5 analysis unsupported by the
+model.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .models import MODEL_NAMES, get_model
 from .outcomes import OK
 from .parser import ParseError, parse_program
 from .quadcheck import _freeze
-from .syntax import Lit
+from .syntax import Action, IfElse, Lit, Seq
 from .values import value_to_json
 
 
@@ -118,11 +119,35 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load(ns):
+    """The model and the parsed program of `ns`. ValueError when an action
+    of the program is not in the model's `actions` table, or takes another
+    number of arguments there."""
+    bundle = get_model(ns.model)
+    prog = parse_program(open(ns.file, encoding="utf-8").read())
+    todo = [f.body for f in reversed(prog.functions.values())]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Seq):
+            todo += [c.second, c.first]
+        elif isinstance(c, IfElse):
+            todo += [c.els, c.then]
+        elif isinstance(c, Action):
+            if c.name not in bundle.cmm.actions:
+                raise ValueError(f"model {bundle.name} has no action {c.name!r}")
+            n_args = bundle.cmm.actions[c.name][0]
+            if n_args != len(c.args):
+                raise ValueError(
+                    f"action {c.name!r} takes {n_args} argument(s) under model"
+                    f" {bundle.name}, not {len(c.args)}"
+                )
+    return bundle, prog
+
+
 def cmd_run(ns) -> int:
     bounds = _bounds_from(ns)
     try:
-        bundle = get_model(ns.model)
-        prog = parse_program(open(ns.file, encoding="utf-8").read())
+        bundle, prog = _load(ns)
         args = tuple(_parse_value(a) for a in ns.args)
     except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -161,9 +186,8 @@ def cmd_run(ns) -> int:
 def cmd_verify(ns) -> int:
     bounds = _bounds_from(ns)
     try:
-        bundle = get_model(ns.model)
-        prog = parse_program(open(ns.file, encoding="utf-8").read())
-    except (ParseError, KeyError, NotImplementedError, OSError) as exc:
+        bundle, prog = _load(ns)
+    except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for fid in prog.specs:
@@ -209,9 +233,8 @@ def cmd_verify(ns) -> int:
 def cmd_findbugs(ns) -> int:
     bounds = _bounds_from(ns)
     try:
-        bundle = get_model(ns.model)
-        prog = parse_program(open(ns.file, encoding="utf-8").read())
-    except (ParseError, KeyError, NotImplementedError, OSError) as exc:
+        bundle, prog = _load(ns)
+    except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     targets = [ns.entry] if ns.entry else sorted(prog.functions)

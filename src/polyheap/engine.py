@@ -89,7 +89,8 @@ class EngineError(Exception):
 
 
 class ProduceUndefined(EngineError):
-    """produce_res yielded no result (e.g. a duplicated exclusive cell)."""
+    """The model has no such resource with these arities, or produce_res
+    yielded no result (e.g. a duplicated exclusive cell)."""
 
 
 class UnsupportedAssertion(EngineError):
@@ -620,10 +621,14 @@ def _consume_resource(ctx, oracle, assertion: Res, subst, state, pending):
     if unbound:
         return [_abort(oracle, state, "UnboundLVar", *sorted(unbound))]
     ins = tuple(subst_expr(e, subst) for e in assertion.ins)
+    n_in, n_out = ctx.bundle.rm.arities.get(assertion.name, (None, None))
+    if n_in == len(ins):
+        branches = smm.consume_res(ctx.mode, oracle, assertion.name, ins, state.mem)
+    else:
+        # the model has no such resource: one abort without a reason
+        branches = [(ABORT, oracle, (), (state.mem, (), ()))]
     out = []
-    for o, oracle2, outs, (mem2, checks, pc_frag) in smm.consume_res(
-        ctx.mode, oracle, assertion.name, ins, state.mem
-    ):
+    for o, oracle2, outs, (mem2, checks, pc_frag) in branches:
         if o is not OK:
             st = state.extend_pc(pc_frag)
             if check_sat(st.pc, ctx.bounds) is not UNSAT:
@@ -635,7 +640,7 @@ def _consume_resource(ctx, oracle, assertion: Res, subst, state, pending):
         st = state.with_(mem=mem2).extend_pc(pc_frag)
         if not ctx.keep_path(st):
             continue
-        if len(outs) != len(assertion.outs):
+        if n_out != len(assertion.outs):
             out.append(_abort(oracle2, state, "ResourceArity", assertion.name))
             continue
         out.extend(_unify_outs(ctx, oracle2, subst, st, assertion.outs, outs, pending))
@@ -744,7 +749,9 @@ def _produce(ctx, assertion, subst, state):
     if isinstance(assertion, Res):
         ins = tuple(subst_expr(e, subst) for e in assertion.ins)
         outs = tuple(subst_expr(e, subst) for e in assertion.outs)
-        results = ctx.bundle.smm.produce_res(assertion.name, ins, outs, state.mem)
+        results = []
+        if ctx.bundle.rm.arities.get(assertion.name) == (len(ins), len(outs)):
+            results = ctx.bundle.smm.produce_res(assertion.name, ins, outs, state.mem)
         if not results:
             raise ProduceUndefined(assertion.name)
         # resource parameters denote values in every model of the result

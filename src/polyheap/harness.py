@@ -80,10 +80,7 @@ def _random_basic(rng: Random, bundle, bounds) -> Cmd:
         )
     cases = list(bundle.cmm.action_cases(bounds))
     name, args = rng.choice(cases)
-    arity = {a: 0 for a in bundle.cmm.actions}
-    outs = {"lookup": 1, "new": 1, "mutate": 0, "free": 0, "newObj": 1, "deleteField": 0}
-    n_out = outs.get(name, 0)
-    targets = tuple(rng.sample(_PVARS, n_out))
+    targets = tuple(rng.sample(_PVARS, bundle.cmm.actions[name][1]))
     arg_exprs = tuple(
         PVar(rng.choice(_PVARS)) if rng.random() < 0.3 else Lit(v) for v in args
     )

@@ -81,9 +81,10 @@ class UnknownActionError(KeyError):
 
 
 class ConcreteMemoryModel:
-    """Concrete state type + actions. Subclasses provide everything."""
+    """Concrete state type + actions. Subclasses provide everything;
+    `actions` maps each action name to its (argument, result) counts."""
 
-    actions: tuple = ()
+    actions: dict = {}
 
     @property
     def empty(self):
@@ -124,6 +125,9 @@ class ConcreteMemoryModel:
 
 
 class ResourceModel:
+    """`arities` maps each resource name to its (in, out) parameter counts;
+    the engine passes consume/produce only resources that fit it."""
+
     arities: dict = {}
 
     def holds_resource(self, mem, name, ins, outs) -> bool:
@@ -157,13 +161,15 @@ class SymbolicMemoryModel:
         raise NotImplementedError
 
     def consume_res(self, mode, oracle, name, ins, smem):
-        """[(Outcome, oracle', outs, (smem', check-conjuncts, pc-conjuncts))].
-        check-conjuncts must be implied by the consuming state; pc-conjuncts
-        are appended to its path condition."""
+        """[(Outcome, oracle', outs, (smem', check-conjuncts, pc-conjuncts))]
+        for a resource whose name and in-arity fit the resource model's
+        `arities`. check-conjuncts must be implied by the consuming state;
+        pc-conjuncts are appended to its path condition."""
         raise NotImplementedError
 
     def produce_res(self, name, ins, outs, smem):
-        """[(smem', pc-conjuncts)]; empty when production is undefined."""
+        """[(smem', pc-conjuncts)] for a resource that fits the resource
+        model's `arities`; empty when production is undefined."""
         raise NotImplementedError
 
     def mem_to_assertion(self, smem) -> list:
@@ -194,6 +200,3 @@ class MemoryModelBundle:
     rm: ResourceModel
     smm: SymbolicMemoryModel
     declared_soundness: Soundness
-
-    def supports_fixes(self) -> bool:
-        return self.smm.fixes is not None

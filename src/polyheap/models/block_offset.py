@@ -26,13 +26,10 @@ from ..evaluation import eval_lexpr
 from .maps import (
     MISSING_CELL,
     TYPE,
-    USE_AFTER_FREE,
     NestedConcrete,
     NestedSymbolic,
     fresh_addresses,
-    key_tail,
-    missing,
-    produce_freed,
+    produce_new,
     sorted_exprs,
 )
 
@@ -45,7 +42,7 @@ def _fits(cells: dict, bound) -> bool:
 
 
 class BlockConcrete(NestedConcrete):
-    actions = ("lookup", "new", "free")
+    actions = {"lookup": (2, 1), "new": (1, 1), "free": (1, 0)}
     fits = staticmethod(_fits)
 
     def inner_ok(self, o, v) -> bool:
@@ -60,10 +57,8 @@ class BlockConcrete(NestedConcrete):
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":
             nb, no = args
-            if not is_nat(no):
-                return [(ERR, mem, ("Type",))]
             return self._match(
-                mem, nb, lambda blk: self._lookup(mem, nb, no, *blk), "MissingBlock"
+                mem, nb, "MissingBlock", is_nat(no), lambda blk: self._lookup(mem, nb, no, *blk)
             )
         if name == "new":
             (n,) = args
@@ -76,7 +71,9 @@ class BlockConcrete(NestedConcrete):
             ]
         if name == "free":
             (nb,) = args
-            return self._match(mem, nb, lambda blk: self._free(mem, nb, *blk), "MissingBlock")
+            return self._match(
+                mem, nb, "MissingBlock", True, lambda blk: self._free(mem, nb, *blk)
+            )
         raise UnknownActionError(name)
 
     def _lookup(self, mem, nb, no, cells, bound):
@@ -193,40 +190,20 @@ class BlockSymbolic(NestedSymbolic):
         raise UnknownActionError(name)
 
     def _lookup(self, smem, eb, eo):
-        out = []
-        for k, blk in self._entries(smem):
-            if blk is FREED:
-                out.append(
-                    (ERR, smem, (eq(eb, k), InType(eo, "nat")), (USE_AFTER_FREE, eb))
-                )
-                continue
+        def hit(k, blk):
             cells, bound = blk
             offs = sorted_exprs(cells)
-            for o in offs:
-                out.append((OK, smem, (eq(eb, k), eq(eo, o)), (cells[o],)))
-            miss_pc = [eq(eb, k), InType(eo, "nat")] + not_in(eo, offs)
-            if bound is not None:
-                out.append(
-                    (
-                        MISS,
-                        smem,
-                        tuple(miss_pc + [Bin("<", eo, bound)]),
-                        (MISSING_CELL, eb, eo),
-                    )
-                )
-                out.append(
-                    (
-                        ERR,
-                        smem,
-                        tuple(miss_pc + [Not(Bin("<", eo, bound))]),
-                        (Lit("OutOfBounds"), eb, eo),
-                    )
-               )
-            else:
-                out.append((MISS, smem, tuple(miss_pc), (MISSING_CELL, eb, eo)))
-        out.extend(key_tail(smem, _MISSING_BLOCK, eb, (InType(eo, "nat"),)))
-        out.append((ERR, smem, (InType(eb, "nat"), Not(InType(eo, "nat"))), (TYPE,)))
-        return out
+            out = [(OK, smem, (eq(eb, k), eq(eo, o)), (cells[o],)) for o in offs]
+            miss_pc = (eq(eb, k), InType(eo, "nat"), *not_in(eo, offs))
+            if bound is None:
+                return out + [(MISS, smem, miss_pc, (MISSING_CELL, eb, eo))]
+            inside = Bin("<", eo, bound)
+            return out + [
+                (MISS, smem, (*miss_pc, inside), (MISSING_CELL, eb, eo)),
+                (ERR, smem, (*miss_pc, Not(inside)), (Lit("OutOfBounds"), eb, eo)),
+            ]
+
+        return self._matching(smem, eb, _MISSING_BLOCK, InType(eo, "nat"), hit)
 
     def _free(self, smem, eb):
         def hit(k, blk):
@@ -245,79 +222,51 @@ class BlockSymbolic(NestedSymbolic):
                 (MISS, smem, (eq(eb, k), Not(eq(size, bound))), (Lit("MissingCells"), eb)),
             ]
 
-        return self._matching(smem, eb, hit, _MISSING_BLOCK)
+        return self._matching(smem, eb, _MISSING_BLOCK, None, hit)
 
     # consume / produce --------------------------------------------------------
 
     def consume_res(self, mode, oracle, name, ins, smem):
-        if name == "cell" and len(ins) == 2:
-            return self._consume_cell(oracle, ins, smem)
-        if name == "bound" and len(ins) == 1:
-            return self._consume_bound(oracle, ins, smem)
-        if name == "freed" and len(ins) == 1:
-            return self._consume_freed(oracle, ins[0], smem, _MISSING_BLOCK)
-        return [(ABORT, oracle, (), (smem, (), ()))]
+        eb = ins[0]
+        if name == "freed":
+            return self._consume_freed(oracle, eb, smem, _MISSING_BLOCK)
+        if name == "bound":
 
-    def _consume_cell(self, oracle, ins, smem):
-        eb, eo = ins
-        out = []
-        for k, blk in self._entries(smem):
-            if blk is FREED:
-                out.append((ABORT, oracle, (), (smem, (), (eq(eb, k),))))
-                continue
-            cells, _ = blk
+            def take_bound(k, blk):
+                if blk[1] is None:
+                    return []
+                frame, pc = self._take_know(smem, k)
+                return [(OK, oracle, (blk[1],), (frame, (), (eq(eb, k), *pc)))]
+
+            return self._consume_at(oracle, smem, eb, _MISSING_BOUND, take_bound)
+        eo = ins[1]
+
+        def hit(k, blk):
+            cells = blk[0]
             offs = sorted_exprs(cells)
+            out = []
             for o in offs:
                 frame, pc = self._take_inner(smem, k, o)
                 out.append((OK, oracle, (cells[o],), (frame, (), (eq(eb, k), eq(eo, o), *pc))))
-            out.append(
-                (
-                    ABORT,
-                    oracle,
-                    (MISSING_CELL, eb, eo),
-                    (smem, (), tuple([eq(eb, k)] + not_in(eo, offs))),
-                )
-            )
-        out.append(missing(oracle, smem, _MISSING_BLOCK, eb))
-        return out
+            absent_pc = tuple([eq(eb, k)] + not_in(eo, offs))
+            out.append((ABORT, oracle, (MISSING_CELL, eb, eo), (smem, (), absent_pc)))
+            return out
 
-    def _consume_bound(self, oracle, ins, smem):
-        (eb,) = ins
-        out = []
-        for k, blk in self._entries(smem):
-            if blk is FREED:
-                out.append((ABORT, oracle, (), (smem, (), (eq(eb, k),))))
-                continue
-            bound = blk[1]
-            if bound is None:
-                continue
-            frame, pc = self._take_know(smem, k)
-            out.append((OK, oracle, (bound,), (frame, (), (eq(eb, k), *pc))))
-        out.append(missing(oracle, smem, _MISSING_BOUND, eb))
-        return out
+        return self._consume_at(oracle, smem, eb, _MISSING_BLOCK, hit)
 
     def produce_res(self, name, ins, outs, smem):
-        if name == "cell" and len(ins) == 2 and len(outs) == 1:
-            eb, eo = ins
-            (v,) = outs
-            results = []
-            if eb not in smem:
-                results.append(({**smem, eb: ({eo: v}, None)}, ()))
-            for k, blk in self._entries(smem):
-                if blk is FREED:
-                    continue
-                cells, bound = blk
-                if eo in cells:
-                    continue
-                results.append(
-                    ({**smem, k: ({**cells, eo: v}, bound)}, (eq(eb, k),))
-                )
-            return results
-        if name == "bound" and len(ins) == 1 and len(outs) == 1:
-            return self._produce_know(ins[0], outs[0], smem)
-        if name == "freed" and len(ins) == 1 and not outs:
-            return produce_freed(ins[0], smem)
-        return []
+        eb = ins[0]
+        if name == "freed":
+            return produce_new(eb, smem, FREED)
+        if name == "bound":
+            return self._produce_know(eb, outs[0], smem)
+        eo, (v,) = ins[1], outs
+
+        def merge(k, blk):
+            cells, bound = blk
+            return [] if eo in cells else [({**smem, k: ({**cells, eo: v}, bound)}, (eq(eb, k),))]
+
+        return self._produce_at(eb, smem, ({eo: v}, None), (), merge)
 
     def fixes(self, payload, state, fresh):
         tag = payload[0] if payload else None

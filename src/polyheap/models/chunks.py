@@ -52,14 +52,6 @@ def _remove(mset: dict, chunk) -> dict:
     return out
 
 
-def _pt_addresses(mem):
-    return {c[1] for c in mem if c[0] == "pt"}
-
-
-def _mb_addresses(mem):
-    return {c[1] for c in mem if c[0] == "mb"}
-
-
 def _used_addresses(mem):
     out = set()
     for kind, a, b in mem:
@@ -70,7 +62,7 @@ def _used_addresses(mem):
 
 
 class ChunkConcrete(ConcreteMemoryModel):
-    actions = ("lookup", "mutate", "new", "free")
+    actions = {"lookup": (1, 1), "mutate": (2, 0), "new": (0, 1), "free": (1, 0)}
 
     @property
     def empty(self):
@@ -135,8 +127,6 @@ class ChunkConcrete(ConcreteMemoryModel):
                 (OK, _add(_remove(mem, c), ("pt", addr, val)), ()) for c in hits
             ]
         if name == "new":
-            if args:
-                raise ValueError("new takes no arguments")
             used = _used_addresses(mem)
             out = []
             n = 0
@@ -351,8 +341,6 @@ class ChunkSymbolic(SymbolicMemoryModel):
         return out
 
     def consume_res(self, mode, oracle, name, ins, smem):
-        if name not in ("pt", "mb") or len(ins) != 1:
-            return [(ABORT, oracle, (), (smem, (), ()))]
         (e,) = ins
         out = []
         for c in self._chunks(smem, name):
@@ -369,10 +357,7 @@ class ChunkSymbolic(SymbolicMemoryModel):
         return out
 
     def produce_res(self, name, ins, outs, smem):
-        if name in ("pt", "mb") and len(ins) == 1 and len(outs) == 1:
-            chunk = (name, ins[0], outs[0])
-            return [(_add(smem, chunk), ())]
-        return []
+        return [(_add(smem, (name, ins[0], outs[0])), ())]
 
     def mem_to_assertion(self, smem) -> list:
         parts = []

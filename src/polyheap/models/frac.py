@@ -20,7 +20,7 @@ from ..memmodel import (
     Soundness,
     UnknownActionError,
 )
-from ..outcomes import ABORT, MISS, OK
+from ..outcomes import MISS, OK
 from ..syntax import Bin, InType, InVal, LVar, Lit, NIL_E, Not, eq
 from ..values import NIL, Rat, UNDEF, is_nat, is_value
 from ..evaluation import eval_lexpr
@@ -30,8 +30,7 @@ from .maps import (
     MapSymbolic,
     absent,
     fresh_addresses,
-    missing,
-    produce_freed,
+    produce_new,
     without,
 )
 
@@ -40,7 +39,7 @@ FULL = Lit(Rat(1))
 
 
 class FracConcrete(MapConcrete):
-    actions = ("lookup", "mutate", "new", "free")
+    actions = {"lookup": (1, 1), "mutate": (2, 0), "new": (0, 1), "free": (1, 0)}
 
     def payload_ok(self, v) -> bool:
         if not (isinstance(v, tuple) and len(v) == 2):
@@ -59,20 +58,23 @@ class FracConcrete(MapConcrete):
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":
             (addr,) = args
-            return self._match(mem, addr, lambda v: [(OK, mem, (v[0],))])
+            return self._match(mem, addr, "MissingCell", True, lambda v: [(OK, mem, (v[0],))])
         if name == "mutate":
             addr, val = args
-            return self._match(mem, addr, lambda v: self._whole(mem, addr, v, (val, Fraction(1))))
+            full = (val, Fraction(1))
+            return self._match(
+                mem, addr, "MissingCell", True, lambda v: self._whole(mem, addr, v, full)
+            )
         if name == "new":
-            if args:
-                raise ValueError("new takes no arguments")
             return [
                 (OK, {**mem, n: (NIL, Fraction(1))}, (n,))
                 for n in fresh_addresses(mem, max_addresses)
             ]
         if name == "free":
             (addr,) = args
-            return self._match(mem, addr, lambda v: self._whole(mem, addr, v, FREED))
+            return self._match(
+                mem, addr, "MissingCell", True, lambda v: self._whole(mem, addr, v, FREED)
+            )
         raise UnknownActionError(name)
 
     def _whole(self, mem, addr, v, new):
@@ -156,16 +158,22 @@ class FracSymbolic(MapSymbolic):
     def exec_action(self, smem, name, args, fresh):
         if name == "lookup":
             (e,) = args
-            return self._matching(smem, e, lambda k, v: [(OK, smem, (eq(e, k),), (v[0],))])
+            return self._matching(
+                smem, e, MISSING_CELL, None, lambda k, v: [(OK, smem, (eq(e, k),), (v[0],))]
+            )
         if name == "mutate":
             e, val = args
-            return self._matching(smem, e, lambda k, v: self._whole(smem, e, k, v, (val, v[1])))
+            return self._matching(
+                smem, e, MISSING_CELL, None, lambda k, v: self._whole(smem, e, k, v, (val, v[1]))
+            )
         if name == "new":
             x = LVar(fresh())
             return [(OK, {**smem, x: (NIL_E, FULL)}, (InVal(x),), (x,))]
         if name == "free":
             (e,) = args
-            return self._matching(smem, e, lambda k, v: self._whole(smem, e, k, v, FREED))
+            return self._matching(
+                smem, e, MISSING_CELL, None, lambda k, v: self._whole(smem, e, k, v, FREED)
+            )
         raise UnknownActionError(name)
 
     def _whole(self, smem, e, k, v, new):
@@ -177,63 +185,37 @@ class FracSymbolic(MapSymbolic):
         ]
 
     def consume_res(self, mode, oracle, name, ins, smem):
-        out = []
-        if name == "cell" and len(ins) == 2:
-            e_l, e_q = ins
-            for k, v in self._entries(smem):
-                if v is FREED:
-                    out.append((ABORT, oracle, (), (smem, (), (eq(e_l, k),))))
-                    continue
-                val, q = v
-                frame = without(smem, k)
-                # take the whole permission
-                out.append(
-                    (
-                        OK,
-                        oracle,
-                        (val,),
-                        (frame, (), tuple([eq(e_l, k), eq(e_q, q)] + absent(k, frame))),
-                    )
-                )
-                # take part, leaving the remainder
-                rest = Bin("-", q, e_q)
-                out.append(
-                    (
-                        OK,
-                        oracle,
-                        (val,),
-                        ({**frame, k: (val, rest)}, (), (eq(e_l, k), Bin("<", e_q, q))),
-                    )
-                )
-            out.append(missing(oracle, smem, MISSING_CELL, e_l))
-            return out
-        if name == "freed" and len(ins) == 1:
+        if name == "freed":
             return self._consume_freed(oracle, ins[0], smem, MISSING_CELL)
-        return [(ABORT, oracle, (), (smem, (), ()))]
+        e_l, e_q = ins
+
+        def hit(k, v):
+            val, q = v
+            frame = without(smem, k)
+            part = {**frame, k: (val, Bin("-", q, e_q))}
+            return [
+                # take the whole permission
+                (OK, oracle, (val,), (frame, (), (eq(e_l, k), eq(e_q, q), *absent(k, frame)))),
+                # take part, leaving the remainder
+                (OK, oracle, (val,), (part, (), (eq(e_l, k), Bin("<", e_q, q)))),
+            ]
+
+        return self._consume_at(oracle, smem, e_l, MISSING_CELL, hit)
 
     def produce_res(self, name, ins, outs, smem):
-        if name == "cell" and len(ins) == 2 and len(outs) == 1:
-            e_l, e_q = ins
-            (val,) = outs
-            results = []
-            q_ok = (InType(e_q, "rat"), Bin("<=", e_q, FULL))
-            if e_l not in smem:
-                results.append(({**smem, e_l: (val, e_q)}, q_ok))
-            for k, v in self._entries(smem):
-                if v is FREED:
-                    continue
-                val2, q2 = v
-                total = Bin("+", q2, e_q)
-                results.append(
-                    (
-                        {**smem, k: (val2, total)},
-                        (eq(e_l, k), eq(val, val2), Bin("<=", total, FULL)),
-                    )
-                )
-            return results
-        if name == "freed" and len(ins) == 1 and not outs:
-            return produce_freed(ins[0], smem)
-        return []
+        if name == "freed":
+            return produce_new(ins[0], smem, FREED)
+        e_l, e_q = ins
+        (val,) = outs
+
+        def merge(k, v):
+            val2, q2 = v
+            total = Bin("+", q2, e_q)
+            pc = (eq(e_l, k), eq(val, val2), Bin("<=", total, FULL))
+            return [({**smem, k: (val2, total)}, pc)]
+
+        q_ok = (InType(e_q, "rat"), Bin("<=", e_q, FULL))
+        return self._produce_at(e_l, smem, (val, e_q), q_ok, merge)
 
     def fixes(self, payload, state, fresh):
         if len(payload) == 2 and payload[0] in (MISSING_CELL, _SHORT):

@@ -33,13 +33,13 @@ from .maps import (
     bipartitions,
     fresh_addresses,
     missing,
-    produce_freed,
+    produce_new,
     without,
 )
 
 
 class LinearConcrete(MapConcrete):
-    actions = ("lookup", "mutate", "new", "free")
+    actions = {"lookup": (1, 1), "mutate": (2, 0), "new": (0, 1), "free": (1, 0)}
 
     def __init__(self, track_freed: bool = True):
         self.track_freed = track_freed
@@ -50,13 +50,13 @@ class LinearConcrete(MapConcrete):
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":
             (addr,) = args
-            return self._match(mem, addr, lambda v: [(OK, mem, (v,))])
+            return self._match(mem, addr, "MissingCell", True, lambda v: [(OK, mem, (v,))])
         if name == "mutate":
             addr, val = args
-            return self._match(mem, addr, lambda v: [(OK, {**mem, addr: val}, ())])
+            return self._match(
+                mem, addr, "MissingCell", True, lambda v: [(OK, {**mem, addr: val}, ())]
+            )
         if name == "new":
-            if args:
-                raise ValueError("new takes no arguments")
             return [
                 (OK, {**mem, n: NIL}, (n,))
                 for n in fresh_addresses(mem, max_addresses)
@@ -69,7 +69,7 @@ class LinearConcrete(MapConcrete):
                     return [(OK, {**mem, addr: FREED}, ())]
                 return [(OK, without(mem, addr), ())]
 
-            return self._match(mem, addr, freed)
+            return self._match(mem, addr, "MissingCell", True, freed)
         raise UnknownActionError(name)
 
     def enumerate_splits(self, mem):
@@ -145,7 +145,7 @@ class LinearSymbolic(MapSymbolic):
         if name == "lookup":
             (e,) = args
             return self._matching(
-                smem, e, lambda k, v: [(OK, smem, (eq(e, k),), (v,))]
+                smem, e, MISSING_CELL, None, lambda k, v: [(OK, smem, (eq(e, k),), (v,))]
             )
         if name == "mutate":
             e, val = args
@@ -156,10 +156,8 @@ class LinearSymbolic(MapSymbolic):
                     pc.append(InVal(v))
                 return [(OK, {**smem, k: val}, tuple(pc), ())]
 
-            return self._matching(smem, e, hit)
+            return self._matching(smem, e, MISSING_CELL, None, hit)
         if name == "new":
-            if args:
-                raise ValueError("new takes no arguments")
             x = LVar(fresh())
             return [(OK, {**smem, x: NIL_E}, (InVal(x),), (x,))]
         if name == "free":
@@ -172,7 +170,7 @@ class LinearSymbolic(MapSymbolic):
                 mem = {**smem, k: FREED} if self.track_freed else without(smem, k)
                 return [(OK, mem, tuple(pc), ())]
 
-            return self._matching(smem, e, hit)
+            return self._matching(smem, e, MISSING_CELL, None, hit)
         raise UnknownActionError(name)
 
     def _order(self, branches):
@@ -186,11 +184,7 @@ class LinearSymbolic(MapSymbolic):
     # consume / produce -------------------------------------------------------
 
     def consume_res(self, mode, oracle, name, ins, smem):
-        if name not in ("cell", "freed") or (name == "freed" and not self.track_freed):
-            return [(ABORT, oracle, (), (smem, (), ()))]
         want_freed = name == "freed"
-        if len(ins) != 1:
-            return [(ABORT, oracle, (), (smem, (), ()))]
         (e,) = ins
         matches = [
             (k, v) for k, v in self._entries(smem) if (v is FREED) == want_freed
@@ -214,14 +208,7 @@ class LinearSymbolic(MapSymbolic):
         return out
 
     def produce_res(self, name, ins, outs, smem):
-        if name == "cell" and len(ins) == 1 and len(outs) == 1:
-            (e,) = ins
-            if e in smem:
-                return []
-            return [({**smem, e: outs[0]}, ())]
-        if name == "freed" and self.track_freed and len(ins) == 1 and not outs:
-            return produce_freed(ins[0], smem)
-        return []
+        return produce_new(ins[0], smem, outs[0] if name == "cell" else FREED)
 
     def fixes(self, payload, state, fresh):
         if len(payload) == 2 and payload[0] == MISSING_CELL:

@@ -5,8 +5,9 @@ A concrete memory is a dict from natural-number keys to payloads or the
 FREED marker. A symbolic memory is a dict from key expressions to symbolic
 payloads or FREED, and denotes the concrete memory obtained by evaluating
 every key and payload (keys must be distinct naturals). The bases below
-implement that lifting once; a model supplies per-payload hooks and keeps
-its actions, resources and consume/produce rules.
+implement that lifting once; a model supplies per-payload hooks, its
+actions and resources, and per entry what an action, a consume or a
+produce does there.
 
 Concrete hooks (`MapConcrete`):
   payload_ok(v)          well-formedness of one payload
@@ -20,6 +21,10 @@ Symbolic hooks (`MapSymbolic`):
   eval_payload(v, theta)    its concrete payload, or UNDEF
   lift_payload(v, name)     a symbolic payload, naming each value by `name`
   payload_assertions(k, v)  the resource assertions owning the entry
+Per-key walks (`MapSymbolic`), each taking the per-entry step `hit`/`merge`:
+  _matching(smem, e, tag, guard, hit)        an action on the entry at `e`
+  _consume_at(oracle, smem, e, tag, hit)     consuming a resource at `e`
+  _produce_at(e, smem, new, new_pc, merge)   producing a resource at `e`
 
 `NestedConcrete`/`NestedSymbolic` specialise both to entries that are an
 inner map plus optional knowledge about it (block-offset, objects).
@@ -85,20 +90,9 @@ def missing(oracle, smem, tag, e):
     return (ABORT, oracle, (tag, e), (smem, (), tuple(absent(e, smem))))
 
 
-def key_tail(smem, tag, e, guards=()):
-    """The action branches for a key `e` naming no entry: a missing entry
-    when `e` is a natural (and `guards`, the other argument types, hold),
-    a type error when it is not."""
-    return [
-        (MISS, smem, (InType(e, "nat"), *guards, *absent(e, smem)), (tag, e)),
-        (ERR, smem, (Not(InType(e, "nat")),), (TYPE,)),
-    ]
-
-
-def produce_freed(e, smem) -> list:
-    if e in smem:
-        return []
-    return [({**smem, e: FREED}, ())]
+def produce_new(e, smem, payload) -> list:
+    """Production that only adds a new entry: none when `e` is a key."""
+    return [] if e in smem else [({**smem, e: payload}, ())]
 
 
 def one_of(e, options):
@@ -184,9 +178,10 @@ class MapConcrete(ConcreteMemoryModel):
                 out.update(self.payload_values(v))
         return out
 
-    def _match(self, mem, addr, hit, tag="MissingCell"):
-        """An action on the entry at `addr`: `hit(payload)` when it is live."""
-        if not is_nat(addr):
+    def _match(self, mem, addr, tag, ok, hit):
+        """An action on the entry at `addr`, whose other arguments are
+        well-typed when `ok`: `hit(payload)` when it is live."""
+        if not (is_nat(addr) and ok):
             return [(ERR, mem, ("Type",))]
         if addr not in mem:
             return [(MISS, mem, (tag, addr))]
@@ -253,20 +248,50 @@ class MapSymbolic(SymbolicMemoryModel):
                 parts.extend(self.payload_assertions(k, v))
         return parts
 
-    def _matching(self, smem, e, hit, tag=MISSING_CELL):
-        """An action on the entry at `e`: per entry, in key order, a
-        use-after-free error on FREED or the `hit(k, payload)` branches;
-        then `key_tail`."""
+    def _matching(self, smem, e, tag, guard, hit):
+        """An action on the entry at `e`, whose other arguments are
+        well-typed under `guard` (None when there are none): per entry, in
+        key order, a use-after-free error on FREED or the `hit(k, payload)`
+        branches; then a missing entry when `e` is a natural naming none,
+        and a type error when it is not a natural or the guard fails."""
+        guards = () if guard is None else (guard,)
         branches = []
         for k, v in self._entries(smem):
             if v is FREED:
-                branches.append((ERR, smem, (eq(e, k),), (USE_AFTER_FREE, e)))
+                branches.append((ERR, smem, (eq(e, k), *guards), (USE_AFTER_FREE, e)))
             else:
                 branches.extend(hit(k, v))
-        return self._order(branches) + key_tail(smem, tag, e)
+        out = self._order(branches)
+        out.append((MISS, smem, (InType(e, "nat"), *guards, *absent(e, smem)), (tag, e)))
+        out.append((ERR, smem, (Not(InType(e, "nat")),), (TYPE,)))
+        if guard is not None:
+            out.append((ERR, smem, (InType(e, "nat"), Not(guard)), (TYPE,)))
+        return out
 
     def _order(self, branches):
         return branches
+
+    def _consume_at(self, oracle, smem, e, tag, hit):
+        """Consuming a resource at key `e`: per entry, in key order, an
+        abort on FREED or the `hit(k, payload)` branches; then `missing`."""
+        out = []
+        for k, v in self._entries(smem):
+            if v is FREED:
+                out.append((ABORT, oracle, (), (smem, (), (eq(e, k),))))
+            else:
+                out.extend(hit(k, v))
+        out.append(missing(oracle, smem, tag, e))
+        return out
+
+    def _produce_at(self, e, smem, new, new_pc, merge):
+        """Producing a resource at key `e`: the entry `new` under `new_pc`
+        when `e` is not a key, then per live entry, in key order, the
+        `merge(k, payload)` results."""
+        results = [] if e in smem else [({**smem, e: new}, new_pc)]
+        for k, v in self._entries(smem):
+            if v is not FREED:
+                results.extend(merge(k, v))
+        return results
 
     def _consume_freed(self, oracle, e, smem, tag):
         out = []
@@ -412,11 +437,8 @@ class NestedSymbolic(_Nested, MapSymbolic):
         return {**smem, k: (inner, None)}, []
 
     def _produce_know(self, e, know, smem):
-        results = []
-        if e not in smem:
-            results.append(({**smem, e: ({}, know)}, ()))
-        for k, entry in self._entries(smem):
-            if entry is FREED or entry[1] is not None or not entry[0]:
-                continue
-            results.append(({**smem, k: (entry[0], know)}, (eq(e, k),)))
-        return results
+        def merge(k, entry):
+            inner, know2 = entry
+            return [({**smem, k: (inner, know)}, (eq(e, k),))] if inner and know2 is None else []
+
+        return self._produce_at(e, smem, ({}, know), (), merge)

@@ -20,17 +20,14 @@ from ..memmodel import (
     Soundness,
     UnknownActionError,
 )
-from ..outcomes import ABORT, ERR, MISS, OK
-from ..syntax import InType, InVal, LVar, Lit, LstE, NIL_E, Not, eq, not_in
+from ..outcomes import ABORT, MISS, OK
+from ..syntax import InType, InVal, LVar, Lit, LstE, NIL_E, eq, not_in
 from ..values import NIL, UNDEF, is_nat, is_string, is_value
 from ..evaluation import eval_lexpr
 from .maps import (
-    TYPE,
     NestedConcrete,
     NestedSymbolic,
     fresh_addresses,
-    key_tail,
-    missing,
     one_of,
     sorted_exprs,
 )
@@ -44,7 +41,7 @@ def _fits(fields: dict, dom) -> bool:
 
 
 class ObjectConcrete(NestedConcrete):
-    actions = ("newObj", "lookup", "mutate", "deleteField")
+    actions = {"newObj": (0, 1), "lookup": (2, 1), "mutate": (3, 0), "deleteField": (2, 0)}
     track_freed = False
     fits = staticmethod(_fits)
 
@@ -59,8 +56,6 @@ class ObjectConcrete(NestedConcrete):
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "newObj":
-            if args:
-                raise ValueError("newObj takes no arguments")
             return [
                 (OK, {**mem, o: ({}, frozenset())}, (o,))
                 for o in fresh_addresses(mem, max_addresses)
@@ -77,14 +72,7 @@ class ObjectConcrete(NestedConcrete):
         raise UnknownActionError(name)
 
     def _with_field(self, mem, o, f, k):
-        if not is_nat(o):
-            return [(ERR, mem, ("Type",))]
-        if not is_string(f):
-            return [(ERR, mem, ("Type",))]
-        if o not in mem:
-            return [(MISS, mem, ("MissingObject", o))]
-        fields, dom = mem[o]
-        return k(mem, o, f, fields, dom)
+        return self._match(mem, o, "MissingObject", is_string(f), lambda e: k(mem, o, f, *e))
 
     def _read(self, mem, o, f, fields, dom):
         if f in fields:
@@ -209,9 +197,10 @@ class ObjectSymbolic(NestedSymbolic):
         raise UnknownActionError(name)
 
     def _field_action(self, smem, eo, ef, hit):
-        out = []
-        for k, (fields, dom) in self._entries(smem):
+        def at(k, entry):
+            fields, dom = entry
             names = sorted_exprs(fields)
+            out = []
             for fe in names:
                 out.extend(hit(smem, k, (eq(eo, k), eq(ef, fe)), fe, fields, dom, ef))
             # provably-unset: outside the domain set
@@ -226,9 +215,9 @@ class ObjectSymbolic(NestedSymbolic):
                     )
             else:
                 out.append((MISS, smem, tuple(base), (_MISSING_FIELD, eo, ef)))
-        out.extend(key_tail(smem, _MISSING_OBJECT, eo, (InType(ef, "str"),)))
-        out.append((ERR, smem, (InType(eo, "nat"), Not(InType(ef, "str"))), (TYPE,)))
-        return out
+            return out
+
+        return self._matching(smem, eo, _MISSING_OBJECT, InType(ef, "str"), at)
 
     def _sym_read(self, smem, k, pc, fe, fields, dom, ef):
         if fe is None:
@@ -253,19 +242,17 @@ class ObjectSymbolic(NestedSymbolic):
     # consume / produce --------------------------------------------------------
 
     def consume_res(self, mode, oracle, name, ins, smem):
-        if name == "field" and len(ins) == 2:
-            return self._consume_field(oracle, ins, smem, want_unset=False)
-        if name == "unset" and len(ins) == 2:
-            return self._consume_field(oracle, ins, smem, want_unset=True)
-        if name == "domain" and len(ins) == 2:
+        if name == "domain":
             return self._consume_domain(oracle, ins, smem)
-        return [(ABORT, oracle, (), (smem, (), ()))]
+        return self._consume_field(oracle, ins, smem, want_unset=name == "unset")
 
     def _consume_field(self, oracle, ins, smem, want_unset):
         eo, ef = ins
-        out = []
-        for k, (fields, dom) in self._entries(smem):
+
+        def hit(k, entry):
+            fields = entry[0]
             names = sorted_exprs(fields)
+            out = []
             for fe in names:
                 v = fields[fe]
                 if (v is FREED) != want_unset:
@@ -274,65 +261,49 @@ class ObjectSymbolic(NestedSymbolic):
                 frame, pc = self._take_inner(smem, k, fe)
                 outs = () if want_unset else (v,)
                 out.append((OK, oracle, outs, (frame, (), (eq(eo, k), eq(ef, fe), *pc))))
-            out.append(
-                (
-                    ABORT,
-                    oracle,
-                    (_MISSING_FIELD, eo, ef),
-                    (smem, (), tuple([eq(eo, k)] + not_in(ef, names))),
-                )
-            )
-        out.append(missing(oracle, smem, _MISSING_OBJECT, eo))
-        return out
+            absent_pc = tuple([eq(eo, k)] + not_in(ef, names))
+            out.append((ABORT, oracle, (_MISSING_FIELD, eo, ef), (smem, (), absent_pc)))
+            return out
+
+        return self._consume_at(oracle, smem, eo, _MISSING_OBJECT, hit)
 
     def _consume_domain(self, oracle, ins, smem):
         eo, elist = ins
         items = _list_items(elist)
         want = None if items is None else _ground_strings(items)
-        out = []
-        for k, (fields, dom) in self._entries(smem):
+
+        def hit(k, entry):
+            dom = entry[1]
             if dom is None:
-                continue
+                return []
             have = _ground_strings(dom)
             if want is None or have is None or want != have:
-                out.append((ABORT, oracle, (), (smem, (), (eq(eo, k),))))
-                continue
+                return [(ABORT, oracle, (), (smem, (), (eq(eo, k),)))]
             # a bare domain entry composes with field-only frames
             frame, pc = self._take_know(smem, k)
-            out.append((OK, oracle, (), (frame, (), (eq(eo, k), *pc))))
-        out.append(missing(oracle, smem, Lit("MissingDomain"), eo))
-        return out
+            return [(OK, oracle, (), (frame, (), (eq(eo, k), *pc)))]
+
+        return self._consume_at(oracle, smem, eo, Lit("MissingDomain"), hit)
 
     def produce_res(self, name, ins, outs, smem):
-        if name == "field" and len(ins) == 2 and len(outs) == 1:
-            return self._produce_field(ins, outs[0], smem)
-        if name == "unset" and len(ins) == 2 and not outs:
-            return self._produce_field(ins, FREED, smem)
-        if name == "domain" and len(ins) == 2 and not outs:
+        if name == "domain":
             items = _list_items(ins[1])
             if items is None:
                 return []
             # satisfaction rejects models whose fields escape the domain
             return self._produce_know(ins[0], frozenset(items), smem)
-        return []
-
-    def _produce_field(self, ins, payload, smem):
         eo, ef = ins
-        results = []
-        if eo not in smem:
-            results.append(({**smem, eo: ({ef: payload}, None)}, ()))
-        for k, (fields, dom) in self._entries(smem):
-            if ef in fields:
-                continue
-            if dom is not None:
-                # produced fields must be covered by the domain knowledge
-                if not dom:
-                    continue
-                pc = (eq(eo, k), one_of(ef, sorted_exprs(dom)))
-            else:
-                pc = (eq(eo, k),)
-            results.append(({**smem, k: ({**fields, ef: payload}, dom)}, pc))
-        return results
+        payload = outs[0] if name == "field" else FREED
+
+        def merge(k, entry):
+            fields, dom = entry
+            # produced fields must be covered by the domain knowledge
+            if ef in fields or dom is not None and not dom:
+                return []
+            pc = (eq(eo, k),) if dom is None else (eq(eo, k), one_of(ef, sorted_exprs(dom)))
+            return [({**smem, k: ({**fields, ef: payload}, dom)}, pc)]
+
+        return self._produce_at(eo, smem, ({ef: payload}, None), (), merge)
 
     def fixes(self, payload, state, fresh):
         tag = payload[0] if payload else None

@@ -16,10 +16,6 @@ class Outcome(Enum):
     def __repr__(self):
         return self.value
 
-    @property
-    def is_fault(self) -> bool:
-        return self is not Outcome.OK
-
 
 OK = Outcome.OK
 ERR = Outcome.ERR

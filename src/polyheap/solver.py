@@ -217,10 +217,6 @@ class RewriteCore:
         else:
             self.parent[ra] = rb
 
-    def _rep(self, e):
-        r = self._find(e)
-        return r
-
     def _numeric_type(self, e: Expr):
         if isinstance(e, Lit):
             if is_nat(e.value):

@@ -237,16 +237,6 @@ class Unfold(Cmd):
     args: tuple
 
 
-def seq_all(cmds) -> Cmd:
-    cmds = list(cmds)
-    if not cmds:
-        return Skip()
-    out = cmds[-1]
-    for c in reversed(cmds[:-1]):
-        out = Seq(c, out)
-    return out
-
-
 def prog_vars(c: Cmd) -> frozenset:
     """pv(c): every program variable occurring in the command."""
     if isinstance(c, Skip):

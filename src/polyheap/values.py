@@ -107,10 +107,6 @@ def _undef_instance():
 UNDEF = _Undef()
 
 
-def is_nil(v) -> bool:
-    return v is NIL
-
-
 def is_bool(v) -> bool:
     return isinstance(v, VBool)
 
@@ -125,10 +121,6 @@ def is_rat(v) -> bool:
 
 def is_string(v) -> bool:
     return type(v) is str
-
-
-def is_list(v) -> bool:
-    return type(v) is tuple
 
 
 def is_value(v) -> bool:

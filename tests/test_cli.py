@@ -94,6 +94,47 @@ def test_findbugs_unsupported_model_exit_five():
     assert p.returncode == 5
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (
+            ("find-bugs", prog("bugs.ph"), "--model", "block-offset"),
+            "error: action 'lookup' takes 2 argument(s) under model block-offset, not 1",
+        ),
+        (
+            ("find-bugs", prog("bugs.ph"), "--model", "objects"),
+            "error: model objects has no action 'free'",
+        ),
+        (
+            ("verify", prog("verify_block.ph")),
+            "error: action 'lookup' takes 1 argument(s) under model linear, not 2",
+        ),
+    ],
+    ids=["find-bugs-block-offset", "find-bugs-objects", "verify-linear"],
+)
+def test_program_that_does_not_fit_the_model_exit_two(argv, error):
+    p = run_cli(*argv)
+    assert p.returncode == 2
+    assert p.stderr == error + "\n"
+    assert p.stdout == ""
+
+
+def test_run_action_argument_count_exit_two(tmp_path):
+    f = tmp_path / "wide.ph"
+    f.write_text("func f() { x := lookup(1, 2); return x }")
+    p = run_cli("run", str(f), "f")
+    assert p.returncode == 2
+    assert p.stderr == "error: action 'lookup' takes 1 argument(s) under model linear, not 2\n"
+
+
+def test_run_target_count_stays_a_runtime_error(tmp_path):
+    f = tmp_path / "targets.ph"
+    f.write_text("func f() { a := new(); x, y := lookup(a); return x }")
+    p = run_cli("run", str(f), "f")
+    assert p.returncode == 3
+    assert "ActionArgsLength" in p.stdout
+
+
 def test_checkmodel_unknown_exit_two():
     assert run_cli("check-model", "nope").returncode == 2
     assert run_cli("check-model", "cheri").returncode == 2

@@ -22,8 +22,9 @@ from polyheap.engine import (
     initial_state,
     produce,
 )
+from polyheap.conformance import _resource_cases
 from polyheap.memmodel import Bounds
-from polyheap.models import get_model
+from polyheap.models import MODEL_NAMES, get_model
 from polyheap.oracle import Oracle
 from polyheap.outcomes import ABORT, OK
 from polyheap.syntax import Bin, InVal, Lit, LVar, eq
@@ -177,3 +178,38 @@ def test_frac_partial_and_full_consume():
         if r[0] is OK
     ]
     assert any(r[3].mem == {} for r in full)
+
+
+BUNDLES = [m for m in MODEL_NAMES if m != "cheri"]
+
+
+def malformed(res):
+    """An unknown resource name, one in-parameter too many and one
+    out-parameter too many, each beside `res`."""
+    return (
+        Res("nosuch", res.ins, res.outs),
+        Res(res.name, res.ins + (Lit(0),), res.outs),
+        Res(res.name, res.ins, res.outs + (Lit(0),)),
+    )
+
+
+@pytest.mark.parametrize("model", BUNDLES)
+def test_malformed_resource_outcomes(model):
+    ctx = make_ctx(model=model)
+    bounds = Bounds(value_domain=(0, 1))
+    name, ins_v, outs_v = next(iter(_resource_cases(ctx.bundle.rm, bounds)))
+    res = Res(name, tuple(map(Lit, ins_v)), tuple(map(Lit, outs_v)))
+    [st] = produce(ctx, res, {}, initial_state(ctx.bundle.smm))
+    unknown, wide_in, wide_out = malformed(res)
+    # a resource the model does not have: one abort without a reason
+    assert consume(ctx, O, unknown, {}, st) == [(ABORT, O, {}, st, ())]
+    assert consume(ctx, O, wide_in, {}, st) == [(ABORT, O, {}, st, ())]
+    # a known resource with the wrong out-arity: one abort per match, after
+    # the oracle read with which linear-cut picks it
+    picked = O.shift(1) if model == "linear-cut" else O
+    assert consume(ctx, O, wide_out, {}, st) == [
+        (ABORT, picked, {}, st, (Lit("ResourceArity"), Lit(name)))
+    ]
+    for bad in malformed(res):
+        with pytest.raises(ProduceUndefined):
+            produce(ctx, bad, {}, st)
