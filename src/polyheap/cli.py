@@ -8,9 +8,9 @@
 Reports are JSON (deterministic for identical file + configuration); the
 human format is rendered from the same dictionary. Exit codes: 0 success,
 1 verification failure / conformance mismatch, 2 parse or configuration
-error (including a program whose actions do not fit the model), 3 faults
-or bugs found, 4 inconclusive verification, 5 analysis unsupported by the
-model.
+error (including a program whose actions or resource atoms do not fit the
+model), 3 faults or bugs found, 4 inconclusive verification, 5 analysis
+unsupported by the model.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 
 from . import solver
 from .analyses import Failed, Inconclusive, UnsupportedCapability, biabduct, verify_ox
-from .assertions import format_assertion
+from .assertions import Exists, Implies, Or, Res, Star, format_assertion
 from .concrete import BudgetExhausted, run_function
 from .conformance import run_conformance
 from .memmodel import Bounds
@@ -122,7 +122,9 @@ def _render_human(report: dict) -> str:
 def _load(ns):
     """The model and the parsed program of `ns`. ValueError when an action
     of the program is not in the model's `actions` table, or takes another
-    number of arguments there."""
+    number of arguments there, or when a resource atom of a specification
+    or predicate body is not in the resource model's `arities` table, or
+    has other in/out counts there."""
     bundle = get_model(ns.model)
     prog = parse_program(open(ns.file, encoding="utf-8").read())
     todo = [f.body for f in reversed(prog.functions.values())]
@@ -140,6 +142,24 @@ def _load(ns):
                 raise ValueError(
                     f"action {c.name!r} takes {n_args} argument(s) under model"
                     f" {bundle.name}, not {len(c.args)}"
+                )
+    todo = [p.body for p in reversed(prog.preds.values())]
+    todo += [a for qs in reversed(prog.specs.values()) for q in reversed(qs)
+             for a in (q.post_err, q.post_ok, q.pre)]
+    while todo:
+        a = todo.pop()
+        if isinstance(a, (Star, Or, Implies)):
+            todo += [a.right, a.left]
+        elif isinstance(a, Exists):
+            todo.append(a.body)
+        elif isinstance(a, Res):
+            if a.name not in bundle.rm.arities:
+                raise ValueError(f"model {bundle.name} has no resource {a.name!r}")
+            n_in, n_out = bundle.rm.arities[a.name]
+            if (n_in, n_out) != (len(a.ins), len(a.outs)):
+                raise ValueError(
+                    f"resource {a.name!r} takes {n_in} in- and {n_out} out-parameter(s)"
+                    f" under model {bundle.name}, not {len(a.ins)} and {len(a.outs)}"
                 )
     return bundle, prog
 

@@ -15,10 +15,17 @@ existential sides of the checks search a window widened by the frame's
 cell count: removing cells from a memory can only lower a fresh address's
 rank, hence the widened window covers every choice the bounded universal
 side can make.
+
+The symbolic checks keep, per call, what does not depend on the trial:
+the lifts of each memory, the argument vectors of each action case and
+the heaps on which each resource holds. Witness domains are built only
+when a branch has new variables. Model operations are pure, so sharing
+changes no verdict, trial count or witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -283,6 +290,15 @@ def _lift_styles(smm, mem):
     return out
 
 
+def _lifts(smm, mems):
+    """`i` -> the `_lift_styles` of `mems[i]`, each with its smem's lvars;
+    computed on the first request for `i`, since a check samples each
+    memory many times."""
+    return functools.cache(
+        lambda i: [(smem, theta, smm.lvars(smem)) for smem, theta in _lift_styles(smm, mems[i])]
+    )
+
+
 def _arg_styles(case_args):
     """Ground and variable-shaped symbolic argument vectors."""
     ground = tuple(Lit(v) for v in case_args)
@@ -301,21 +317,43 @@ def _eval_vec(exprs, theta):
     return tuple(vals)
 
 
+class _Lazy:
+    """`fn()`, computed on the first call and then kept."""
+
+    __slots__ = ("fn", "value")
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self):
+        if self.fn is not None:
+            self.value, self.fn = self.fn(), None
+        return self.value
+
+
+def _extend(theta, new, domain):
+    """`_extensions(theta, new, domain())`, calling `domain` only when some
+    variable is new: `theta` alone needs no values."""
+    return _extensions(theta, new, domain() if new else ())
+
+
 def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap: int = 4000) -> CheckResult:
     assert mode in ("ox", "ux")
     cmm, smm = bundle.cmm, bundle.smm
     mems = _mems(cmm, bounds, cap=256)
     cases = list(cmm.action_cases(bounds))
+    lifts = _lifts(smm, mems)
+    arg_styles = [_arg_styles(args) for _, args in cases]
     trials = 0
     for i, c, s in _sample_product((len(mems), len(cases), 2), cap, bounds.seed):
         mem = mems[i]
         name, args = cases[c]
-        for smem, theta0 in _lift_styles(smm, mem):
-            sym_args, theta_a = _arg_styles(args)[s]
+        sym_args, theta_a = arg_styles[c][s]
+        for smem, theta0, lvars in lifts(i):
             theta = {**theta0, **theta_a}
             trials += 1
             witness = _action_case(
-                bundle, mode, bounds, mem, smem, theta, name, args, sym_args
+                bundle, mode, bounds, mem, smem, lvars | set(theta), theta, name, args, sym_args
             )
             if witness is not None:
                 witness.update({"action": name, "args": [repr(a) for a in args], "mem": _fmt_mem(mem)})
@@ -323,11 +361,12 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
     return CheckResult("action", mode, "pass", trials)
 
 
-def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
+def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_args):
     cmm, smm = bundle.cmm, bundle.smm
     branches = smm.exec_action(smem, name, sym_args, _Namer("f"))
-    known = smm.lvars(smem) | set(theta)
-    domain = sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(args), key=value_key)
+    domain = _Lazy(
+        lambda: sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(args), key=value_key)
+    )
     wide = bounds.max_addresses + bounds.max_cells
 
     # side condition: miss/abort branches leave the memory unchanged
@@ -336,19 +375,18 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
             return {"kind": "miss-changes-memory", "outcome": o.value}
 
     if mode == "ox":
+        # each branch's new variables, shared by the concrete outcomes
+        news = [_Lazy(functools.partial(_new_lvars, smm, b, known)) for b in branches]
         # vacuous when some abort branch is plausible under an extension
-        for o, smem2, pc, outs in branches:
+        for (o, smem2, pc, outs), new in zip(branches, news):
             if o is ABORT:
-                for th in _extensions(theta, _branch_lvars(smm, smem2, pc, outs) - known, domain):
+                for th in _extend(theta, new(), domain):
                     if _holds_all(pc, th) and _eval_vec(outs, th) is not None:
                         return None
         concrete = cmm.exec_action(mem, name, args, bounds.max_addresses)
         for o, mem2, outs_c in concrete:
-            extra = sorted(set(mem2.keys()) - set(mem.keys())) if isinstance(mem2, dict) else []
-            search_domain = sorted(
-                set(domain) | cmm.mem_values(mem2) | set(outs_c) | set(extra), key=value_key
-            )
-            if not _ox_matched(smm, branches, theta, known, search_domain, o, mem2, outs_c):
+            search_domain = _Lazy(functools.partial(_outcome_domain, cmm, domain, mem, mem2, outs_c))
+            if not _ox_matched(smm, branches, news, theta, search_domain, o, mem2, outs_c):
                 return {
                     "kind": "unmatched-concrete-step",
                     "outcome": o.value,
@@ -362,7 +400,7 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
         if o is ABORT:
             continue
         new = _branch_lvars(smm, smem2, pc, outs) - known
-        for th in _extensions(theta, new, domain):
+        for th in _extend(theta, new, domain):
             if not _holds_all(pc, th):
                 continue
             mem2 = smm.concretize(th, smem2)
@@ -386,6 +424,13 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
     return None
 
 
+def _outcome_domain(cmm, domain, mem, mem2, outs_c):
+    """`domain()` widened by the values, results and new addresses of the
+    concrete outcome `mem2`, `outs_c` of a step from `mem`."""
+    extra = set(mem2.keys()) - set(mem.keys()) if isinstance(mem2, dict) else set()
+    return sorted(set(domain()) | cmm.mem_values(mem2) | set(outs_c) | extra, key=value_key)
+
+
 def _branch_lvars(smm, smem2, pc, outs):
     out = smm.lvars(smem2)
     for c in pc:
@@ -395,12 +440,16 @@ def _branch_lvars(smm, smem2, pc, outs):
     return out
 
 
-def _ox_matched(smm, branches, theta, known, domain, o, mem2, outs_c):
-    for o2, smem2, pc, outs in branches:
+def _new_lvars(smm, branch, known):
+    _, smem2, pc, outs = branch
+    return _branch_lvars(smm, smem2, pc, outs) - known
+
+
+def _ox_matched(smm, branches, news, theta, domain, o, mem2, outs_c):
+    for (o2, smem2, pc, outs), new in zip(branches, news):
         if o2 is not o or len(outs) != len(outs_c):
             continue
-        new = _branch_lvars(smm, smem2, pc, outs) - known
-        for th in _extensions(theta, new, domain):
+        for th in _extend(theta, new(), domain):
             if not _holds_all(pc, th):
                 continue
             if _eval_vec(outs, th) != tuple(outs_c):
@@ -430,15 +479,19 @@ def _resource_cases(rm, bounds: Bounds):
                 yield name, ins, outs
 
 
-def _resource_heaps(rm, heaps, name, ins, outs) -> list:
-    return [m for m in heaps if rm.holds_resource(m, name, ins, outs)]
-
-
 def _consume_branches(smm, mode, name, ins, smem, fanout: int):
-    """Union of consume results over oracle first-choices."""
-    seen = []
+    """Union of consume results over oracle first-choices 0 .. fanout - 1.
+    A seed whose oracle gives every read of an earlier run the same answer
+    would replay that run, since a consume's result depends only on the
+    oracle answers it reads, so it is skipped: a consume that reads no
+    choice runs once."""
+    seen, runs = [], []
     for seed in range(max(fanout, 1)):
-        for branch in smm.consume_res(mode, Oracle.constant(seed), name, ins, smem):
+        oracle = Oracle.constant(seed)
+        if any(oracle.replays(run) for run in runs):
+            continue
+        runs.append(oracle)
+        for branch in smm.consume_res(mode, oracle, name, ins, smem):
             if branch not in seen:
                 seen.append(branch)
     return seen
@@ -453,42 +506,51 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
     mems = _mems(cmm, bounds, cap=128)
     heaps = _mems(cmm, bounds, cap=512)  # candidate resource heaps
     cases = list(_resource_cases(rm, bounds))
+    lifts = _lifts(smm, mems)
+    # the candidate heaps on which resource `name(ins; outs)` holds
+    res_heaps = functools.cache(
+        lambda name, ins, outs: [m for m in heaps if rm.holds_resource(m, name, ins, outs)]
+    )
     trials = 0
     for i, c in _sample_product((len(mems), len(cases)), cap, bounds.seed):
         mem = mems[i]
         name, ins_v, outs_v = cases[c]
-        for smem, theta0 in _lift_styles(smm, mem):
+        for smem, theta0, lvars in lifts(i):
             trials += 1
-            w = _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta0, name, ins_v)
+            known = lvars | set(theta0)
+            w = _cp_consume_case(
+                bundle, emode, mode, bounds, res_heaps, mem, smem, known, theta0, name, ins_v
+            )
             if w is None:
-                w = _cp_produce_case(bundle, mode, heaps, mem, smem, theta0, name, ins_v, outs_v)
+                w = _cp_produce_case(bundle, mode, res_heaps, mem, smem, theta0, name, ins_v, outs_v)
             if w is not None:
                 w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": _fmt_mem(mem)})
                 return CheckResult("cp", mode, "fail", trials, w)
     return CheckResult("cp", mode, "pass", trials)
 
 
-def _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name, ins_v):
+def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, known, theta, name, ins_v):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     ins = tuple(Lit(v) for v in ins_v)
     fanout = (len(mem) if isinstance(mem, dict) else 4) + 1
     branches = _consume_branches(smm, emode, name, ins, smem, fanout)
-    known = smm.lvars(smem) | set(theta)
-    domain = sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(ins_v), key=value_key)
+    domain = _Lazy(
+        lambda: sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(ins_v), key=value_key)
+    )
 
     if mode == "ux":
         for o, _, outs, (smem_f, checks, pc) in branches:
             if o is not OK:
                 continue
             new = _branch_lvars(smm, smem_f, tuple(checks) + tuple(pc), outs) - known
-            for th in _extensions(theta, new, domain):
+            for th in _extend(theta, new, domain):
                 outs_th = _eval_vec(outs, th)
                 if outs_th is None or not _holds_all(pc, th):
                     continue
                 mem_f = smm.concretize(th, smem_f)
                 if mem_f is None:
                     continue
-                for mem_r in _resource_heaps(rm, heaps, name, ins_v, outs_th):
+                for mem_r in res_heaps(name, ins_v, outs_th):
                     whole = cmm.compose(mem_r, mem_f)
                     if whole is None:
                         continue
@@ -508,7 +570,7 @@ def _cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name,
     for o, _, outs, (smem_f, checks, pc) in branches:
         if o is ABORT and _holds_all(checks, theta):
             new = _branch_lvars(smm, smem_f, tuple(pc), outs) - known
-            for th in _extensions(theta, new, domain):
+            for th in _extend(theta, new, domain):
                 if _holds_all(pc, th) and smm.concretize(th, smem_f) is not None:
                     plausible_abort = True
                     break
@@ -558,7 +620,7 @@ def _outs_present(rm, name, ins_v, mem_r, bounds):
     return None
 
 
-def _cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v, outs_v):
+def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v, outs_v):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     ins = tuple(Lit(v) for v in ins_v)
     outs = tuple(Lit(v) for v in outs_v)
@@ -566,7 +628,7 @@ def _cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v, out
     if mode == "ox":
         if not smm.sat_mem(theta, mem_f, smem_f):
             return None
-        for mem_r in _resource_heaps(rm, heaps, name, ins_v, outs_v):
+        for mem_r in res_heaps(name, ins_v, outs_v):
             whole = cmm.compose(mem_r, mem_f)
             if whole is None:
                 continue

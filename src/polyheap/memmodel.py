@@ -164,7 +164,10 @@ class SymbolicMemoryModel:
         """[(Outcome, oracle', outs, (smem', check-conjuncts, pc-conjuncts))]
         for a resource whose name and in-arity fit the resource model's
         `arities`. check-conjuncts must be implied by the consuming state;
-        pc-conjuncts are appended to its path condition."""
+        pc-conjuncts are appended to its path condition. Apart from the
+        returned oracles, the result depends only on the answers the oracle
+        gives to the reads it makes (the conformance harness skips an
+        oracle that would replay an earlier run)."""
         raise NotImplementedError
 
     def produce_res(self, name, ins, outs, smem):

@@ -116,7 +116,14 @@ def not_in(e: Expr, candidates) -> list:
     return [Not(eq(e, c)) for c in candidates]
 
 
+_NO_VARS = frozenset()
+
+
 def expr_vars(e: Expr, want: type) -> frozenset:
+    if isinstance(e, Lit):  # leaves make up most calls
+        return _NO_VARS
+    if isinstance(e, want):
+        return frozenset((e.name,))
     out = set()
     stack = [e]
     while stack:

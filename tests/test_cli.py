@@ -135,6 +135,44 @@ def test_run_target_count_stays_a_runtime_error(tmp_path):
     assert "ActionArgsLength" in p.stdout
 
 
+_LOOKUP = "func f(x) {\n  v := lookup(x);\n  return v\n}\n"
+
+
+@pytest.mark.parametrize(
+    "source,error",
+    [
+        (
+            _LOOKUP + "spec SL f(x) {\n  requires: x = #x * cell(#x; #v, 1);\n  ensures_ok: ret = #v;\n}\n",
+            "error: resource 'cell' takes 1 in- and 1 out-parameter(s) under model linear, not 1 and 2",
+        ),
+        (
+            _LOOKUP + "spec SL f(x) {\n  requires: x = #x * cell(#x; #v);\n"
+            "  ensures_ok: cell(#x, 0; #v) * ret = #v;\n}\n",
+            "error: resource 'cell' takes 1 in- and 1 out-parameter(s) under model linear, not 2 and 1",
+        ),
+        (
+            _LOOKUP + "spec SL f(x) {\n  requires: x = #x * cel(#x; #v);\n  ensures_ok: ret = #v;\n}\n",
+            "error: model linear has no resource 'cel'",
+        ),
+        (
+            "pred p(+#x, #v) { cell(#x, 1; #v) }\n" + _LOOKUP
+            + "spec SL f(x) {\n  requires: x = #x * p(#x; #v);\n  ensures_ok: ret = #v;\n}\n",
+            "error: resource 'cell' takes 1 in- and 1 out-parameter(s) under model linear, not 2 and 1",
+        ),
+    ],
+    ids=["pre-out-arity", "post-in-arity", "unknown-name", "predicate-body"],
+)
+def test_spec_resource_that_does_not_fit_the_model_exit_two(tmp_path, source, error):
+    """Before this check the first three gave Inconclusive (exit 4),
+    Failed (exit 1) and Inconclusive (exit 4)."""
+    f = tmp_path / "spec.ph"
+    f.write_text(source)
+    p = run_cli("verify", str(f))
+    assert p.returncode == 2
+    assert p.stderr == error + "\n"
+    assert p.stdout == ""
+
+
 def test_checkmodel_unknown_exit_two():
     assert run_cli("check-model", "nope").returncode == 2
     assert run_cli("check-model", "cheri").returncode == 2

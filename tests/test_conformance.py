@@ -4,14 +4,32 @@ refuted with small witnesses, and the declared-soundness pattern holds."""
 import pytest
 
 from polyheap.conformance import (
+    CheckResult,
+    _arg_styles,
+    _branch_lvars,
+    _consume_branches,
+    _eval_vec,
+    _fmt_mem,
+    _lift_styles,
+    _mems,
+    _Namer,
+    _outs_present,
+    _resource_cases,
+    _sample_product,
     check_action_soundness,
     check_cp_soundness,
     check_frame,
     check_pcm_laws,
 )
-from polyheap.memmodel import Bounds
-from polyheap.models import get_model, sabotage
-from polyheap.values import NIL
+from polyheap.engine import Mode
+from polyheap.memmodel import Bounds, MemoryModelBundle
+from polyheap.models import MODEL_NAMES, get_model, sabotage
+from polyheap.oracle import Oracle
+from polyheap.outcomes import ABORT, MISS, OK
+from polyheap.solver import _extensions, _holds_all
+from polyheap.syntax import Lit
+from polyheap.values import NIL, value_key
+from test_mutations import consume_wrong_out, drops_miss_branch, invents_results, produce_ignores_input
 
 SMALL = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3, trials=400, seed=0)
 
@@ -126,3 +144,358 @@ def test_produce_consume_round_trip_per_model(name):
             assert any(r[3][0] == bundle.smm.empty for r in ok), (name, rname, smem)
             if outs:
                 assert any(r[2] == outs for r in ok), (name, rname)
+
+
+# ---------------------------------------------------------------------------
+# The symbolic checks before they shared per-call work (lifts, resource
+# heaps, witness domains, lvars) across trials and skipped replayed consume
+# seeds, kept as the reference for the differential tests below.
+# ---------------------------------------------------------------------------
+
+
+def _old_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap: int = 4000) -> CheckResult:
+    assert mode in ("ox", "ux")
+    cmm, smm = bundle.cmm, bundle.smm
+    mems = _mems(cmm, bounds, cap=256)
+    cases = list(cmm.action_cases(bounds))
+    trials = 0
+    for i, c, s in _sample_product((len(mems), len(cases), 2), cap, bounds.seed):
+        mem = mems[i]
+        name, args = cases[c]
+        for smem, theta0 in _lift_styles(smm, mem):
+            sym_args, theta_a = _arg_styles(args)[s]
+            theta = {**theta0, **theta_a}
+            trials += 1
+            witness = _old_action_case(
+                bundle, mode, bounds, mem, smem, theta, name, args, sym_args
+            )
+            if witness is not None:
+                witness.update({"action": name, "args": [repr(a) for a in args], "mem": _fmt_mem(mem)})
+                return CheckResult("action", mode, "fail", trials, witness)
+    return CheckResult("action", mode, "pass", trials)
+
+
+def _old_action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
+    cmm, smm = bundle.cmm, bundle.smm
+    branches = smm.exec_action(smem, name, sym_args, _Namer("f"))
+    known = smm.lvars(smem) | set(theta)
+    domain = sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(args), key=value_key)
+    wide = bounds.max_addresses + bounds.max_cells
+
+    # side condition: miss/abort branches leave the memory unchanged
+    for o, smem2, pc, outs in branches:
+        if o in (MISS, ABORT) and smem2 != smem:
+            return {"kind": "miss-changes-memory", "outcome": o.value}
+
+    if mode == "ox":
+        # vacuous when some abort branch is plausible under an extension
+        for o, smem2, pc, outs in branches:
+            if o is ABORT:
+                for th in _extensions(theta, _branch_lvars(smm, smem2, pc, outs) - known, domain):
+                    if _holds_all(pc, th) and _eval_vec(outs, th) is not None:
+                        return None
+        concrete = cmm.exec_action(mem, name, args, bounds.max_addresses)
+        for o, mem2, outs_c in concrete:
+            extra = sorted(set(mem2.keys()) - set(mem.keys())) if isinstance(mem2, dict) else []
+            search_domain = sorted(
+                set(domain) | cmm.mem_values(mem2) | set(outs_c) | set(extra), key=value_key
+            )
+            if not _old_ox_matched(smm, branches, theta, known, search_domain, o, mem2, outs_c):
+                return {
+                    "kind": "unmatched-concrete-step",
+                    "outcome": o.value,
+                    "returns": [repr(v) for v in outs_c],
+                    "result-mem": _fmt_mem(mem2),
+                }
+        return None
+
+    # UX: satisfiable symbolic steps must be concretely realisable
+    for o, smem2, pc, outs in branches:
+        if o is ABORT:
+            continue
+        new = _branch_lvars(smm, smem2, pc, outs) - known
+        for th in _extensions(theta, new, domain):
+            if not _holds_all(pc, th):
+                continue
+            mem2 = smm.concretize(th, smem2)
+            if mem2 is None:
+                continue
+            outs_v = _eval_vec(outs, th)
+            args_v = _eval_vec(sym_args, th)
+            if outs_v is None or args_v is None or tuple(args_v) != tuple(args):
+                continue
+            mem0 = smm.concretize(th, smem)
+            if mem0 is None:
+                return {"kind": "no-initial-model", "outcome": o.value}
+            results = cmm.exec_action(mem0, name, args_v, wide)
+            if (o, mem2, outs_v) not in [(x, y, tuple(z)) for x, y, z in results]:
+                return {
+                    "kind": "unrealisable-symbolic-step",
+                    "outcome": o.value,
+                    "returns": [repr(v) for v in outs_v],
+                    "result-mem": _fmt_mem(mem2),
+                }
+    return None
+
+
+def _old_ox_matched(smm, branches, theta, known, domain, o, mem2, outs_c):
+    for o2, smem2, pc, outs in branches:
+        if o2 is not o or len(outs) != len(outs_c):
+            continue
+        new = _branch_lvars(smm, smem2, pc, outs) - known
+        for th in _extensions(theta, new, domain):
+            if not _holds_all(pc, th):
+                continue
+            if _eval_vec(outs, th) != tuple(outs_c):
+                continue
+            if smm.sat_mem(th, mem2, smem2):
+                return True
+    return False
+
+
+def _old_resource_heaps(rm, heaps, name, ins, outs) -> list:
+    return [m for m in heaps if rm.holds_resource(m, name, ins, outs)]
+
+
+def _old_consume_branches(smm, mode, name, ins, smem, fanout: int):
+    """Union of consume results over oracle first-choices."""
+    seen = []
+    for seed in range(max(fanout, 1)):
+        for branch in smm.consume_res(mode, Oracle.constant(seed), name, ins, smem):
+            if branch not in seen:
+                seen.append(branch)
+    return seen
+
+
+def _old_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap: int = 2500) -> CheckResult:
+    assert mode in ("ox", "ux")
+    emode = Mode.OX if mode == "ox" else Mode.UX
+    cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
+    mems = _mems(cmm, bounds, cap=128)
+    heaps = _mems(cmm, bounds, cap=512)  # candidate resource heaps
+    cases = list(_resource_cases(rm, bounds))
+    trials = 0
+    for i, c in _sample_product((len(mems), len(cases)), cap, bounds.seed):
+        mem = mems[i]
+        name, ins_v, outs_v = cases[c]
+        for smem, theta0 in _lift_styles(smm, mem):
+            trials += 1
+            w = _old_cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta0, name, ins_v)
+            if w is None:
+                w = _old_cp_produce_case(bundle, mode, heaps, mem, smem, theta0, name, ins_v, outs_v)
+            if w is not None:
+                w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": _fmt_mem(mem)})
+                return CheckResult("cp", mode, "fail", trials, w)
+    return CheckResult("cp", mode, "pass", trials)
+
+
+def _old_cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, name, ins_v):
+    cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
+    ins = tuple(Lit(v) for v in ins_v)
+    fanout = (len(mem) if isinstance(mem, dict) else 4) + 1
+    branches = _old_consume_branches(smm, emode, name, ins, smem, fanout)
+    known = smm.lvars(smem) | set(theta)
+    domain = sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(ins_v), key=value_key)
+
+    if mode == "ux":
+        for o, _, outs, (smem_f, checks, pc) in branches:
+            if o is not OK:
+                continue
+            new = _branch_lvars(smm, smem_f, tuple(checks) + tuple(pc), outs) - known
+            for th in _extensions(theta, new, domain):
+                outs_th = _eval_vec(outs, th)
+                if outs_th is None or not _holds_all(pc, th):
+                    continue
+                mem_f = smm.concretize(th, smem_f)
+                if mem_f is None:
+                    continue
+                for mem_r in _old_resource_heaps(rm, heaps, name, ins_v, outs_th):
+                    whole = cmm.compose(mem_r, mem_f)
+                    if whole is None:
+                        continue
+                    if not _holds_all(checks, th) or not smm.sat_mem(th, whole, smem):
+                        return {
+                            "kind": "consume-ux",
+                            "outs": [repr(v) for v in outs_th],
+                            "frame": _fmt_mem(mem_f),
+                            "res-heap": _fmt_mem(mem_r),
+                        }
+        return None
+
+    # OX: some consume branch must cover the model
+    if not smm.sat_mem(theta, mem, smem):
+        return None
+    plausible_abort = False
+    for o, _, outs, (smem_f, checks, pc) in branches:
+        if o is ABORT and _holds_all(checks, theta):
+            new = _branch_lvars(smm, smem_f, tuple(pc), outs) - known
+            for th in _extensions(theta, new, domain):
+                if _holds_all(pc, th) and smm.concretize(th, smem_f) is not None:
+                    plausible_abort = True
+                    break
+        if plausible_abort:
+            break
+    if plausible_abort:
+        return None
+    covered = False
+    for o, _, outs, (smem_f, checks, pc) in branches:
+        if o is not OK:
+            continue
+        if not _holds_all(checks, theta):
+            covered = True  # implication vacuous for this branch
+            break
+        outs_th = _eval_vec(outs, theta)
+        if outs_th is None or not _holds_all(pc, theta):
+            continue
+        mem_f = smm.concretize(theta, smem_f)
+        if mem_f is None:
+            continue
+        for mem_r, mem_f2 in cmm.enumerate_splits(mem):
+            if mem_f2 == mem_f and rm.holds_resource(mem_r, name, ins_v, outs_th):
+                covered = True
+                break
+        if covered:
+            break
+    if not covered and any(o is OK or o is ABORT for o, *_ in branches):
+        # only a failure when the resource is actually present in mem
+        for mem_r, mem_f in cmm.enumerate_splits(mem):
+            outs_any = _outs_present(rm, name, ins_v, mem_r, bounds)
+            if outs_any is not None:
+                return {"kind": "consume-ox-uncovered", "outs": [repr(v) for v in outs_any]}
+    return None
+
+
+def _old_cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v, outs_v):
+    cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
+    ins = tuple(Lit(v) for v in ins_v)
+    outs = tuple(Lit(v) for v in outs_v)
+    results = smm.produce_res(name, ins, outs, smem_f)
+    if mode == "ox":
+        if not smm.sat_mem(theta, mem_f, smem_f):
+            return None
+        for mem_r in _old_resource_heaps(rm, heaps, name, ins_v, outs_v):
+            whole = cmm.compose(mem_r, mem_f)
+            if whole is None:
+                continue
+            hit = False
+            for smem2, pc in results:
+                if _holds_all(pc, theta) and smm.sat_mem(theta, whole, smem2):
+                    hit = True
+                    break
+            if not hit:
+                return {"kind": "produce-ox-uncovered", "res-heap": _fmt_mem(mem_r), "outs": [repr(v) for v in outs_v]}
+        return None
+    # UX: every produced state's models split into resource + frame models
+    for smem2, pc in results:
+        if not _holds_all(pc, theta):
+            continue
+        whole = smm.concretize(theta, smem2)
+        if whole is None:
+            continue
+        found = False
+        for mem_r, mem_f2 in cmm.enumerate_splits(whole):
+            if rm.holds_resource(mem_r, name, ins_v, outs_v) and smm.sat_mem(theta, mem_f2, smem_f):
+                found = True
+                break
+        if not found:
+            return {"kind": "produce-ux-unsplit", "result-mem": _fmt_mem(whole), "outs": [repr(v) for v in outs_v]}
+    return None
+
+
+# two small search spaces; "f" is the field name the objects model needs
+DIFF_BOUNDS = (
+    Bounds(value_domain=(NIL, 0, 1, "f"), max_cells=1, max_addresses=2, seed=0),
+    Bounds(value_domain=(0, 1, "f"), max_cells=2, max_addresses=2, seed=7),
+)
+BUNDLES = [n for n in MODEL_NAMES if n != "cheri"]
+
+
+def _same_result(new, old):
+    assert (new.check, new.mode, new.verdict, new.trials, new.witness) == (
+        old.check, old.mode, old.verdict, old.trials, old.witness
+    )
+
+
+@pytest.mark.parametrize("bounds", DIFF_BOUNDS, ids=["values-nil..f-cells-1", "values-0..f-cells-2"])
+@pytest.mark.parametrize("name", BUNDLES)
+def test_symbolic_checks_match_reference(name, bounds):
+    """Same verdict, trial count and witness as the reference, in both
+    modes. The caps keep the runs short; the second bounds exceed them for
+    most models, so those trials are sampled."""
+    bundle = get_model(name)
+    for mode in ("ox", "ux"):
+        _same_result(
+            check_action_soundness(bundle, mode, bounds, cap=600),
+            _old_action_soundness(bundle, mode, bounds, cap=600),
+        )
+        _same_result(
+            check_cp_soundness(bundle, mode, bounds, cap=300),
+            _old_cp_soundness(bundle, mode, bounds, cap=300),
+        )
+
+
+MUTANTS = {
+    "drops-miss-branch": drops_miss_branch,
+    "invents-results": invents_results,
+    "consume-wrong-out": consume_wrong_out,
+    "produce-ignores-input": produce_ignores_input,
+    "sabotaged-compose": lambda: sabotage(get_model("linear")),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_symbolic_checks_match_reference_on_mutants(mutant):
+    """Refuting witnesses are the reference's too."""
+    bundle = MUTANTS[mutant]()
+    bounds = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3, seed=0)
+    refuted = 0
+    for mode in ("ox", "ux"):
+        for new, old in (
+            (check_action_soundness, _old_action_soundness),
+            (check_cp_soundness, _old_cp_soundness),
+        ):
+            r = new(bundle, mode, bounds, cap=800)
+            _same_result(r, old(bundle, mode, bounds, cap=800))
+            refuted += not r.passed
+    assert refuted
+
+
+def _strip(branches):
+    """Consume branches without their oracle field, in order, repeats dropped."""
+    out = []
+    for o, _, outs, rest in branches:
+        if (o, outs, rest) not in out:
+            out.append((o, outs, rest))
+    return out
+
+
+@pytest.mark.parametrize("name", ["frac", "linear-cut"])
+def test_consume_branches_skip_only_replayed_seeds(name, monkeypatch):
+    """frac reads no oracle, so one consume run stands for every seed;
+    linear-cut picks one match, so each seed that picks another match still
+    runs. Either way the branches are the old union's, oracle aside."""
+    bundle = get_model(name)
+    smm = bundle.smm
+    consume = smm.consume_res
+    calls = []
+    monkeypatch.setattr(smm, "consume_res", lambda *a: calls.append(a) or consume(*a))
+    bounds = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3)
+    most = 0
+    for mem in _mems(bundle.cmm, bounds, cap=128):
+        fanout = len(mem) + 1
+        for rname, ins_v, _ in _resource_cases(bundle.rm, bounds):
+            ins = tuple(Lit(v) for v in ins_v)
+            for smem, _theta in _lift_styles(smm, mem):
+                for mode in (Mode.OX, Mode.UX):
+                    distinct = []  # the differing results of single-seed runs
+                    for seed in range(fanout):
+                        run = _strip(consume(mode, Oracle.constant(seed), rname, ins, smem))
+                        if run not in distinct:
+                            distinct.append(run)
+                    calls.clear()
+                    got = _consume_branches(smm, mode, rname, ins, smem, fanout)
+                    assert len(calls) == len(distinct)
+                    most = max(most, len(calls))
+                    old = _old_consume_branches(smm, mode, rname, ins, smem, fanout)
+                    assert _strip(got) == _strip(old)
+    assert most == 1 if name == "frac" else most > 1

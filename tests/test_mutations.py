@@ -12,6 +12,7 @@ from polyheap.conformance import (
 from polyheap.memmodel import Bounds, MemoryModelBundle
 from polyheap.models import get_model
 from polyheap.outcomes import MISS, OK
+from polyheap.syntax import Lit
 from polyheap.values import NIL
 
 B = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3, trials=600, seed=0)
@@ -63,7 +64,8 @@ def test_mutant_action_forgets_frame():
     assert not r.passed
 
 
-def test_mutant_symbolic_drops_miss_branch():
+def drops_miss_branch():
+    """linear with a symbolic exec_action that drops its miss branches."""
     b = get_model("linear")
     broken = copy.copy(b.smm)
 
@@ -76,16 +78,13 @@ def test_mutant_symbolic_drops_miss_branch():
             ]
 
     broken.__class__ = _Broken
-    r = check_action_soundness(rebundle(b, smm=broken), "ox", B, cap=1500)
-    assert not r.passed
-    assert r.witness["kind"] == "unmatched-concrete-step"
+    return rebundle(b, smm=broken)
 
 
-def test_mutant_symbolic_invents_results():
-    """A symbolic lookup that returns a constant breaks realisability."""
+def invents_results():
+    """linear with a symbolic lookup that returns a constant."""
     b = get_model("linear")
     broken = copy.copy(b.smm)
-    from polyheap.syntax import Lit
 
     class _Broken(type(b.smm)):
         def exec_action(self, smem, name, args, fresh):
@@ -98,14 +97,13 @@ def test_mutant_symbolic_invents_results():
             return out
 
     broken.__class__ = _Broken
-    r = check_action_soundness(rebundle(b, smm=broken), "ux", B, cap=1500)
-    assert not r.passed
+    return rebundle(b, smm=broken)
 
 
-def test_mutant_consume_wrong_out():
+def consume_wrong_out():
+    """linear with a consume that returns 1 for every out-parameter."""
     b = get_model("linear")
     broken = copy.copy(b.smm)
-    from polyheap.syntax import Lit
 
     class _Broken(type(b.smm)):
         def consume_res(self, mode, oracle, name, ins, smem):
@@ -118,11 +116,11 @@ def test_mutant_consume_wrong_out():
             return out
 
     broken.__class__ = _Broken
-    r = check_cp_soundness(rebundle(b, smm=broken), "ux", B, cap=800)
-    assert not r.passed
+    return rebundle(b, smm=broken)
 
 
-def test_mutant_produce_ignores_input():
+def produce_ignores_input():
+    """linear with a produce that forgets the memory it produces into."""
     b = get_model("linear")
     broken = copy.copy(b.smm)
 
@@ -131,5 +129,26 @@ def test_mutant_produce_ignores_input():
             return super().produce_res(name, ins, outs, {})
 
     broken.__class__ = _Broken
-    r = check_cp_soundness(rebundle(b, smm=broken), "ux", B, cap=800)
+    return rebundle(b, smm=broken)
+
+
+def test_mutant_symbolic_drops_miss_branch():
+    r = check_action_soundness(drops_miss_branch(), "ox", B, cap=1500)
+    assert not r.passed
+    assert r.witness["kind"] == "unmatched-concrete-step"
+
+
+def test_mutant_symbolic_invents_results():
+    """A symbolic lookup that returns a constant breaks realisability."""
+    r = check_action_soundness(invents_results(), "ux", B, cap=1500)
+    assert not r.passed
+
+
+def test_mutant_consume_wrong_out():
+    r = check_cp_soundness(consume_wrong_out(), "ux", B, cap=800)
+    assert not r.passed
+
+
+def test_mutant_produce_ignores_input():
+    r = check_cp_soundness(produce_ignores_input(), "ux", B, cap=800)
     assert not r.passed
