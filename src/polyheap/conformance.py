@@ -204,7 +204,19 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
     mems = _mems(cmm, bounds)
     cases = list(cmm.action_cases(bounds))
     trials = 0
+    # the runs of mems[i] by (case, address window); the sample has i
+    # outermost, so they are kept only while i stays the same
+    runs, runs_of = {}, None
+
+    def run_mu(c, window):
+        if (c, window) not in runs:
+            runs[c, window] = cmm.exec_action(mu, name, args, window)
+        return runs[c, window]
+
     for i, j, c in _sample_product((len(mems), len(mems), len(cases)), cap, bounds.seed):
+        if i != runs_of:
+            runs.clear()
+            runs_of = i
         mu, frame = mems[i], mems[j]
         composed = cmm.compose(mu, frame)
         name, args = cases[c]
@@ -216,7 +228,7 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
             if composed is None:
                 continue
             full = cmm.exec_action(composed, name, args, bounds.max_addresses)
-            inner = cmm.exec_action(mu, name, args, wide)
+            inner = run_mu(c, wide)
             for o, mem2, outs in full:
                 if not _ox_frame_holds(cmm, inner, frame, o, mem2, outs):
                     return CheckResult(
@@ -227,7 +239,7 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
             # the conclusion executes mu . frame: when the composition is
             # undefined while a non-miss result recomposes with the frame,
             # the property fails (the freed-marker counterexample)
-            inner = cmm.exec_action(mu, name, args, bounds.max_addresses)
+            inner = run_mu(c, bounds.max_addresses)
             full = (
                 [(x, y, tuple(z)) for x, y, z in cmm.exec_action(composed, name, args, wide)]
                 if composed is not None

@@ -5,8 +5,8 @@ A memory-model bundle packages:
   * a concrete memory model: the state type the concrete interpreter
     threads, with composition (forming a partial commutative monoid with
     the empty memory) and the concrete semantics of its actions;
-  * a resource model: the model's atomic spatial assertions and their
-    satisfaction relation;
+  * a resource model: the model's atomic spatial assertions and the one
+    heap each of them holds on;
   * a symbolic memory model: the symbolic state type, its satisfaction
     relation against concrete memories, symbolic action semantics, and
     the consume/produce operations the engine lifts into assertion
@@ -126,12 +126,23 @@ class ConcreteMemoryModel:
 
 class ResourceModel:
     """`arities` maps each resource name to its (in, out) parameter counts;
-    the engine passes consume/produce only resources that fit it."""
+    the engine passes consume/produce only resources that fit it.
+
+    Every resource is precise (O'Hearn, Yang and Reynolds, POPL 2004): for
+    given in and out values it holds on at most one heap, its footprint.
+    A model defines `footprint`; `holds_resource` is derived from it, so
+    the two cannot disagree, and the bounded oracles may visit only the
+    heap a star of resources names (see `satisfaction.footprint`)."""
 
     arities: dict = {}
 
-    def holds_resource(self, mem, name, ins, outs) -> bool:
+    def footprint(self, name, ins, outs):
+        """The one heap on which the resource holds, or None when it holds
+        on no heap."""
         raise NotImplementedError
+
+    def holds_resource(self, mem, name, ins, outs) -> bool:
+        return mem == self.footprint(name, ins, outs)
 
 
 class SymbolicMemoryModel:

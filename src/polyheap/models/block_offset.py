@@ -119,17 +119,17 @@ class BlockConcrete(NestedConcrete):
 class BlockResources(ResourceModel):
     arities = {"cell": (2, 1), "bound": (1, 1), "freed": (1, 0)}
 
-    def holds_resource(self, mem, name, ins, outs) -> bool:
+    def footprint(self, name, ins, outs):
         if name == "cell":
             (nb, no), (v,) = ins, outs
-            return is_nat(nb) and is_nat(no) and mem == {nb: ({no: v}, None)}
+            return {nb: ({no: v}, None)} if is_nat(nb) and is_nat(no) else None
         if name == "bound":
             (nb,), (n,) = ins, outs
-            return is_nat(nb) and is_nat(n) and mem == {nb: ({}, n)}
+            return {nb: ({}, n)} if is_nat(nb) and is_nat(n) else None
         if name == "freed":
             (nb,) = ins
-            return is_nat(nb) and mem == {nb: FREED}
-        return False
+            return {nb: FREED} if is_nat(nb) else None
+        return None
 
     def resource_cases(self, bounds: Bounds):
         vals = bounds.sorted_domain()[:2]

@@ -211,14 +211,14 @@ class ChunkConcrete(ConcreteMemoryModel):
 class ChunkResources(ResourceModel):
     arities = {"pt": (1, 1), "mb": (1, 1)}
 
-    def holds_resource(self, mem, name, ins, outs) -> bool:
+    def footprint(self, name, ins, outs):
         if name == "pt":
             (addr,), (val,) = ins, outs
-            return is_nat(addr) and mem == {("pt", addr, val): 1}
+            return {("pt", addr, val): 1} if is_nat(addr) else None
         if name == "mb":
             (addr,), (size,) = ins, outs
-            return is_nat(addr) and is_nat(size) and size >= 1 and mem == {("mb", addr, size): 1}
-        return False
+            return {("mb", addr, size): 1} if is_nat(addr) and is_nat(size) and size >= 1 else None
+        return None
 
     def resource_cases(self, bounds: Bounds):
         vals = bounds.sorted_domain()[:2]

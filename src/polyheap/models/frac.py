@@ -117,16 +117,14 @@ class FracConcrete(MapConcrete):
 class FracResources(ResourceModel):
     arities = {"cell": (2, 1), "freed": (1, 0)}
 
-    def holds_resource(self, mem, name, ins, outs) -> bool:
+    def footprint(self, name, ins, outs):
         if name == "cell":
             (addr, q), (val,) = ins, outs
-            if not (is_nat(addr) and isinstance(q, Rat)):
-                return False
-            return mem == {addr: (val, q.q)}
+            return {addr: (val, q.q)} if is_nat(addr) and isinstance(q, Rat) else None
         if name == "freed":
             (addr,) = ins
-            return is_nat(addr) and mem == {addr: FREED}
-        return False
+            return {addr: FREED} if is_nat(addr) else None
+        return None
 
     def resource_cases(self, bounds: Bounds):
         addrs = [v for v in bounds.sorted_domain() if is_nat(v)][:3] or [0]

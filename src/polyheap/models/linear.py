@@ -107,14 +107,14 @@ class LinearResources(ResourceModel):
         if track_freed:
             self.arities["freed"] = (1, 0)
 
-    def holds_resource(self, mem, name, ins, outs) -> bool:
+    def footprint(self, name, ins, outs):
         if name == "cell":
             (addr,), (val,) = ins, outs
-            return is_nat(addr) and mem == {addr: val}
+            return {addr: val} if is_nat(addr) else None
         if name == "freed" and self.track_freed:
             (addr,) = ins
-            return is_nat(addr) and mem == {addr: FREED}
-        return False
+            return {addr: FREED} if is_nat(addr) else None
+        return None
 
 
 class LinearSymbolic(MapSymbolic):

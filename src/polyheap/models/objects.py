@@ -121,21 +121,21 @@ class ObjectConcrete(NestedConcrete):
 class ObjectResources(ResourceModel):
     arities = {"field": (2, 1), "unset": (2, 0), "domain": (2, 0)}
 
-    def holds_resource(self, mem, name, ins, outs) -> bool:
+    def footprint(self, name, ins, outs):
         if name == "field":
             (o, f), (v,) = ins, outs
-            return is_nat(o) and is_string(f) and mem == {o: ({f: v}, None)}
+            return {o: ({f: v}, None)} if is_nat(o) and is_string(f) else None
         if name == "unset":
             (o, f) = ins
-            return is_nat(o) and is_string(f) and mem == {o: ({f: FREED}, None)}
+            return {o: ({f: FREED}, None)} if is_nat(o) and is_string(f) else None
         if name == "domain":
             (o, d) = ins
             if not (is_nat(o) and isinstance(d, tuple) and all(is_string(f) for f in d)):
-                return False
+                return None
             if len(set(d)) != len(d) or tuple(sorted(d)) != d:
-                return False
-            return mem == {o: ({}, frozenset(d))}
-        return False
+                return None
+            return {o: ({}, frozenset(d))}
+        return None
 
     def resource_cases(self, bounds: Bounds):
         vals = bounds.sorted_domain()[:2]

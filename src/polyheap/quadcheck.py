@@ -23,6 +23,15 @@ are those of checking every heap. The one exception: a false conjunct next
 to a predicate that exceeds its unfolding depth now rules the pair out
 instead of truncating the enumeration, so such a check can be definite
 where it used to be Inconclusive.
+
+Footprints prune it further. A star of pure conjuncts, `emp` and resources
+holds on at most one heap (`satisfaction.footprint`). It is computed once
+per interpretation for the precondition, once per run result for the SL
+post check and once per interpretation and value for the ISL one. Only
+the generated heaps equal to it go to `holds`, found by their frozen form
+and visited in the same order. A star with a predicate, `exists`, a disjunction, an
+implication or `True` in it has no footprint, and every heap is visited,
+so depth exhaustion shows exactly where it did.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .assertions import Quadruple, lv_assertion
 from .concrete import BudgetExhausted, run_function
 from .memmodel import Bounds, MemoryModelBundle
 from .outcomes import ERR, MISS, OK
-from .satisfaction import DepthExceeded, holds, pure_conjuncts, pure_holds
+from .satisfaction import UNKNOWN, DepthExceeded, footprint, holds, may_hold, pure_conjuncts, pure_holds
 from .syntax import ImplContext
 from .values import value_key
 
@@ -86,6 +95,9 @@ def check_quadruple_bounded(
 
     param_map, _ = split_external_pre(q.pre, q.params)
     heaps = list(bundle.cmm.generator(bounds))
+    where = {}  # frozen heap -> its positions in generator order
+    for i, h in enumerate(heaps):
+        where.setdefault(_freeze(h), []).append(i)
     complete = True
     run_cache = {}
 
@@ -100,6 +112,15 @@ def check_quadruple_bounded(
     sat = lambda theta, store, mem, a: holds(
         theta, store, mem, a, cmm=bundle.cmm, rm=bundle.rm, preds=preds, bounds=bounds
     )
+    fp = lambda theta, store, a: footprint(theta, store, a, bundle.cmm, bundle.rm)
+
+    def visit(theta, store, a):
+        """Positions of the heaps on which `a` may hold, in generator order."""
+        a_fp = fp(theta, store, a)
+        if a_fp is UNKNOWN:
+            return range(len(heaps))
+        return where.get(_freeze(a_fp), ()) if a_fp is not None else ()
+
     pre_pure = pure_conjuncts(q.pre)
     posts = [
         (o, post, var, pure_conjuncts(post))
@@ -118,7 +139,9 @@ def check_quadruple_bounded(
         pre_heaps = []
         if pure_holds(pre_pure, theta, store):
             try:
-                pre_heaps = [h for h in heaps if sat(theta, store, h, q.pre)]
+                pre_heaps = [
+                    heaps[i] for i in visit(theta, store, q.pre) if sat(theta, store, heaps[i], q.pre)
+                ]
             except DepthExceeded:
                 complete = False
                 continue
@@ -138,7 +161,7 @@ def check_quadruple_bounded(
                     post = q.post_ok if o is OK else q.post_err
                     var = "ret" if o is OK else "err"
                     try:
-                        ok = sat(theta, {var: out}, h2, post)
+                        ok = may_hold(fp(theta, {var: out}, post), h2) and sat(theta, {var: out}, h2, post)
                     except DepthExceeded:
                         complete = False
                         continue
@@ -152,33 +175,35 @@ def check_quadruple_bounded(
         if q.flavor in ("ISL", "ESL"):
             for o, post, var, post_pure in posts:
                 vals = [v for v in isl_vals if pure_holds(post_pure, theta, {var: v})]
-                for h2 in heaps:
-                    for v in vals:
+                # heap-outer, value-inner, as if every pair were visited
+                pairs = sorted((i, k) for k, v in enumerate(vals) for i in visit(theta, {var: v}, post))
+                for i, k in pairs:
+                    h2, v = heaps[i], vals[k]
+                    try:
+                        if not sat(theta, {var: v}, h2, post):
+                            continue
+                    except DepthExceeded:
+                        complete = False
+                        continue
+                    reached = False
+                    for h in pre_heaps:
                         try:
-                            if not sat(theta, {var: v}, h2, post):
-                                continue
-                        except DepthExceeded:
+                            results = runs(args, h)
+                        except BudgetExhausted:
                             complete = False
                             continue
-                        reached = False
-                        for h in pre_heaps:
-                            try:
-                                results = runs(args, h)
-                            except BudgetExhausted:
-                                complete = False
-                                continue
-                            if any(
-                                o2 is o and out == v and h3 == h2
-                                for o2, out, h3 in results
-                            ):
-                                reached = True
-                                break
-                        if not reached:
-                            return CounterExample(
-                                "unreachable-post",
-                                theta,
-                                {"outcome": o.value, var: v, "final-heap": h2},
-                            )
+                        if any(
+                            o2 is o and out == v and h3 == h2
+                            for o2, out, h3 in results
+                        ):
+                            reached = True
+                            break
+                    if not reached:
+                        return CounterExample(
+                            "unreachable-post",
+                            theta,
+                            {"outcome": o.value, var: v, "final-heap": h2},
+                        )
     return Valid() if complete else Inconclusive("bounded enumeration was truncated")
 
 

@@ -8,6 +8,10 @@ user-defined predicates unfold their bodies with a depth budget.
 `pure_conjuncts` gives the pure conjuncts of a star, a necessary condition
 that callers such as `quadcheck` evaluate once per interpretation before
 they enumerate heaps; `holds` itself still checks them on every split.
+`footprint` gives the one heap on which a star of pure conjuncts, `emp`
+and resources can hold (every resource is precise), so `heap_models` and
+`quadcheck` call `holds` only on generated heaps equal to it; for any
+other assertion it is UNKNOWN and they visit every heap.
 
 This module is the ground-truth side of every dual-route check in the
 toolkit, so it deliberately stays independent of the symbolic engine and
@@ -109,6 +113,54 @@ def pure_holds(exprs, theta: dict, store: dict) -> bool:
     return all(eval_lexpr(e, theta, store) is TRUE for e in exprs)
 
 
+class _Unknown:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "UNKNOWN"
+
+
+UNKNOWN = _Unknown()
+
+
+def footprint(theta: dict, store: dict, assertion: Assertion, cmm, rm):
+    """The one heap on which `assertion` can hold under theta and store,
+    None when it holds on no heap, or UNKNOWN.
+
+    A star of `Bool`, `Emp` and `Res` leaves is precise: a `Bool` or `Emp`
+    leaf holds only on `cmm.empty`, a resource only on its model's
+    footprint, and a star only on the composition of its parts' heaps,
+    because every split of a heap composes back to it. An UNDEF argument or
+    an undefined composition leaves no heap. Any other connective (a
+    predicate, `Exists`, `Or`, `Implies`, `True`) makes the whole star
+    UNKNOWN, so a caller then visits every heap and `holds` meets every
+    predicate unfolding it met before. The footprint only says which heap
+    to try: `holds` still decides it."""
+    leaves = star_conjuncts(assertion)
+    if not all(isinstance(a, (Bool, Emp, Res)) for a in leaves):
+        return UNKNOWN
+    return _star_footprint(theta, store, assertion, cmm, rm)
+
+
+def _star_footprint(theta, store, a, cmm, rm):
+    if isinstance(a, Star):
+        left = _star_footprint(theta, store, a.left, cmm, rm)
+        right = _star_footprint(theta, store, a.right, cmm, rm)
+        return None if left is None or right is None else cmm.compose(left, right)
+    if isinstance(a, Res):
+        ins = tuple(eval_lexpr(e, theta, store) for e in a.ins)
+        outs = tuple(eval_lexpr(e, theta, store) for e in a.outs)
+        if any(v is UNDEF for v in ins + outs):
+            return None
+        return rm.footprint(a.name, ins, outs)
+    return cmm.empty
+
+
+def may_hold(fp, mem) -> bool:
+    """`mem` is a heap on which an assertion with footprint `fp` may hold."""
+    return fp is UNKNOWN or mem == fp
+
+
 def witness_domain(store, mem, cmm, bounds: Bounds) -> list:
     vals = set(bounds.value_domain)
     vals.update(v for v in store.values() if v is not UNDEF)
@@ -117,10 +169,16 @@ def witness_domain(store, mem, cmm, bounds: Bounds) -> list:
 
 
 def heap_models(theta, store, assertion, *, cmm, rm, preds=None, bounds=None, depth=4):
-    """All generated heaps satisfying the assertion under theta."""
+    """All generated heaps satisfying the assertion under theta, in
+    generator order. When the assertion has a footprint, only the heaps
+    equal to it are checked."""
     bounds = bounds if bounds is not None else Bounds()
-    out = []
-    for mem in cmm.generator(bounds):
-        if holds(theta, store, mem, assertion, cmm=cmm, rm=rm, preds=preds, bounds=bounds, depth=depth):
-            out.append(mem)
-    return out
+    fp = footprint(theta, store, assertion, cmm, rm)
+    if fp is None:
+        return []
+    return [
+        mem
+        for mem in cmm.generator(bounds)
+        if may_hold(fp, mem)
+        and holds(theta, store, mem, assertion, cmm=cmm, rm=rm, preds=preds, bounds=bounds, depth=depth)
+    ]

@@ -10,10 +10,12 @@ from polyheap.conformance import (
     _consume_branches,
     _eval_vec,
     _fmt_mem,
+    _frame_witness,
     _lift_styles,
     _mems,
     _Namer,
     _outs_present,
+    _ox_frame_holds,
     _resource_cases,
     _sample_product,
     check_action_soundness,
@@ -499,3 +501,77 @@ def test_consume_branches_skip_only_replayed_seeds(name, monkeypatch):
                     old = _old_consume_branches(smm, mode, rname, ins, smem, fanout)
                     assert _strip(got) == _strip(old)
     assert most == 1 if name == "frac" else most > 1
+
+
+# ---------------------------------------------------------------------------
+# check_frame before it ran each (memory, case, window) once, kept as the
+# reference: it runs the inner memory's action again for every frame.
+# ---------------------------------------------------------------------------
+
+
+def _old_check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResult:
+    mems = _mems(cmm, bounds)
+    cases = list(cmm.action_cases(bounds))
+    trials = 0
+    for i, j, c in _sample_product((len(mems), len(mems), len(cases)), cap, bounds.seed):
+        mu, frame = mems[i], mems[j]
+        composed = cmm.compose(mu, frame)
+        name, args = cases[c]
+        trials += 1
+        wide = bounds.max_addresses + cmm.addr_span(frame)
+        if mode == "ox":
+            if composed is None:
+                continue
+            full = cmm.exec_action(composed, name, args, bounds.max_addresses)
+            inner = cmm.exec_action(mu, name, args, wide)
+            for o, mem2, outs in full:
+                if not _ox_frame_holds(cmm, inner, frame, o, mem2, outs):
+                    return CheckResult("frame", mode, "fail", trials, _frame_witness(mu, frame, name, args, o, outs))
+        else:
+            inner = cmm.exec_action(mu, name, args, bounds.max_addresses)
+            full = (
+                [(x, y, tuple(z)) for x, y, z in cmm.exec_action(composed, name, args, wide)]
+                if composed is not None
+                else []
+            )
+            for o, mem2, outs in inner:
+                if o is MISS:
+                    continue
+                lifted = cmm.compose(mem2, frame)
+                if lifted is None:
+                    continue
+                if (o, lifted, tuple(outs)) not in full:
+                    return CheckResult("frame", mode, "fail", trials, _frame_witness(mu, frame, name, args, o, outs))
+    return CheckResult("frame", mode, "pass", trials)
+
+
+FRAME_CMMS = {name: (lambda name=name: get_model(name).cmm) for name in BUNDLES}
+FRAME_CMMS["sabotaged-compose"] = lambda: sabotage(get_model("linear")).cmm
+
+
+@pytest.mark.parametrize("bounds", DIFF_BOUNDS, ids=["values-nil..f-cells-1", "values-0..f-cells-2"])
+@pytest.mark.parametrize("name", FRAME_CMMS)
+def test_frame_check_matches_reference(name, bounds):
+    """Same verdict, trial count and witness as the reference in both modes,
+    at two caps: the larger one takes every trial of most models at these
+    bounds, the smaller one samples."""
+    cmm = FRAME_CMMS[name]()
+    for mode in ("ox", "ux"):
+        for cap in (15_000, 700):
+            _same_result(check_frame(cmm, mode, bounds, cap), _old_check_frame(cmm, mode, bounds, cap))
+
+
+def test_frame_check_runs_each_inner_case_once(monkeypatch):
+    """With every trial taken, each (memory, case) runs once for its window
+    in ux mode, instead of once per frame."""
+    cmm = get_model("frac").cmm
+    bounds = DIFF_BOUNDS[0]
+    calls = []
+    run = cmm.exec_action
+    monkeypatch.setattr(cmm, "exec_action", lambda *a: calls.append(a) or run(*a))
+    r = check_frame(cmm, "ux", bounds)
+    mems, cases = _mems(cmm, bounds), len(list(cmm.action_cases(bounds)))
+    assert r.passed and r.trials == len(mems) ** 2 * cases
+    # the other calls run each defined composition once
+    defined = sum(cmm.compose(m, f) is not None for m in mems for f in mems)
+    assert len(calls) == len(mems) * cases + defined * cases

@@ -4,7 +4,10 @@ Each case runs `polyheap.cli.main` in process and compares its JSON report
 with `tests/golden/<name>.json` byte for byte, and its exit code with the
 recorded one. The check-model cases use small bounds so the whole matrix
 stays fast; `linear-cut` is also run with two cells, which its action/ox
-refutation needs. To regenerate a file after an announced change of output:
+refutation needs. The find-bugs cases run at default bounds, so their
+reports carry the bounded oracle's verdicts; `read_two.ph` makes it compose
+the footprints of two resources. To regenerate a file after an announced
+change of output:
 
     PYTHONPATH=src python -m polyheap.cli <argv...> > tests/golden/<name>.json
 """
@@ -35,6 +38,14 @@ CASES = [
         ("verify_block", "block-offset"),
         ("verify_objects", "objects"),
     )
+] + [
+    # linear-ox and chunks declare no bug-finding soundness: exit 5, no report
+    (f"find-bugs-bugs-{m}", ("find-bugs", os.path.join(programs_dir(), "bugs.ph"), "--model", m),
+     5 if m in ("linear-ox", "chunks") else 3)
+    for m in ("linear", "linear-unique", "linear-cut", "linear-ox", "frac", "chunks")
+] + [
+    (name, ("find-bugs", os.path.join(programs_dir(), "read_two.ph"), "--model", m), 0)
+    for name, m in (("find-bugs-read_two", "linear"), ("find-bugs-read_two-frac", "frac"))
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import programs_dir
 from polyheap import quadcheck
 from polyheap.analyses import biabduct
-from polyheap.assertions import lv_assertion, split_external_pre
+from polyheap.assertions import Res, Star, lv_assertion, split_external_pre
 from polyheap.concrete import BudgetExhausted, run_function
 from polyheap.memmodel import Bounds
 from polyheap.models import get_model
@@ -256,6 +256,8 @@ func uaf(p) {
 }
 """
 FRESH_CELL = "func fresh() {\n  a := new();\n  mutate(a, 1);\n  free(a);\n  return nil\n}\n"
+# the biabduced precondition stars two cells, so footprints compose
+READ_TWO = "func read_two() {\n  x := lookup(1);\n  y := lookup(2);\n  return y\n}\n"
 
 
 def _bugs_ph():
@@ -263,28 +265,97 @@ def _bugs_ph():
         return fh.read()
 
 
-@pytest.mark.parametrize(
-    "src, values",
-    [
-        (_bugs_ph(), None),
-        (STRAIGHT_8, (0, 1, NIL)),
-        (USE_AFTER_FREE, (0, 1, 2, 3)),
-        (FRESH_CELL, None),
-    ],
-    ids=["bugs.ph", "straight-8", "use-after-free", "fresh-cell"],
-)
-def test_matches_old_loop_on_biabduct_quadruples(src, values, lin):
+# The post gives the first cell's value where the function returns the
+# second's, so the counterexamples lie on heaps that own both cells.
+TWO_CELLS = {
+    "linear": "cell(1; #a) * cell(2; #b)",
+    "frac": "cell(1, 1q; #a) * cell(2, 1q; #b)",
+    "chunks": "pt(1; #a) * pt(2; #b)",
+}
+
+
+@pytest.mark.parametrize("model", TWO_CELLS)
+def test_two_cell_counterexamples_match_old_loop(model):
+    cells = TWO_CELLS[model]
+    prog = parse_program(
+        READ_TWO
+        + "".join(
+            f"spec {f} read_two() {{ requires: {cells}; ensures_ok: {cells} * ret = #a; }}\n"
+            for f in ("SL", "ISL")
+        )
+    )
+    bounds = Bounds(value_domain=(0, 1)) if model == "frac" else B
+    bundle = get_model(model)
+    kinds = []
+    for q in prog.specs["read_two"]:
+        got = check_quadruple_bounded(prog.functions, q, bounds, bundle, prog.preds)
+        _same_verdict(got, _old_check(prog.functions, q, bounds, bundle, prog.preds))
+        kinds.append(got.kind)
+    assert kinds == ["post-violated", "unreachable-post"]
+
+
+def _pt(a):
+    """The assertion with every cell as a chunk-model points-to; None when
+    it owns a freed cell, which the chunk model cannot state."""
+    if isinstance(a, Star):
+        left, right = _pt(a.left), _pt(a.right)
+        return None if left is None or right is None else Star(left, right)
+    if isinstance(a, Res):
+        return Res("pt", a.ins, a.outs) if a.name == "cell" else None
+    return a
+
+
+def _chunk_quadruples(quads):
+    """Linear quadruples restated over the chunk model, which has no
+    bug-finding of its own."""
+    for q in quads:
+        pre, post_ok, post_err = _pt(q.pre), _pt(q.post_ok), _pt(q.post_err)
+        if None not in (pre, post_ok, post_err):
+            yield dataclasses.replace(q, pre=pre, post_ok=post_ok, post_err=post_err)
+
+
+BIABDUCT_CASES = {
+    # source, linear and chunk value domain, frac value domain: frac has a
+    # heap per value and fraction, so its reference gets slow past a few
+    "bugs.ph": (_bugs_ph(), None, (0, 1)),
+    "straight-8": (STRAIGHT_8, (0, 1, NIL), (0, NIL)),
+    "use-after-free": (USE_AFTER_FREE, (0, 1, 2, 3), (1, 2)),
+    "fresh-cell": (FRESH_CELL, None, (0, 1, NIL)),
+    "read-two": (READ_TWO, (0, 1, NIL), (0, 1)),
+}
+
+
+def _matches_old_loop_on_biabduct_quadruples(case, model):
+    src, values, frac_values = BIABDUCT_CASES[case]
+    values = frac_values if model == "frac" else values
     bounds = Bounds() if values is None else Bounds(value_domain=values)
+    bundle = get_model(model)
     prog = parse_program(src)
     quads = [
         r.quadruple
         for fid in sorted(prog.functions)
-        for r in biabduct(prog.functions, prog.specs, fid, lin, prog.preds, bounds, budget=32, validate=False)
+        for r in biabduct(
+            prog.functions, prog.specs, fid, get_model("linear" if model == "chunks" else model),
+            prog.preds, bounds, budget=32, validate=False,
+        )
     ]
+    if model == "chunks":
+        quads = list(_chunk_quadruples(quads))
     assert quads
     # the SL and ESL readings of each quadruple reach the other branches
     for q in (dataclasses.replace(q, flavor=f) for q in quads for f in ("ISL", "SL", "ESL")):
         _same_verdict(
-            check_quadruple_bounded(prog.functions, q, bounds, lin, prog.preds),
-            _old_check(prog.functions, q, bounds, lin, prog.preds),
+            check_quadruple_bounded(prog.functions, q, bounds, bundle, prog.preds),
+            _old_check(prog.functions, q, bounds, bundle, prog.preds),
         )
+
+
+@pytest.mark.parametrize("case", BIABDUCT_CASES)
+def test_matches_old_loop_on_biabduct_quadruples(case):
+    _matches_old_loop_on_biabduct_quadruples(case, "linear")
+
+
+@pytest.mark.parametrize("model", ["frac", "chunks"])
+@pytest.mark.parametrize("case", BIABDUCT_CASES)
+def test_matches_old_loop_on_biabduct_quadruples_of_other_models(case, model):
+    _matches_old_loop_on_biabduct_quadruples(case, model)
