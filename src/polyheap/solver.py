@@ -12,7 +12,22 @@ bounded model enumeration:
 The core looks inside branch guards: a conjunct `g = true` also asserts
 `g`, and `g = false` asserts `Not(g)`, which is exact under `eval_lexpr`.
 So the guards of two `if`s taken on one path (`x = 7`, `x = 9`) clash in
-the core and the path is Unsat instead of Unknown.
+the core and the path is Unsat instead of Unknown. It also knows that `=`,
+`<`, `<=`, `and`, `or`, `not` and the membership tests give a Bool wherever
+they are defined, so the `if-err-type` branch of a defined guard is Unsat.
+
+The core resumes from the longest closed prefix. Its first pass reads the
+conjuncts in order, and what it has built after a conjunct (union-find,
+disequalities, positive and negated atoms, types, intervals, rewritten
+conjuncts, whether a rewrite changed anything or clashed) depends only on
+the conjuncts read so far. A path condition only grows along a path, so
+`RewriteCore(pc)` starts from a copy of the first-pass state stored for
+the longest prefix of `pc` closed before, reads only the rest, and stores
+its own; the later passes and the sweeps then run over the whole as
+before. The result is the one a closure from scratch gives, in the spirit
+of incremental congruence closure (Nieuwenhuis and Oliveras, 2007).
+`clear_caches` empties the stored states with the `check_sat` and
+`entails` verdict caches.
 
 Bounded enumeration (`models`) forward-checks: when the space is small
 enough to enumerate in full, it backtracks over the sorted variables and
@@ -27,6 +42,7 @@ conjunctively.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +50,7 @@ from random import Random
 
 from .evaluation import eval_lexpr
 from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr, pv_expr
-from .values import FALSE, TRUE, UNDEF, is_nat, is_rat, value_key
+from .values import FALSE, TRUE, UNDEF, is_nat, is_rat, type_name, value_key
 
 
 class PathCondError(ValueError):
@@ -146,6 +162,11 @@ class _Interval:
         self.hi = None
         self.integral = False
 
+    def copy(self) -> _Interval:
+        iv = _Interval()
+        iv.lo, iv.hi, iv.integral = self.lo, self.hi, self.integral
+        return iv
+
     def add_lo(self, bound: Fraction, strict: bool) -> bool:
         cur = self.lo
         if cur is None or bound > cur[0] or (bound == cur[0] and strict and not cur[1]):
@@ -167,13 +188,17 @@ class _Interval:
         if lo == hi and (ls or hs):
             return False
         if self.integral:
-            import math
-
             low = lo + 1 if ls and lo.denominator == 1 else Fraction(math.ceil(lo))
             high = hi - 1 if hs and hi.denominator == 1 else Fraction(math.floor(hi))
             if low > high:
                 return False
         return True
+
+
+def _is_boolean(e: Expr) -> bool:
+    return isinstance(e, (Not, InVal, InType)) or (
+        isinstance(e, Bin) and e.op in ("=", "<", "<=", "and", "or")
+    )
 
 
 class RewriteCore:
@@ -183,15 +208,49 @@ class RewriteCore:
     conjunction has no model over the unbounded domain."""
 
     def __init__(self, conjuncts):
-        self.parent = {}
-        self.contradiction = False
-        self.diseq = []
-        self.pos = set()  # rewritten non-negated conjuncts
-        self.neg = set()  # rewritten e with Not(e) a conjunct
-        self.types = {}  # node -> type name it must have
-        self.intervals = {}
-        self.conjuncts = [fold_expr(c) for c in conjuncts]
+        conjuncts = tuple(conjuncts)
+        k, state = _resume_point(conjuncts)
+        self._restore(state)
+        if self.contradiction:
+            self.conjuncts += [fold_expr(c) for c in conjuncts[k:]]
+        else:
+            # pass 1 over the conjuncts that the stored prefix has not read
+            for c in conjuncts[k:]:
+                self.changed |= self._step(fold_expr(c), self.conjuncts)
+                if self.contradiction:
+                    # as a pass that fails: the input conjuncts stay
+                    self.conjuncts = [fold_expr(c) for c in conjuncts]
+                    break
+        _put(_closed, conjuncts, self._pass1_state())
         self._close()
+
+    def _pass1_state(self):
+        """A copy of everything pass 1 has built; it depends only on the
+        conjuncts read so far."""
+        return (
+            dict(self.parent),
+            tuple(self.diseq),
+            frozenset(self.pos),
+            frozenset(self.neg),
+            dict(self.types),
+            {n: iv.copy() for n, iv in self.intervals.items()},
+            tuple(self.conjuncts),
+            self.changed,
+            self.contradiction,
+        )
+
+    def _restore(self, state):
+        """Start from a copy of a stored pass-1 state, or from nothing."""
+        if state is None:
+            state = ({}, (), (), (), {}, {}, (), False, False)
+        parent, diseq, pos, neg, types, intervals, conjuncts, self.changed, self.contradiction = state
+        self.parent = dict(parent)
+        self.diseq = list(diseq)
+        self.pos = set(pos)  # rewritten non-negated conjuncts
+        self.neg = set(neg)  # rewritten e with Not(e) a conjunct
+        self.types = dict(types)  # node -> type name it must have
+        self.intervals = {n: iv.copy() for n, iv in intervals.items()}
+        self.conjuncts = list(conjuncts)
 
     # union-find -------------------------------------------------------------
 
@@ -282,13 +341,17 @@ class RewriteCore:
     # closure ----------------------------------------------------------------
 
     def _close(self):
-        for _ in range(3):
-            changed = self._pass()
+        """Passes 2 and 3 over pass 1's output, then the sweeps."""
+        changed = self.changed
+        for _ in range(2):
             if self.contradiction or not changed:
                 break
-        # final contradiction sweeps
-        if self.contradiction:
-            return
+            changed = self._pass()
+        if not self.contradiction:
+            self._sweep()
+
+    def _sweep(self):
+        """Final contradiction sweeps over the closed state."""
         for a, b in self.diseq:
             ra, rb = self.rewrite(a), self.rewrite(b)
             if ra == rb:
@@ -301,8 +364,6 @@ class RewriteCore:
         for node, tau in self.types.items():
             n = self.rewrite(node)
             if isinstance(n, Lit):
-                from .values import type_name
-
                 if type_name(n.value) != tau:
                     self.contradiction = True
                     return
@@ -312,6 +373,11 @@ class RewriteCore:
                 self.contradiction = True
                 return
             if isinstance(e, InType):
+                # comparisons, connectives and membership tests give a
+                # Bool wherever they are defined
+                if e.tau == "bool" and _is_boolean(e.arg) and self.provably_defined(e.arg):
+                    self.contradiction = True
+                    return
                 if self.types.get(e.arg) == e.tau:
                     self.contradiction = True
                     return
@@ -323,8 +389,6 @@ class RewriteCore:
     def _integer_exclusion(self):
         """Finite integral interval with every member excluded by a
         disequality against a literal."""
-        import math
-
         excluded = {}
         for a, b in self.diseq:
             ra, rb = self.rewrite(a), self.rewrite(b)
@@ -351,27 +415,26 @@ class RewriteCore:
         self.neg = set()
         self.intervals = {}
         for c in self.conjuncts:
-            c2 = self.rewrite(c)
-            if c2 != c:
-                changed = True
-            if c2 == Lit(TRUE):
-                continue
-            if isinstance(c2, Lit):
-                # a conjunct that is a non-true literal cannot hold
-                self.contradiction = True
-                return False
-            if not lv_expr(c2):
-                v = eval_lexpr(c2, {}, {})
-                if v is not TRUE:
-                    self.contradiction = True
-                    return False
-                continue
-            new_conjuncts.append(c2)
-            self._absorb(c2)
+            changed |= self._step(c, new_conjuncts)
             if self.contradiction:
                 return False
         self.conjuncts = new_conjuncts
         return changed
+
+    def _step(self, c: Expr, out: list) -> bool:
+        """Rewrite one conjunct under the state built so far; keep it in
+        `out` and absorb it unless it is true. Returns whether the rewrite
+        changed it."""
+        c2 = self.rewrite(c)
+        if c2 != Lit(TRUE):
+            if isinstance(c2, Lit):
+                self.contradiction = True  # a non-true literal cannot hold
+            elif not lv_expr(c2):
+                self.contradiction = eval_lexpr(c2, {}, {}) is not TRUE
+            else:
+                out.append(c2)
+                self._absorb(c2)
+        return c2 != c
 
     def _absorb(self, c: Expr):
         if isinstance(c, Not):
@@ -423,8 +486,6 @@ class RewriteCore:
 
     def _put_type(self, node, tau):
         if isinstance(node, Lit):
-            from .values import type_name
-
             if type_name(node.value) != tau:
                 self.contradiction = True
             return
@@ -581,6 +642,8 @@ def models(pc, lvars, domain, bounds):
 
 
 _sat_cache: dict = {}
+_entails_cache: dict = {}
+_closed: dict = {}  # conjunct tuple -> RewriteCore pass-1 state after it
 _dump_state = {"dir": None, "n": 0}
 
 
@@ -612,6 +675,24 @@ def _maybe_dump(pc):
 
 def clear_caches():
     _sat_cache.clear()
+    _entails_cache.clear()
+    _closed.clear()
+
+
+def _put(cache: dict, key, value):
+    if len(cache) > 100_000:
+        cache.clear()
+    cache[key] = value
+
+
+def _resume_point(conjuncts: tuple):
+    """(k, state) for the longest prefix `conjuncts[:k]` whose pass-1 state
+    is stored, or (0, None)."""
+    for k in range(len(conjuncts), 0, -1):
+        state = _closed.get(conjuncts[:k])
+        if state is not None:
+            return k, state
+    return 0, None
 
 
 def check_sat(pc, bounds):
@@ -623,9 +704,7 @@ def check_sat(pc, bounds):
         return hit
     _maybe_dump(pc)
     verdict = _check_sat(pc, bounds)
-    if len(_sat_cache) > 100_000:
-        _sat_cache.clear()
-    _sat_cache[key] = verdict
+    _put(_sat_cache, key, verdict)
     return verdict
 
 
@@ -649,7 +728,15 @@ def entails(pc, e: Expr, bounds) -> Entail:
     if pv_expr(e):
         raise PathCondError(f"entailment query mentions program variables: {e}")
     pc = tuple(pc)
-    e = fold_expr(e)
+    key = (pc, e, bounds.key())
+    hit = _entails_cache.get(key)
+    if hit is None:
+        hit = _entails(pc, fold_expr(e), bounds)
+        _put(_entails_cache, key, hit)
+    return hit
+
+
+def _entails(pc, e: Expr, bounds) -> Entail:
     if e == Lit(TRUE):
         return Entail.YES
     core = RewriteCore(pc)

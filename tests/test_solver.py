@@ -1,8 +1,10 @@
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyheap.evaluation import eval_lexpr
+from polyheap import solver
 from polyheap.memmodel import Bounds
 from polyheap.smtlib import export_smtlib
 from polyheap.solver import (
@@ -15,6 +17,7 @@ from polyheap.solver import (
     _assignments,
     _holds_all,
     check_sat,
+    clear_caches,
     entails,
     enumeration_domain,
     fold_expr,
@@ -267,3 +270,48 @@ def test_fold_expr_folds_above_an_undefined_ground_subterm():
     assert fold_expr(InVal(undef)) == Lit(FALSE)
     assert fold_expr(InType(undef, "nat")) == Lit(FALSE)
     assert fold_expr(Not(InVal(undef))) == Lit(TRUE)
+
+
+# -- comparisons are Boolean; entails verdicts are cached -----------------------
+
+
+@pytest.mark.parametrize(
+    "g",
+    [eq(x, Lit(7)), Bin("<", x, y), Bin("<=", Lit(1), x), Bin("and", x, y), Bin("or", x, y),
+     Not(x), InVal(x), InType(x, "nat")],
+    ids=["=", "<", "<=", "and", "or", "not", "InVal", "InType"],
+)
+def test_defined_comparison_is_boolean(g):
+    # the if-err-type branch of a defined guard
+    assert check_sat((InVal(g), Not(InType(g, "bool"))), B) is UNSAT
+
+
+def test_defined_sum_is_not_boolean():
+    s = Bin("+", x, Lit(1))
+    assert isinstance(check_sat((InVal(s), Not(InType(s, "bool"))), B), Sat)
+
+
+def test_undefined_guard_is_not_known_boolean():
+    assert not RewriteCore((Not(InType(eq(x, Lit(7)), "bool")),)).contradiction
+
+
+def test_entails_verdicts_are_cached(monkeypatch):
+    pc, goal = (Bin("<=", Lit(1), x), Bin("<=", x, Lit(2))), eq(x, Lit(1))
+    calls = []
+    decide = solver._entails
+    monkeypatch.setattr(solver, "_entails", lambda *args: calls.append(args) or decide(*args))
+    clear_caches()
+    assert entails(pc, goal, B) is Entail.NO
+    assert entails(pc, goal, B) is Entail.NO
+    assert len(calls) == 1
+    assert entails(pc, goal, Bounds(value_domain=(0, 1, 2), max_cells=2, max_addresses=3, trials=100, seed=0)) is Entail.NO
+    assert len(calls) == 2
+    clear_caches()
+    assert entails(pc, goal, B) is Entail.NO
+    assert len(calls) == 3
+
+
+def test_caches_are_cleared_past_their_bound():
+    cache = dict.fromkeys(range(100_001))
+    solver._put(cache, "k", 1)
+    assert cache == {"k": 1}
