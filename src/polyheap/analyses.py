@@ -62,6 +62,7 @@ from .syntax import (
     called_fids,
     eq,
     format_expr,
+    lv_expr,
     prog_vars,
 )
 
@@ -217,7 +218,6 @@ def _verify_branch(ctx, f, q, subst, br: Branch, failing, unknown):
         return
     if br.outcome is OK:
         from .engine import sym_eval
-        from .syntax import lv_expr
 
         ret = sym_eval(f.ret, br.state.store)
         ok_state = br.state.extend_pc([InVal(ret)])
@@ -231,8 +231,6 @@ def _verify_branch(ctx, f, q, subst, br: Branch, failing, unknown):
             _consume_post(ctx, br.oracle, post, subst, err_state, "err", classify)
         return
     # ERR branch: the error payload sits in the store
-    from .syntax import lv_expr
-
     payload = br.state.store.get("err", Lit("Unknown"))
     post = subst_assertion_pvars(q.post_err, {"err": payload})
     subst2 = {**subst, **{x: LVar(x) for x in lv_expr(payload) if x not in subst}}

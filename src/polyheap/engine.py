@@ -48,7 +48,7 @@ from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT, ERR, MISS, OK, Outcome
 from .satisfaction import heap_models
-from .solver import Entail, Sat, UNSAT, check_sat, entails, pc_extend
+from .solver import Entail, Sat, UNSAT, _literals_in, check_sat, entails, pc_extend, pc_lvars
 from .syntax import (
     Action,
     Assign,
@@ -132,9 +132,7 @@ class SymbolicState:
         for inst in self.preds:
             for e in inst.ins + inst.outs:
                 out |= lv_expr(e)
-        for c in self.pc:
-            out |= lv_expr(c)
-        return out
+        return out | pc_lvars(self.pc)
 
 
 def initial_state(smm, store=None, pc=()) -> SymbolicState:
@@ -825,8 +823,6 @@ def models_under(theta, state: SymbolicState, bundle, preds, bounds) -> list:
 
 
 def _state_values(state: SymbolicState, smm):
-    from .solver import _literals_in
-
     out = set()
     for e in state.store.values():
         _literals_in(e, out)

@@ -25,34 +25,51 @@ def values_equal(a, b) -> bool:
     return a == b
 
 
-def eval_lexpr(e: Expr, theta: dict, store: dict):
-    """Evaluate a logical expression under interpretation `theta` and store."""
+_LEAVES = (Lit, PVar, LVar)
+
+
+def eval_lexpr(e: Expr, theta: dict, store: dict, memo: dict | None = None):
+    """Evaluate a logical expression under interpretation `theta` and store.
+
+    `memo`, when given, maps `id(node)` to the node's value under this
+    `theta` and store, so a subterm shared within or across the expressions
+    evaluated with one memo is evaluated once. It holds the `Bin` nodes with
+    a compound side, where terms along a path share structure (`x + 1 + ...
+    + 1`); a node over leaves, or a unary node over a held one, costs less
+    to evaluate again than to look up. The caller keeps the expressions
+    alive, and `theta` and the store unchanged, while the memo is in use."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, PVar):
         return store.get(e.name, UNDEF)
     if isinstance(e, LVar):
         return theta.get(e.name, UNDEF)
+    if isinstance(e, Bin):
+        if memo is None or (isinstance(e.left, _LEAVES) and isinstance(e.right, _LEAVES)):
+            return _eval_bin(e, theta, store, memo)
+        k = id(e)
+        v = memo.get(k)  # no value is None
+        if v is None:
+            v = memo[k] = _eval_bin(e, theta, store, memo)
+        return v
     if isinstance(e, Not):
-        v = eval_lexpr(e.arg, theta, store)
+        v = eval_lexpr(e.arg, theta, store, memo)
         if isinstance(v, VBool):
             return vbool(not v.b)
         return UNDEF
     if isinstance(e, InVal):
-        return vbool(eval_lexpr(e.arg, theta, store) is not UNDEF)
+        return vbool(eval_lexpr(e.arg, theta, store, memo) is not UNDEF)
     if isinstance(e, InType):
-        v = eval_lexpr(e.arg, theta, store)
+        v = eval_lexpr(e.arg, theta, store, memo)
         return vbool(v is not UNDEF and type_name(v) == e.tau)
     if isinstance(e, LstE):
         items = []
         for i in e.items:
-            v = eval_lexpr(i, theta, store)
+            v = eval_lexpr(i, theta, store, memo)
             if v is UNDEF:
                 return UNDEF
             items.append(v)
         return tuple(items)
-    if isinstance(e, Bin):
-        return _eval_bin(e, theta, store)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -61,9 +78,9 @@ def eval_expr(e: Expr, store: dict):
     return eval_lexpr(e, {}, store)
 
 
-def _eval_bin(e: Bin, theta, store):
-    a = eval_lexpr(e.left, theta, store)
-    b = eval_lexpr(e.right, theta, store)
+def _eval_bin(e: Bin, theta, store, memo):
+    a = eval_lexpr(e.left, theta, store, memo)
+    b = eval_lexpr(e.right, theta, store, memo)
     op = e.op
     if op == "=":
         if a is UNDEF or b is UNDEF:

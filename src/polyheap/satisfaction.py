@@ -109,8 +109,11 @@ def pure_conjuncts(assertion: Assertion) -> list:
 
 
 def pure_holds(exprs, theta: dict, store: dict) -> bool:
-    """Every expression evaluates to TRUE under theta and store."""
-    return all(eval_lexpr(e, theta, store) is TRUE for e in exprs)
+    """Every expression evaluates to TRUE under theta and store. One memo
+    serves the call, so a subterm shared by the expressions is evaluated
+    once."""
+    memo = {}
+    return all(eval_lexpr(e, theta, store, memo) is TRUE for e in exprs)
 
 
 class _Unknown:

@@ -29,6 +29,20 @@ of incremental congruence closure (Nieuwenhuis and Oliveras, 2007).
 `clear_caches` empties the stored states with the `check_sat` and
 `entails` verdict caches.
 
+Terms along a path share their subterms: after `x := x + 1` steps the
+path condition holds `x + 1 + ... + 1` at every depth. So each node works
+a fact out once and keeps it in a slot of `syntax.Expr`: its hash, its
+fold (`_fold`), its literal values (`_literals_in`) and, for a conjunct,
+its logical variables (`conjunct_lvars`). That is exact: nodes are frozen,
+so a cached fact never goes stale, and the hash keeps the dataclass
+formula, so set and dict orders, and the reports, do not move. Folding
+returns a node none of whose children changed as it is, so `rewrite`
+folds only the nodes it builds. `_holds_all` evaluates the conjuncts under
+one interpretation with one memo keyed by node identity, so a shared
+subterm such as `x + 1 + ... + 1` is evaluated once per interpretation,
+not once per conjunct; the memo lives only for the call, while the nodes
+and the interpretation stay fixed.
+
 Bounded enumeration (`models`) forward-checks: when the space is small
 enough to enumerate in full, it backtracks over the sorted variables and
 checks each conjunct as soon as its last variable is decided, so a failed
@@ -59,41 +73,69 @@ class PathCondError(ValueError):
 
 def fold_expr(e: Expr):
     """Bottom-up constant folding. Ground subterms that evaluate to a value
-    become literals; everything else is rebuilt."""
+    become literals; the rest keeps its shape."""
     return _fold(e)[0]
+
+
+def _with_sides(e: Bin, left: Expr, right: Expr) -> Bin:
+    """`e` over the given sides: `e` itself when they are its own."""
+    return e if left is e.left and right is e.right else Bin(e.op, left, right)
+
+
+def _with_arg(e, arg: Expr):
+    """`e` (a Not, InVal or InType) over `arg`: `e` itself when it is its own."""
+    if arg is e.arg:
+        return e
+    return InType(arg, e.tau) if isinstance(e, InType) else type(e)(arg)
+
+
+def _with_items(e: LstE, items: tuple) -> LstE:
+    return e if all(a is b for a, b in zip(items, e.items)) else LstE(items)
+
+
+_set_f = Expr._f.__set__
+_set_l = Expr._l.__set__
+_set_v = Expr._v.__set__
 
 
 def _fold(e: Expr):
     """One pass of `fold_expr`: returns (folded, ground), where ground means
     no logical or program variable occurs. A ground subterm that evaluates
     to UNDEF stays unfolded, yet its parent may still fold (`InVal(1 + nil)`
-    is `false`), so groundness comes from the children, not from literals."""
+    is `false`), so groundness comes from the children, not from literals.
+
+    The result is cached on `e`, and on the rebuilt node when that is the
+    result (folding is idempotent). A node none of whose children changed
+    is its own result, so a folded term refolds in one cache hit and a
+    term built from folded parts folds only its new nodes."""
     if isinstance(e, Lit):
         return e, True
     if isinstance(e, (LVar, PVar)):
         return e, False
-    if isinstance(e, Not):
-        a, ground = _fold(e.arg)
-        e2 = Not(a)
-    elif isinstance(e, Bin):
+    try:
+        return e._f
+    except AttributeError:
+        pass
+    if isinstance(e, Bin):
         (l, gl), (r, gr) = _fold(e.left), _fold(e.right)
-        e2, ground = Bin(e.op, l, r), gl and gr
-    elif isinstance(e, InVal):
+        e2, ground = _with_sides(e, l, r), gl and gr
+    elif isinstance(e, (Not, InVal, InType)):
         a, ground = _fold(e.arg)
-        e2 = InVal(a)
-    elif isinstance(e, InType):
-        a, ground = _fold(e.arg)
-        e2 = InType(a, e.tau)
+        e2 = _with_arg(e, a)
     elif isinstance(e, LstE):
         items = [_fold(i) for i in e.items]
-        e2, ground = LstE(tuple(i for i, _ in items)), all(g for _, g in items)
+        e2, ground = _with_items(e, tuple(i for i, _ in items)), all(g for _, g in items)
     else:
         raise TypeError(f"not an expression: {e!r}")
+    out = (e2, ground)
     if ground:
         v = eval_lexpr(e2, {}, {})
         if v is not UNDEF:
-            return Lit(v), True
-    return e2, ground
+            out = (Lit(v), True)
+    _set_f(e, out)
+    if e2 is not e and out[0] is e2:
+        _set_f(e2, out)
+    return out
 
 
 def pc_extend(pc: tuple, conjuncts) -> tuple:
@@ -112,11 +154,20 @@ def pc_extend(pc: tuple, conjuncts) -> tuple:
     return tuple(out)
 
 
+def conjunct_lvars(c: Expr) -> frozenset:
+    """`lv_expr(c)`, cached on `c`. Meant for path-condition conjuncts,
+    which are read again at every step of a path; small fresh terms are
+    cheaper to walk than to cache."""
+    try:
+        return c._v
+    except AttributeError:
+        vs = lv_expr(c)
+        _set_v(c, vs)
+        return vs
+
+
 def pc_lvars(pc) -> frozenset:
-    out = frozenset()
-    for c in pc:
-        out |= lv_expr(c)
-    return out
+    return frozenset().union(*map(conjunct_lvars, pc))
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +364,15 @@ class RewriteCore:
         r = self._find(e)
         if isinstance(r, Lit):
             return r
-        if isinstance(e, Not):
-            e2 = Not(self.rewrite(e.arg))
-        elif isinstance(e, Bin):
-            e2 = Bin(e.op, self.rewrite(e.left), self.rewrite(e.right))
-        elif isinstance(e, InVal):
-            e2 = InVal(self.rewrite(e.arg))
-        elif isinstance(e, InType):
-            e2 = InType(self.rewrite(e.arg), e.tau)
+        if isinstance(e, Bin):
+            e2 = _with_sides(e, self.rewrite(e.left), self.rewrite(e.right))
+        elif isinstance(e, (Not, InVal, InType)):
+            e2 = _with_arg(e, self.rewrite(e.arg))
         elif isinstance(e, LstE):
-            e2 = LstE(tuple(self.rewrite(i) for i in e.items))
+            e2 = _with_items(e, tuple(self.rewrite(i) for i in e.items))
         else:
             e2 = e
-        e2 = fold_expr(e2)
+        e2 = fold_expr(e2)  # only the nodes rebuilt above are new to `_fold`
         if (
             isinstance(e2, Bin)
             and e2.op == "="
@@ -544,19 +591,41 @@ class RewriteCore:
 _ENUM_CAP = 250_000
 
 
-def _literals_in(e: Expr, out: set):
+_NO_LITS = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+def _lits(e: Expr) -> frozenset:
+    """The literal values occurring in `e`, cached on each compound node."""
     if isinstance(e, Lit):
-        out.add(e.value)
-    elif isinstance(e, Not):
-        _literals_in(e.arg, out)
-    elif isinstance(e, Bin):
-        _literals_in(e.left, out)
-        _literals_in(e.right, out)
-    elif isinstance(e, (InVal, InType)):
-        _literals_in(e.arg, out)
+        return frozenset((e.value,))
+    if isinstance(e, (LVar, PVar)):
+        return _NO_LITS
+    try:
+        return e._l
+    except AttributeError:
+        pass
+    if isinstance(e, Bin):
+        out = _union(_lits(e.left), _lits(e.right))
+    elif isinstance(e, (Not, InVal, InType)):
+        out = _lits(e.arg)
     elif isinstance(e, LstE):
+        out = _NO_LITS
         for i in e.items:
-            _literals_in(i, out)
+            out = _union(out, _lits(i))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    _set_l(e, out)
+    return out
+
+
+def _literals_in(e: Expr, out: set):
+    out |= _lits(e)
 
 
 def enumeration_domain(pc, bounds) -> list:
@@ -588,7 +657,11 @@ def _assignments(lvars, domain, bounds):
 
 
 def _holds_all(pc, theta) -> bool:
-    return all(eval_lexpr(c, theta, {}) is TRUE for c in pc)
+    """Every conjunct is true under `theta`. One memo serves the call, so a
+    subterm shared by conjuncts (`x + 1 + ... + 1` along a path) is
+    evaluated once."""
+    memo = {}
+    return all(eval_lexpr(c, theta, {}, memo) is TRUE for c in pc)
 
 
 def _extensions(theta, new_lvars, domain):
@@ -619,7 +692,7 @@ def models(pc, lvars, domain, bounds):
     step = {x: i + 1 for i, x in enumerate(order)}
     checks = [[] for _ in range(len(order) + 1)]  # checks[i]: after deciding order[i - 1]
     for c in pc:
-        vs = lv_expr(c)
+        vs = conjunct_lvars(c)
         last = len(order) if vs - step.keys() else max((step[x] for x in vs), default=0)
         checks[last].append(c)
     theta = {}

@@ -19,7 +19,27 @@ BIN_OPS = ("=", "and", "or", "+", "-", "/", "<", "<=")
 
 
 class Expr:
-    __slots__ = ()
+    """Base of the expression nodes. Nodes are frozen, so a fact computed
+    from a node holds for its whole life; each slot below caches one such
+    fact. No constructor writes them: a slot is filled on first use, and a
+    node built by `__init__` (or `dataclasses.replace`) starts empty.
+
+      _h  the hash, by the formula of the dataclass hash
+      _f  `(folded, ground)` from `solver._fold`
+      _l  the frozenset of literal values in the node (`solver._literals_in`)
+      _v  `lv_expr` of a path-condition conjunct (`solver.conjunct_lvars`)
+    """
+
+    __slots__ = ("_h", "_v", "_f", "_l")
+
+
+_set_h = Expr._h.__set__
+
+
+def _memo_hash(node: Expr, key) -> int:
+    h = hash(key)
+    _set_h(node, h)
+    return h
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +56,10 @@ class Lit(Expr):
         return type(other) is Lit and value_key(self.value) == value_key(other.value)
 
     def __hash__(self):
-        return hash(("Lit", value_key(self.value)))
+        try:
+            return self._h
+        except AttributeError:
+            return _memo_hash(self, ("Lit", value_key(self.value)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +76,12 @@ class LVar(Expr):
 class Not(Expr):
     arg: Expr
 
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            return _memo_hash(self, (self.arg,))
+
 
 @dataclass(frozen=True, slots=True)
 class Bin(Expr):
@@ -64,12 +93,24 @@ class Bin(Expr):
         if self.op not in BIN_OPS:
             raise ValueError(f"unknown operator {self.op!r}")
 
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            return _memo_hash(self, (self.op, self.left, self.right))
+
 
 @dataclass(frozen=True, slots=True)
 class InVal(Expr):
     """Membership test: the expression evaluates to a value."""
 
     arg: Expr
+
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            return _memo_hash(self, (self.arg,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,12 +124,24 @@ class InType(Expr):
         if self.tau not in TYPE_NAMES:
             raise ValueError(f"unknown type {self.tau!r}")
 
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            return _memo_hash(self, (self.arg, self.tau))
+
 
 @dataclass(frozen=True, slots=True)
 class LstE(Expr):
     """List former; evaluates to a list value when all items do."""
 
     items: tuple
+
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            return _memo_hash(self, (self.items,))
 
 
 TRUE_E = Lit(TRUE)

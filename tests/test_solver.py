@@ -259,9 +259,15 @@ _FOLD_EXPRS = st.recursive(
 @given(_FOLD_EXPRS)
 @settings(max_examples=400, deadline=None)
 def test_fold_expr_matches_old_fold(e):
-    got, want = fold_expr(e), _old_fold_expr(e)
-    assert got == want
-    assert repr(got) == repr(want)
+    want = _old_fold_expr(e)
+    for _ in range(2):  # the second fold reads the first one's caches
+        got = fold_expr(e)
+        assert got == want
+        assert repr(got) == repr(want)
+    assert fold_expr(got) is got
+    # terms over the folded `e`, which share it as a subterm
+    for shared in (Bin("and", e, e), LstE((e, Not(e), e)), InType(Bin("+", e, e), "nat")):
+        assert repr(fold_expr(shared)) == repr(_old_fold_expr(shared))
 
 
 def test_fold_expr_folds_above_an_undefined_ground_subterm():
