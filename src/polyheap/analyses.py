@@ -299,7 +299,6 @@ def biabduct(
     bundle: MemoryModelBundle,
     preds=None,
     bounds: Bounds = None,
-    max_fixes: int = 4,
     budget: int = 64,
     validate: bool = True,
 ) -> list:
@@ -325,20 +324,17 @@ def biabduct(
         store[z] = NIL_E
     seed_pc = [InVal(LVar(x)) for x in f.params]
     state0 = SymbolicState(store, bundle.smm.empty, (), tuple(seed_pc))
-    ctx = EngineContext(Mode.UX, specs, bundle, preds, bounds, budget=budget, fixing=True, max_fixes=max_fixes)
+    ctx = EngineContext(Mode.UX, specs, bundle, preds, bounds, budget=budget, fixing=True)
     ctx.seed_fresh(state0)
 
     reports = []
     for br in sym_exec(ctx, Oracle.constant(0), state0, f.body):
         reports.extend(_branch_reports(ctx, gamma2, f, state0, br, bounds, validate))
     # de-duplicate by normalised quadruple
-    seen = set()
-    unique = []
+    unique = {}
     for r in reports:
-        if r.key() not in seen:
-            seen.add(r.key())
-            unique.append(r)
-    return unique
+        unique.setdefault(r.key(), r)
+    return list(unique.values())
 
 
 def _branch_reports(ctx, gamma, f, state0, br: Branch, bounds, validate):

@@ -24,6 +24,7 @@ from .syntax import (
     lv_expr,
     pv_expr,
     subst_expr,
+    subst_pvars,
 )
 from .values import FALSE, TRUE
 
@@ -113,98 +114,89 @@ def star_conjuncts(a: Assertion) -> list:
     return [a]
 
 
+_NO_BINDERS = frozenset()
+
+
+def atoms(a: Assertion) -> list:
+    """`(leaf, binders)` for each `Bool`, `Res` and `Pred` leaf of `a`, left
+    to right; `binders` is the frozenset of variables bound by the
+    `exists` around the leaf."""
+    out = []
+    stack = [(a, _NO_BINDERS)]
+    while stack:
+        a, bound = stack.pop()
+        if isinstance(a, (Bool, Res, Pred)):
+            out.append((a, bound))
+        elif isinstance(a, (Star, Or, Implies)):
+            stack.append((a.right, bound))
+            stack.append((a.left, bound))
+        elif isinstance(a, Exists):
+            stack.append((a.body, bound | {a.var}))
+        elif not isinstance(a, (TrueA, Emp)):
+            raise TypeError(f"not an assertion: {a!r}")
+    return out
+
+
+def map_atoms(a: Assertion, f) -> Assertion:
+    """`a` with each `Bool`, `Res` and `Pred` leaf replaced by
+    `f(leaf, binders)`, the binders as in `atoms`."""
+
+    def walk(a, bound):
+        if isinstance(a, (Bool, Res, Pred)):
+            return f(a, bound)
+        if isinstance(a, (Star, Or, Implies)):
+            return type(a)(walk(a.left, bound), walk(a.right, bound))
+        if isinstance(a, Exists):
+            return Exists(a.var, walk(a.body, bound | {a.var}))
+        if isinstance(a, (TrueA, Emp)):
+            return a
+        raise TypeError(f"not an assertion: {a!r}")
+
+    return walk(a, _NO_BINDERS)
+
+
+def _leaf_exprs(leaf) -> tuple:
+    return (leaf.expr,) if isinstance(leaf, Bool) else leaf.ins + leaf.outs
+
+
+def _map_leaf(leaf, sub, mapping):
+    """`leaf` with `sub(e, mapping)` for each of its expressions `e`."""
+    if isinstance(leaf, Bool):
+        return Bool(sub(leaf.expr, mapping))
+    return type(leaf)(leaf.name, tuple(sub(e, mapping) for e in leaf.ins),
+                      tuple(sub(e, mapping) for e in leaf.outs))
+
+
 def pv_assertion(a: Assertion) -> frozenset:
-    if isinstance(a, Bool):
-        return pv_expr(a.expr)
-    if isinstance(a, (TrueA, Emp)):
-        return frozenset()
-    if isinstance(a, (Implies, Or, Star)):
-        return pv_assertion(a.left) | pv_assertion(a.right)
-    if isinstance(a, Exists):
-        return pv_assertion(a.body)
-    if isinstance(a, (Res, Pred)):
-        out = frozenset()
-        for e in a.ins + a.outs:
+    out = set()
+    for leaf, _ in atoms(a):
+        for e in _leaf_exprs(leaf):
             out |= pv_expr(e)
-        return out
-    raise TypeError(f"not an assertion: {a!r}")
+    return frozenset(out)
 
 
 def lv_assertion(a: Assertion) -> frozenset:
-    if isinstance(a, Bool):
-        return lv_expr(a.expr)
-    if isinstance(a, (TrueA, Emp)):
-        return frozenset()
-    if isinstance(a, (Implies, Or, Star)):
-        return lv_assertion(a.left) | lv_assertion(a.right)
-    if isinstance(a, Exists):
-        return lv_assertion(a.body) - {a.var}
-    if isinstance(a, (Res, Pred)):
-        out = frozenset()
-        for e in a.ins + a.outs:
-            out |= lv_expr(e)
-        return out
-    raise TypeError(f"not an assertion: {a!r}")
+    out = set()
+    for leaf, bound in atoms(a):
+        for e in _leaf_exprs(leaf):
+            out |= lv_expr(e) - bound if bound else lv_expr(e)
+    return frozenset(out)
 
 
 def subst_assertion(a: Assertion, mapping: dict) -> Assertion:
     """Substitute logical variables by expressions, respecting exists-binders."""
-    if isinstance(a, Bool):
-        return Bool(subst_expr(a.expr, mapping))
-    if isinstance(a, (TrueA, Emp)):
-        return a
-    if isinstance(a, Implies):
-        return Implies(subst_assertion(a.left, mapping), subst_assertion(a.right, mapping))
-    if isinstance(a, Or):
-        return Or(subst_assertion(a.left, mapping), subst_assertion(a.right, mapping))
-    if isinstance(a, Star):
-        return Star(subst_assertion(a.left, mapping), subst_assertion(a.right, mapping))
-    if isinstance(a, Exists):
-        inner = {k: v for k, v in mapping.items() if k != a.var}
-        return Exists(a.var, subst_assertion(a.body, inner))
-    if isinstance(a, Res):
-        return Res(
-            a.name,
-            tuple(subst_expr(e, mapping) for e in a.ins),
-            tuple(subst_expr(e, mapping) for e in a.outs),
-        )
-    if isinstance(a, Pred):
-        return Pred(
-            a.name,
-            tuple(subst_expr(e, mapping) for e in a.ins),
-            tuple(subst_expr(e, mapping) for e in a.outs),
-        )
-    raise TypeError(f"not an assertion: {a!r}")
+
+    def leaf(atom, bound):
+        m = mapping
+        if bound and not bound.isdisjoint(m):
+            m = {k: v for k, v in m.items() if k not in bound}
+        return _map_leaf(atom, subst_expr, m)
+
+    return map_atoms(a, leaf)
 
 
 def subst_assertion_pvars(a: Assertion, mapping: dict) -> Assertion:
-    from .syntax import subst_pvars
-
-    if isinstance(a, Bool):
-        return Bool(subst_pvars(a.expr, mapping))
-    if isinstance(a, (TrueA, Emp)):
-        return a
-    if isinstance(a, Implies):
-        return Implies(subst_assertion_pvars(a.left, mapping), subst_assertion_pvars(a.right, mapping))
-    if isinstance(a, Or):
-        return Or(subst_assertion_pvars(a.left, mapping), subst_assertion_pvars(a.right, mapping))
-    if isinstance(a, Star):
-        return Star(subst_assertion_pvars(a.left, mapping), subst_assertion_pvars(a.right, mapping))
-    if isinstance(a, Exists):
-        return Exists(a.var, subst_assertion_pvars(a.body, mapping))
-    if isinstance(a, Res):
-        return Res(
-            a.name,
-            tuple(subst_pvars(e, mapping) for e in a.ins),
-            tuple(subst_pvars(e, mapping) for e in a.outs),
-        )
-    if isinstance(a, Pred):
-        return Pred(
-            a.name,
-            tuple(subst_pvars(e, mapping) for e in a.ins),
-            tuple(subst_pvars(e, mapping) for e in a.outs),
-        )
-    raise TypeError(f"not an assertion: {a!r}")
+    return map_atoms(a, lambda atom, _: _map_leaf(atom, subst_pvars, mapping))
 
 
 def format_assertion(a: Assertion, prec: int = 0) -> str:

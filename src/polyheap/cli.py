@@ -9,8 +9,10 @@ Reports are JSON (deterministic for identical file + configuration); the
 human format is rendered from the same dictionary. Exit codes: 0 success,
 1 verification failure / conformance mismatch, 2 parse or configuration
 error (including a program whose actions or resource atoms do not fit the
-model), 3 faults or bugs found, 4 inconclusive verification, 5 analysis
-unsupported by the model.
+model, and a bound option that gives no bound: a `--bounds-values` item
+that is not a literal, a `--bounds-cells` or `--trials` count below 1, a
+`POLYHEAP_SEED` that is not an integer), 3 faults or bugs found, 4
+inconclusive verification, 5 analysis unsupported by the model.
 """
 
 from __future__ import annotations
@@ -22,26 +24,27 @@ import sys
 
 from . import solver
 from .analyses import Failed, Inconclusive, UnsupportedCapability, biabduct, verify_ox
-from .assertions import Exists, Implies, Or, Res, Star, format_assertion
+from .assertions import Res, atoms, format_assertion
 from .concrete import BudgetExhausted, run_function
 from .conformance import run_conformance
 from .memmodel import Bounds
 from .models import MODEL_NAMES, get_model
 from .outcomes import OK
-from .parser import ParseError, parse_program
+from .parser import ParseError, _Parser, parse_program
 from .quadcheck import _freeze
-from .syntax import Action, IfElse, Lit, Seq
+from .syntax import Action, Lit, basic_cmds
 from .values import value_to_json
 
 
 def _parse_value(text: str):
-    from .parser import _Parser
-
-    p = _Parser(text.strip())
-    e = p.expr()
-    if p.peek().kind != "eof" or not isinstance(e, Lit):
-        raise ValueError(f"not a literal value: {text!r}")
-    return e.value
+    try:
+        p = _Parser(text.strip())
+        e = p.expr()
+        if p.peek().kind == "eof" and isinstance(e, Lit):
+            return e.value
+    except ParseError:
+        pass
+    raise ValueError(f"not a literal value: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,19 +86,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _bounds_from(ns) -> Bounds:
+    """The bounds that the options of `ns` give. ValueError when an option
+    does not give a value domain, a positive count or a seed."""
     kwargs = {}
-    if ns.bounds_values:
+    if ns.bounds_values is not None:
         kwargs["value_domain"] = tuple(_parse_value(v) for v in ns.bounds_values.split(","))
-    if ns.bounds_cells:
+    if ns.bounds_cells is not None:
         kwargs["max_cells"] = ns.bounds_cells
         kwargs["max_addresses"] = max(3, ns.bounds_cells + 1)
-    if ns.trials:
+    if ns.trials is not None:
         kwargs["trials"] = ns.trials
     seed = ns.seed
     if seed is None:
         seed = int(os.environ.get("POLYHEAP_SEED", "0"))
-    kwargs["seed"] = seed
-    return Bounds(**kwargs)
+    return Bounds(seed=seed, **kwargs)
 
 
 def _strip_human(obj):
@@ -127,45 +131,32 @@ def _load(ns):
     has other in/out counts there."""
     bundle = get_model(ns.model)
     prog = parse_program(open(ns.file, encoding="utf-8").read())
-    todo = [f.body for f in reversed(prog.functions.values())]
-    while todo:
-        c = todo.pop()
-        if isinstance(c, Seq):
-            todo += [c.second, c.first]
-        elif isinstance(c, IfElse):
-            todo += [c.els, c.then]
-        elif isinstance(c, Action):
-            if c.name not in bundle.cmm.actions:
-                raise ValueError(f"model {bundle.name} has no action {c.name!r}")
-            n_args = bundle.cmm.actions[c.name][0]
-            if n_args != len(c.args):
-                raise ValueError(
-                    f"action {c.name!r} takes {n_args} argument(s) under model"
-                    f" {bundle.name}, not {len(c.args)}"
-                )
-    todo = [p.body for p in reversed(prog.preds.values())]
-    todo += [a for qs in reversed(prog.specs.values()) for q in reversed(qs)
-             for a in (q.post_err, q.post_ok, q.pre)]
-    while todo:
-        a = todo.pop()
-        if isinstance(a, (Star, Or, Implies)):
-            todo += [a.right, a.left]
-        elif isinstance(a, Exists):
-            todo.append(a.body)
-        elif isinstance(a, Res):
-            if a.name not in bundle.rm.arities:
-                raise ValueError(f"model {bundle.name} has no resource {a.name!r}")
-            n_in, n_out = bundle.rm.arities[a.name]
-            if (n_in, n_out) != (len(a.ins), len(a.outs)):
-                raise ValueError(
-                    f"resource {a.name!r} takes {n_in} in- and {n_out} out-parameter(s)"
-                    f" under model {bundle.name}, not {len(a.ins)} and {len(a.outs)}"
-                )
+    actions = [c for f in prog.functions.values() for c in basic_cmds(f.body)
+               if isinstance(c, Action)]
+    for c in actions:
+        if c.name not in bundle.cmm.actions:
+            raise ValueError(f"model {bundle.name} has no action {c.name!r}")
+        n_args = bundle.cmm.actions[c.name][0]
+        if n_args != len(c.args):
+            raise ValueError(
+                f"action {c.name!r} takes {n_args} argument(s) under model"
+                f" {bundle.name}, not {len(c.args)}"
+            )
+    bodies = [a for qs in prog.specs.values() for q in qs for a in (q.pre, q.post_ok, q.post_err)]
+    bodies += [p.body for p in prog.preds.values()]
+    for a in [a for body in bodies for a, _ in atoms(body) if isinstance(a, Res)]:
+        if a.name not in bundle.rm.arities:
+            raise ValueError(f"model {bundle.name} has no resource {a.name!r}")
+        n_in, n_out = bundle.rm.arities[a.name]
+        if (n_in, n_out) != (len(a.ins), len(a.outs)):
+            raise ValueError(
+                f"resource {a.name!r} takes {n_in} in- and {n_out} out-parameter(s)"
+                f" under model {bundle.name}, not {len(a.ins)} and {len(a.outs)}"
+            )
     return bundle, prog
 
 
-def cmd_run(ns) -> int:
-    bounds = _bounds_from(ns)
+def cmd_run(ns, bounds: Bounds) -> int:
     try:
         bundle, prog = _load(ns)
         args = tuple(_parse_value(a) for a in ns.args)
@@ -203,8 +194,7 @@ def cmd_run(ns) -> int:
     return 0 if all_ok else 3
 
 
-def cmd_verify(ns) -> int:
-    bounds = _bounds_from(ns)
+def cmd_verify(ns, bounds: Bounds) -> int:
     try:
         bundle, prog = _load(ns)
     except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
@@ -250,8 +240,7 @@ def cmd_verify(ns) -> int:
     return 0
 
 
-def cmd_findbugs(ns) -> int:
-    bounds = _bounds_from(ns)
+def cmd_findbugs(ns, bounds: Bounds) -> int:
     try:
         bundle, prog = _load(ns)
     except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
@@ -302,8 +291,7 @@ def cmd_findbugs(ns) -> int:
     return 3 if bug_count else 0
 
 
-def cmd_checkmodel(ns) -> int:
-    bounds = _bounds_from(ns)
+def cmd_checkmodel(ns, bounds: Bounds) -> int:
     try:
         bundle = get_model(ns.model_name)
     except (KeyError, NotImplementedError) as exc:
@@ -370,18 +358,23 @@ def _report(ns, command, items, bounds: Bounds, model=None, **extra) -> dict:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    try:
+        bounds = _bounds_from(ns)
+    except ValueError as exc:
+        print(f"error: bad bound option: {exc}", file=sys.stderr)
+        return 2
     if ns.solver == "smtlib-dump":
         out_dir = ns.smtlib_out or "smtlib-out"
         solver.enable_smtlib_dump(out_dir)
     try:
         if ns.command == "run":
-            return cmd_run(ns)
+            return cmd_run(ns, bounds)
         if ns.command == "verify":
-            return cmd_verify(ns)
+            return cmd_verify(ns, bounds)
         if ns.command == "find-bugs":
-            return cmd_findbugs(ns)
+            return cmd_findbugs(ns, bounds)
         if ns.command == "check-model":
-            return cmd_checkmodel(ns)
+            return cmd_checkmodel(ns, bounds)
         raise AssertionError(ns.command)
     except RecursionError:
         print("error: program nests too deeply", file=sys.stderr)

@@ -148,6 +148,10 @@ class Branch:
     fixes: tuple = ()  # assertions produced bi-abductively along this path
 
 
+# bi-abductive fixes a UX path may apply in a row at one action
+MAX_FIXES = 4
+
+
 @dataclass
 class EngineContext:
     mode: Mode
@@ -157,11 +161,6 @@ class EngineContext:
     bounds: Bounds
     budget: int = 64
     fixing: bool = False
-    max_fixes: int = 4
-    # entailment checks during consumption default to the path-condition
-    # level; the full-state level additionally consults bounded models of
-    # the whole symbolic state
-    full_state_entails: bool = False
     trace: list = None
     _fresh_counter: int = 0
 
@@ -200,15 +199,7 @@ class EngineContext:
         return verdict is not UNSAT
 
     def implied(self, state: SymbolicState, e: Expr) -> bool:
-        if entails(state.pc, e, self.bounds) is Entail.YES:
-            return True
-        if self.full_state_entails:
-            models = models_of(state, self.bundle, self.preds, self.bounds)
-            if models and all(
-                eval_lexpr(e, theta, {}) is TRUE for theta, _ in models
-            ):
-                return True
-        return False
+        return entails(state.pc, e, self.bounds) is Entail.YES
 
     def pure_holds(self, state: SymbolicState, e: Expr):
         """consume of a boolean assertion: [state'] on success, [] on a
@@ -233,7 +224,7 @@ def sym_eval(e: Expr, store: dict) -> Expr:
     return subst_pvars(e, store)
 
 
-def _guards(state: SymbolicState, exprs) -> list:
+def _guards(exprs) -> list:
     return [InVal(e) for e in exprs]
 
 
@@ -269,7 +260,7 @@ def sym_exec(ctx: EngineContext, oracle: Oracle, state: SymbolicState, cmd: Cmd)
 def _exec_assign(ctx, oracle, state, cmd: Assign):
     e = sym_eval(cmd.expr, state.store)
     out = []
-    ok_guards = _guards(state, [state.store[cmd.var]]) if cmd.var in state.store else []
+    ok_guards = _guards([state.store[cmd.var]]) if cmd.var in state.store else []
     st_ok = state.with_(store={**state.store, cmd.var: e}).extend_pc(ok_guards)
     if ctx.keep_path(st_ok):
         ctx.note("assign", OK, ok_guards)
@@ -312,7 +303,7 @@ def _exec_action(ctx, oracle, state, cmd: Action, fix_depth: int = 0):
     for o, mem2, pc_frag, outs in smm.exec_action(state.mem, cmd.name, tuple(args), ctx.fresh):
         if o is OK:
             if len(outs) != len(cmd.targets):
-                guards = _guards(state, args) + _guards(state, outs)
+                guards = _guards(args) + _guards(outs)
                 st = state.with_(
                     store={**state.store, "err": Lit("ActionArgsLength")}, mem=mem2
                 ).extend_pc(list(pc_frag) + guards)
@@ -321,9 +312,9 @@ def _exec_action(ctx, oracle, state, cmd: Action, fix_depth: int = 0):
                     out.append(Branch(ERR, oracle, st))
                 continue
             guards = (
-                _guards(state, [state.store[x] for x in cmd.targets if x in state.store])
-                + _guards(state, args)
-                + _guards(state, outs)
+                _guards([state.store[x] for x in cmd.targets if x in state.store])
+                + _guards(args)
+                + _guards(outs)
             )
             st = state.with_(
                 store={**state.store, **dict(zip(cmd.targets, outs))}, mem=mem2
@@ -332,13 +323,13 @@ def _exec_action(ctx, oracle, state, cmd: Action, fix_depth: int = 0):
                 ctx.note("action", OK, pc_frag)
                 out.append(Branch(OK, oracle, st))
         else:
-            guards = _guards(state, args)
+            guards = _guards(args)
             st = state.with_(
                 store={**state.store, "err": LstE(tuple(outs))}, mem=mem2
             ).extend_pc(list(pc_frag) + guards)
             if not ctx.keep_path(st):
                 continue
-            if ctx.fixing and o in (MISS, ABORT) and fix_depth < ctx.max_fixes:
+            if ctx.fixing and o in (MISS, ABORT) and fix_depth < MAX_FIXES:
                 fixed = _fix_and_retry(ctx, oracle, state, cmd, st, outs, fix_depth)
                 if fixed is not None:
                     out.extend(fixed)
@@ -391,7 +382,7 @@ def _exec_call(ctx, oracle, state, cmd: FunCall):
     args = [sym_eval(a, state.store) for a in cmd.args]
     param_map, spatial_pre = split_external_pre(q.pre, q.params)
     subst = {param_map[x]: e for x, e in zip(q.params, args)}
-    st0 = state.extend_pc(_guards(state, args))
+    st0 = state.extend_pc(_guards(args))
     if not ctx.keep_path(st0):
         return []
     out = []
@@ -424,7 +415,7 @@ def _call_post(ctx, oracle, state, subst, target_var, post_var, post, outcome):
         return [Branch(ABORT, oracle, state, reason=(Lit("ProduceFailed"), Lit(str(exc))))]
     out = []
     for st2 in produced:
-        guards = _guards(st2, [st2.store[target_var]]) if target_var in st2.store else []
+        guards = _guards([st2.store[target_var]]) if target_var in st2.store else []
         st3 = st2.with_(store={**st2.store, target_var: sym}).extend_pc(guards)
         if ctx.keep_path(st3):
             ctx.note(f"call-{outcome.value}", outcome, ())
@@ -441,7 +432,7 @@ def _exec_fold(ctx, oracle, state, cmd: Fold):
     if len(cmd.args) != len(d.ins):
         return [Branch(ABORT, oracle, state, reason=(Lit("PredArity"), Lit(cmd.pred)))]
     args = [sym_eval(a, state.store) for a in cmd.args]
-    st0 = state.extend_pc(_guards(state, args))
+    st0 = state.extend_pc(_guards(args))
     if not ctx.keep_path(st0):
         return []
     from .assertions import disjuncts
@@ -456,7 +447,7 @@ def _exec_fold(ctx, oracle, state, cmd: Fold):
             continue
         outs = tuple(subst2[x] for x in d.outs)
         inst = PredInstance(cmd.pred, tuple(args), outs)
-        st3 = st2.with_(preds=st2.preds + (inst,)).extend_pc(_guards(st2, outs))
+        st3 = st2.with_(preds=st2.preds + (inst,)).extend_pc(_guards(outs))
         if ctx.keep_path(st3):
             ctx.note("fold", OK, ())
             out.append(Branch(OK, oracle2, st3))
@@ -470,7 +461,7 @@ def _exec_unfold(ctx, oracle, state, cmd: Unfold):
         return [Branch(ABORT, oracle, state, reason=(Lit("UnknownPredicate"), Lit(cmd.pred)))]
     d = ctx.preds[cmd.pred]
     args = [sym_eval(a, state.store) for a in cmd.args]
-    st0 = state.extend_pc(_guards(state, args))
+    st0 = state.extend_pc(_guards(args))
     if not ctx.keep_path(st0):
         return []
     candidates = sorted(
@@ -787,7 +778,7 @@ def models_of(
 
     lvars = sorted(state.lvars(bundle.smm) | set(extra_lvars))
     domain = enumeration_domain(state.pc, bounds)
-    for v in _state_values(state, bundle.smm):
+    for v in _state_values(state):
         if v not in domain:
             domain.append(v)
     from .values import value_key
@@ -822,7 +813,7 @@ def models_under(theta, state: SymbolicState, bundle, preds, bounds) -> list:
     return out
 
 
-def _state_values(state: SymbolicState, smm):
+def _state_values(state: SymbolicState):
     out = set()
     for e in state.store.values():
         _literals_in(e, out)

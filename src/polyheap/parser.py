@@ -7,6 +7,10 @@
                    "requires" ":" assertion ";"
                    ["ensures_ok" ":" assertion ";"] ["ensures_err" ":" assertion ";"] "}"
 
+Expressions, loosest first: `or`; `and`; `<=`, `<`, `=` and the postfix
+`e in Val` / `e in Nat` (a type keyword); `+`, `-`; `/`; prefix `not`.
+Binary operators associate to the left.
+
 Commands: skip, x := e, if (e) { .. } else { .. }, x := f(e, ..),
 x, y := act(e, ..), act(e, ..), fold p(le, ..), unfold p(le, ..).
 Logical variables are written #name; rational literals with a q suffix
@@ -39,6 +43,7 @@ from .assertions import (
     Star,
     TrueA,
     format_assertion,
+    map_atoms,
 )
 from .syntax import (
     Action,
@@ -58,12 +63,15 @@ from .syntax import (
     LVar,
     Not,
     PVar,
+    RESERVED_VARS,
     Seq,
     Skip,
     TYPE_OF_KEYWORD,
     Unfold,
     format_cmd,
     format_expr,
+    prog_vars,
+    pv_expr,
 )
 from .values import NIL, TRUE, FALSE, Rat
 
@@ -96,6 +104,10 @@ KEYWORDS = {
     "and", "or", "not", "in", "nil", "true", "false",
     "SL", "ISL", "ESL", "Val", "Nil", "Bool", "Nat", "Rat", "Str", "List",
 }
+
+# binary operators by precedence level, loosest first
+_BINARY = (("or",), ("and",), ("<=", "<", "="), ("+", "-"), ("/",))
+_CMP_LEVEL = 2  # where the postfix `e in T` binds
 
 
 @dataclass
@@ -198,38 +210,20 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> Expr:
-        return self._or()
+        return self._binary(0)
 
-    def _or(self) -> Expr:
-        e = self._and()
-        while self.at("or"):
-            save = self.pos
-            self.next()
-            try:
-                rhs = self._and()
-            except ParseError:
-                self.pos = save
-                break
-            e = Bin("or", e, rhs)
-        return e
-
-    def _and(self) -> Expr:
-        e = self._cmp()
-        while self.at("and"):
-            save = self.pos
-            self.next()
-            try:
-                rhs = self._cmp()
-            except ParseError:
-                self.pos = save
-                break
-            e = Bin("and", e, rhs)
-        return e
-
-    def _cmp(self) -> Expr:
-        e = self._add()
+    def _binary(self, level: int) -> Expr:
+        """Operands joined left to right by the operators of `_BINARY[level]`,
+        each parsed at the next tighter level. An operator whose right
+        operand does not parse is left unread."""
+        if level == len(_BINARY):
+            return self._unary()
+        ops = _BINARY[level]
+        e = self._binary(level + 1)
         while True:
-            if self.at("in"):
+            # only sym and kw tokens can have an operator's text
+            t = self.tokens[self.pos]
+            if t.text == "in" and level == _CMP_LEVEL:
                 self.next()
                 t = self.peek()
                 if t.text == "Val":
@@ -241,51 +235,16 @@ class _Parser:
                 else:
                     self.error("expected a type after 'in'", {"Val", *TYPE_OF_KEYWORD})
                 continue
-            op = None
-            for candidate in ("<=", "<", "="):
-                if self.at(candidate):
-                    op = candidate
-                    break
-            if op is None:
+            if t.text not in ops:
                 return e
             save = self.pos
             self.next()
             try:
-                rhs = self._add()
+                rhs = self._binary(level + 1)
             except ParseError:
                 self.pos = save
                 return e
-            e = Bin(op, e, rhs)
-
-    def _add(self) -> Expr:
-        e = self._mul()
-        while True:
-            op = "+" if self.at("+") else "-" if self.at("-") else None
-            if op is None:
-                return e
-            save = self.pos
-            self.next()
-            try:
-                rhs = self._mul()
-            except ParseError:
-                self.pos = save
-                return e
-            e = Bin(op, e, rhs)
-
-    def _mul(self) -> Expr:
-        e = self._unary()
-        while True:
-            op = "/" if self.at("/") else None
-            if op is None:
-                return e
-            save = self.pos
-            self.next()
-            try:
-                rhs = self._unary()
-            except ParseError:
-                self.pos = save
-                return e
-            e = Bin(op, e, rhs)
+            e = Bin(t.text, e, rhs)
 
     def _unary(self) -> Expr:
         if self.at("not"):
@@ -323,15 +282,8 @@ class _Parser:
                 self.error("expected an expression", {"expression"})
             self.next()
             return PVar(t.text)
-        if self.at("["):
-            self.next()
-            items = []
-            if not self.at("]"):
-                items.append(self.expr())
-                while self.accept(","):
-                    items.append(self.expr())
-            self.expect("]")
-            return LstE(tuple(items))
+        if self.accept("["):
+            return LstE(tuple(self._list(self.expr, "]")))
         if self.at("("):
             self.next()
             e = self.expr()
@@ -374,16 +326,9 @@ class _Parser:
             return TrueA()
         if self.at("exists"):
             self.next()
-            names = []
-            tok = self.peek()
-            if tok.kind != "lvar":
-                self.error("expected a logical variable", {"#name"})
-            names.append(self.next().text[1:])
+            names = [self._binder()]
             while self.accept(","):
-                tok = self.peek()
-                if tok.kind != "lvar":
-                    self.error("expected a logical variable", {"#name"})
-                names.append(self.next().text[1:])
+                names.append(self._binder())
             self.expect(".")
             # the binder extends as far right as possible
             body = self.assertion()
@@ -413,6 +358,11 @@ class _Parser:
             self.expect(")")
             return a
         self.error("expected an assertion", {"assertion"})
+
+    def _binder(self) -> str:
+        if self.peek().kind != "lvar":
+            self.error("expected a logical variable", {"#name"})
+        return self.next().text[1:]
 
     def _atom_params(self):
         ins, outs = [], []
@@ -471,13 +421,7 @@ class _Parser:
             ctor = Fold if self.next().text == "fold" else Unfold
             name = self.ident()
             self.expect("(")
-            args = []
-            if not self.at(")"):
-                args.append(self.expr())
-                while self.accept(","):
-                    args.append(self.expr())
-            self.expect(")")
-            return ctor(name, tuple(args))
+            return ctor(name, tuple(self._list(self.expr, ")")))
         t = self.peek()
         if t.kind != "id":
             self.error("expected a command", {"skip", "if", "fold", "unfold", "identifier"})
@@ -485,34 +429,27 @@ class _Parser:
         if self.peek(1).text == "(":
             name = self.next().text
             self.next()
-            args = self._call_args()
-            return Action((), name, tuple(args))
+            return Action((), name, tuple(self._list(self.expr, ")")))
         targets = [self.next().text]
-        while self.at(","):
-            self.next()
+        while self.accept(","):
             targets.append(self.ident())
         self.expect(":=")
-        if len(targets) == 1:
-            if self.peek().kind == "id" and self.peek(1).text == "(":
-                name = self.next().text
-                self.next()
-                args = self._call_args()
-                # funcall vs action resolved once declared functions are known
-                return Action(tuple(targets), name, tuple(args))
+        if len(targets) == 1 and not (self.peek().kind == "id" and self.peek(1).text == "("):
             return Assign(targets[0], self.expr())
+        # funcall vs action resolved once declared functions are known
         name = self.ident()
         self.expect("(")
-        args = self._call_args()
-        return Action(tuple(targets), name, tuple(args))
+        return Action(tuple(targets), name, tuple(self._list(self.expr, ")")))
 
-    def _call_args(self):
-        args = []
-        if not self.at(")"):
-            args.append(self.expr())
+    def _list(self, item, close: str) -> list:
+        """`item ("," item)*`, possibly empty, then the `close` token."""
+        items = []
+        if not self.at(close):
+            items.append(item())
             while self.accept(","):
-                args.append(self.expr())
-        self.expect(")")
-        return args
+                items.append(item())
+        self.expect(close)
+        return items
 
     # -- top level ----------------------------------------------------------
 
@@ -547,12 +484,7 @@ class _Parser:
         self.expect("func")
         fid = self.ident()
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            params.append(self.ident())
-            while self.accept(","):
-                params.append(self.ident())
-        self.expect(")")
+        params = self._list(self.ident, ")")
         self.expect("{")
         body = self.command_seq("return")
         self.expect(";")
@@ -563,8 +495,6 @@ class _Parser:
             f = FunctionDef(fid, tuple(params), body, ret)
         except ValueError as exc:
             raise ParseError(str(exc), start.line, start.col) from exc
-        from .syntax import RESERVED_VARS, prog_vars, pv_expr
-
         used = set(f.params) | prog_vars(f.body) | pv_expr(f.ret)
         reserved = used & set(RESERVED_VARS)
         if reserved:
@@ -607,12 +537,7 @@ class _Parser:
         flavor = self.next().text
         fid = self.ident()
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            params.append(self.ident())
-            while self.accept(","):
-                params.append(self.ident())
-        self.expect(")")
+        params = self._list(self.ident, ")")
         self.expect("{")
         self.expect("requires")
         self.expect(":")
@@ -652,18 +577,13 @@ def _resolve(prog: ParsedProgram):
             return IfElse(c.cond, fix_cmd(c.then), fix_cmd(c.els))
         return c
 
-    def fix_assertion(a: Assertion) -> Assertion:
+    def fix_atom(a: Assertion, _bound) -> Assertion:
         if isinstance(a, Res) and a.name in prog.preds:
             return Pred(a.name, a.ins, a.outs)
-        if isinstance(a, Star):
-            return Star(fix_assertion(a.left), fix_assertion(a.right))
-        if isinstance(a, Or):
-            return Or(fix_assertion(a.left), fix_assertion(a.right))
-        if isinstance(a, Implies):
-            return Implies(fix_assertion(a.left), fix_assertion(a.right))
-        if isinstance(a, Exists):
-            return Exists(a.var, fix_assertion(a.body))
         return a
+
+    def fix_assertion(a: Assertion) -> Assertion:
+        return map_atoms(a, fix_atom)
 
     for fid, f in list(prog.functions.items()):
         prog.functions[fid] = FunctionDef(f.fid, f.params, fix_cmd(f.body), f.ret)

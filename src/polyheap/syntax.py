@@ -203,39 +203,31 @@ def lv_expr(e: Expr) -> frozenset:
     return expr_vars(e, LVar)
 
 
+def _subst(e: Expr, mapping: dict, var_type: type) -> Expr:
+    if isinstance(e, var_type):
+        return mapping.get(e.name, e)
+    if isinstance(e, Not):
+        return Not(_subst(e.arg, mapping, var_type))
+    if isinstance(e, Bin):
+        return Bin(e.op, _subst(e.left, mapping, var_type), _subst(e.right, mapping, var_type))
+    if isinstance(e, InVal):
+        return InVal(_subst(e.arg, mapping, var_type))
+    if isinstance(e, InType):
+        return InType(_subst(e.arg, mapping, var_type), e.tau)
+    if isinstance(e, LstE):
+        return LstE(tuple(_subst(i, mapping, var_type) for i in e.items))
+    return e
+
+
 def subst_expr(e: Expr, mapping: dict) -> Expr:
     """Substitute logical variables by expressions (capture is not an issue:
     expressions bind nothing)."""
-    if isinstance(e, LVar):
-        return mapping.get(e.name, e)
-    if isinstance(e, Not):
-        return Not(subst_expr(e.arg, mapping))
-    if isinstance(e, Bin):
-        return Bin(e.op, subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-    if isinstance(e, InVal):
-        return InVal(subst_expr(e.arg, mapping))
-    if isinstance(e, InType):
-        return InType(subst_expr(e.arg, mapping), e.tau)
-    if isinstance(e, LstE):
-        return LstE(tuple(subst_expr(i, mapping) for i in e.items))
-    return e
+    return _subst(e, mapping, LVar)
 
 
 def subst_pvars(e: Expr, mapping: dict) -> Expr:
     """Substitute program variables by expressions."""
-    if isinstance(e, PVar):
-        return mapping.get(e.name, e)
-    if isinstance(e, Not):
-        return Not(subst_pvars(e.arg, mapping))
-    if isinstance(e, Bin):
-        return Bin(e.op, subst_pvars(e.left, mapping), subst_pvars(e.right, mapping))
-    if isinstance(e, InVal):
-        return InVal(subst_pvars(e.arg, mapping))
-    if isinstance(e, InType):
-        return InType(subst_pvars(e.arg, mapping), e.tau)
-    if isinstance(e, LstE):
-        return LstE(tuple(subst_pvars(i, mapping) for i in e.items))
-    return e
+    return _subst(e, mapping, PVar)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +317,21 @@ def prog_vars(c: Cmd) -> frozenset:
     raise TypeError(f"not a command: {c!r}")
 
 
+def basic_cmds(c: Cmd):
+    """The commands of `c` other than `Seq` and `IfElse`, in program order."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Seq):
+            stack += (c.second, c.first)
+        elif isinstance(c, IfElse):
+            stack += (c.els, c.then)
+        else:
+            yield c
+
+
 def called_fids(c: Cmd) -> frozenset:
-    if isinstance(c, FunCall):
-        return frozenset({c.fid})
-    if isinstance(c, IfElse):
-        return called_fids(c.then) | called_fids(c.els)
-    if isinstance(c, Seq):
-        return called_fids(c.first) | called_fids(c.second)
-    return frozenset()
+    return frozenset(b.fid for b in basic_cmds(c) if isinstance(b, FunCall))
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,42 @@ def test_env_seed_fallback():
     assert json.loads(p.stdout)["seed"] == 11
 
 
+_EVERY_COMMAND = (
+    ("run", prog("verify_suite.ph"), "identity", "7"),
+    ("verify", prog("swap.ph")),
+    ("find-bugs", prog("bugs.ph")),
+    ("check-model", "frac"),
+)
+
+
+@pytest.mark.parametrize(
+    "options, env",
+    [
+        (("--bounds-values", "1,("), None),
+        (("--bounds-values", "foo"), None),
+        (("--bounds-cells", "-1"), None),
+        (("--bounds-cells", "0"), None),
+        (("--trials", "-3"), None),
+        (("--trials", "0"), None),
+        ((), "abc"),
+    ],
+    ids=["values-unclosed", "values-not-literal", "cells-negative", "cells-zero",
+         "trials-negative", "trials-zero", "env-seed-not-int"],
+)
+def test_bad_bound_option_exit_two(options, env, monkeypatch, capsys):
+    """A bound option that gives no bound is a configuration error under
+    every command: exit 2 and one error line, before any work."""
+    from polyheap.cli import main
+
+    if env is not None:
+        monkeypatch.setenv("POLYHEAP_SEED", env)
+    for argv in _EVERY_COMMAND:
+        assert main([*argv, *options]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad bound option: ") and err.count("\n") == 1
+
+
 def test_smtlib_dump(tmp_path):
     out = tmp_path / "dumps"
     p = run_cli(

@@ -200,9 +200,8 @@ def test_models_of_examples(ctx):
     assert models_of(st3, ctx.bundle, ctx.preds, ctx.bounds) == []
 
 
-def test_full_state_entailment_toggle(ctx):
-    """Path-condition-level entailment cannot use memory knowledge; the
-    full-state level can."""
+def test_entailment_reads_only_the_path_condition(ctx):
+    """Entailment during consumption cannot use memory knowledge."""
     from polyheap.engine import consume
     from polyheap.assertions import Bool
 
@@ -211,11 +210,6 @@ def test_full_state_entailment_toggle(ctx):
     goal = Bool(InVal(v))
     [(o1, *_)] = consume(ctx, O, goal, {"v": v}, st)
     assert o1 is ABORT  # pc alone does not know v denotes a value
-    ctx.full_state_entails = True
-    bounds = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3)
-    ctx.bounds = bounds
-    [(o2, *_)] = consume(ctx, O, goal, {"v": v}, st)
-    assert o2 is OK
 
 
 def test_fold_picks_disjunct_by_oracle(ctx):

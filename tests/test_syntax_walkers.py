@@ -160,8 +160,10 @@ _MAPPINGS = st.dictionaries(st.sampled_from(_NAMES), _EXPRS, max_size=3)
 
 
 def _same(got, want):
+    assert type(got) is type(want)
     assert got == want
-    assert repr(got) == repr(want)
+    if not isinstance(got, frozenset):  # a set's order follows its history
+        assert repr(got) == repr(want)
 
 
 @given(_EXPRS, _MAPPINGS)
