@@ -31,6 +31,7 @@ from .assertions import (
     normalize,
     split_external_pre,
     star_all,
+    star_conjuncts,
     subst_assertion_pvars,
 )
 from .concrete import ConcreteState, run
@@ -42,12 +43,15 @@ from .engine import (
     SymbolicState,
     consume,
     models_of,
+    models_under,
     produce,
+    sym_eval,
     sym_exec,
 )
 from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
-from .outcomes import ABORT, ERR, MISS, OK
+from .outcomes import ABORT, ERR, MISS, OK, Outcome
+from .quadcheck import check_quadruple_bounded
 from .satisfaction import DepthExceeded, heap_models
 from .solver import Sat, UNSAT, check_sat
 from .syntax import (
@@ -65,6 +69,7 @@ from .syntax import (
     lv_expr,
     prog_vars,
 )
+from .values import is_nat, value_key
 
 
 class UnsupportedCapability(Exception):
@@ -145,11 +150,7 @@ def verify_ox(
 
     mode = Mode.EX if q.flavor == "ESL" else Mode.OX
     param_map, spatial_pre = split_external_pre(q.pre, q.params)
-    store = {x: LVar(param_map[x]) for x in q.params}
-    for z in f.locals():
-        store[z] = NIL_E
-    seed_pc = [InVal(LVar(param_map[x])) for x in q.params]
-    state0 = SymbolicState(store, bundle.smm.empty, (), tuple(seed_pc))
+    state0 = _entry_state(f, param_map, bundle.smm)
 
     # search over angelic choice prefixes; most verifications need none.
     # A later prefix that answers every read of an earlier run alike would
@@ -163,9 +164,7 @@ def verify_ox(
     for oracle in oracles:
         if any(oracle.replays(prev) for prev in done):
             continue
-        verdict = _verify_once(
-            gamma, specs2, f, q, bundle, preds, bounds, mode, param_map, spatial_pre, state0, oracle
-        )
+        verdict = _verify_once(specs2, f, q, bundle, preds, bounds, mode, spatial_pre, state0, oracle)
         if isinstance(verdict, Verified):
             return verdict
         if best is None or isinstance(best, Failed) and isinstance(verdict, Inconclusive):
@@ -174,7 +173,25 @@ def verify_ox(
     return best if best is not None else Inconclusive("no oracle explored")
 
 
-def _verify_once(gamma, specs, f, q, bundle, preds, bounds, mode, param_map, spatial_pre, state0, oracle):
+def _entry_state(f, lvar_of, smm) -> SymbolicState:
+    """The state the body of `f` starts from: each parameter `x` holds the
+    logical variable `lvar_of[x]`, a value, and each local holds nil."""
+    store = {x: LVar(lvar_of[x]) for x in f.params}
+    for z in f.locals():
+        store[z] = NIL_E
+    pc = tuple(InVal(LVar(lvar_of[x])) for x in f.params)
+    return SymbolicState(store, smm.empty, (), pc)
+
+
+def _ret_states(f, state):
+    """(ret, ok_state, err_state) at the end of a body that finished with
+    `state`: its return expression, and the state narrowed to the return
+    value being a value or failing to evaluate."""
+    ret = sym_eval(f.ret, state.store)
+    return ret, state.extend_pc([InVal(ret)]), state.extend_pc([Not(InVal(ret))])
+
+
+def _verify_once(specs, f, q, bundle, preds, bounds, mode, spatial_pre, state0, oracle):
     ctx = EngineContext(mode, specs, bundle, preds, bounds)
     ctx.seed_fresh(state0)
     subst = {x: LVar(x) for x in lv_assertion(q.pre)}
@@ -217,30 +234,23 @@ def _verify_branch(ctx, f, q, subst, br: Branch, failing, unknown):
         classify(br.state, f"missing resource: {_fmt_reason(br.reason)}", MISS)
         return
     if br.outcome is OK:
-        from .engine import sym_eval
-
-        ret = sym_eval(f.ret, br.state.store)
-        ok_state = br.state.extend_pc([InVal(ret)])
+        ret, ok_state, err_state = _ret_states(f, br.state)
         if check_sat(ok_state.pc, ctx.bounds) is not UNSAT:
             post = subst_assertion_pvars(q.post_ok, {"ret": ret})
             subst2 = {**subst, **{x: LVar(x) for x in lv_expr(ret) if x not in subst}}
-            _consume_post(ctx, br.oracle, post, subst2, ok_state, "ok", classify)
-        err_state = br.state.extend_pc([Not(InVal(ret))])
+            _consume_post(ctx, br.oracle, post, subst2, ok_state, OK, classify)
         if check_sat(err_state.pc, ctx.bounds) is not UNSAT:
             post = subst_assertion_pvars(q.post_err, {"err": Lit("ExprEval")})
-            _consume_post(ctx, br.oracle, post, subst, err_state, "err", classify)
+            _consume_post(ctx, br.oracle, post, subst, err_state, ERR, classify)
         return
     # ERR branch: the error payload sits in the store
     payload = br.state.store.get("err", Lit("Unknown"))
     post = subst_assertion_pvars(q.post_err, {"err": payload})
     subst2 = {**subst, **{x: LVar(x) for x in lv_expr(payload) if x not in subst}}
-    _consume_post(ctx, br.oracle, post, subst2, br.state, "err", classify)
+    _consume_post(ctx, br.oracle, post, subst2, br.state, ERR, classify)
 
 
-def _consume_post(ctx, oracle, post, subst, state, outcome_name, classify):
-    from .outcomes import Outcome
-
-    outcome = Outcome(outcome_name) if outcome_name in ("ok", "err") else OK
+def _consume_post(ctx, oracle, post, subst, state, outcome: Outcome, classify):
     results = consume(ctx, oracle, post, subst, state)
     for o, _, _, st, reason in results:
         # failure models live in the branch state (full memory) under the
@@ -319,11 +329,7 @@ def biabduct(
         gamma2 = ImplContext({**gamma})
         gamma2[fid] = f
 
-    store = {x: LVar(x) for x in f.params}
-    for z in f.locals():
-        store[z] = NIL_E
-    seed_pc = [InVal(LVar(x)) for x in f.params]
-    state0 = SymbolicState(store, bundle.smm.empty, (), tuple(seed_pc))
+    state0 = _entry_state(f, {x: x for x in f.params}, bundle.smm)
     ctx = EngineContext(Mode.UX, specs, bundle, preds, bounds, budget=budget, fixing=True)
     ctx.seed_fresh(state0)
 
@@ -352,15 +358,11 @@ def _branch_reports(ctx, gamma, f, state0, br: Branch, bounds, validate):
         ]
     out = []
     if br.outcome is OK:
-        from .engine import sym_eval
-
-        ret = sym_eval(f.ret, br.state.store)
-        ok_state = br.state.extend_pc([InVal(ret)])
+        ret, ok_state, err_state = _ret_states(f, br.state)
         if isinstance(check_sat(ok_state.pc, ctx.bounds), Sat):
             out.append(
                 _make_report(ctx, gamma, f, state0, ok_state, br, OK, Bool(eq(PVar("ret"), ret)), bounds, validate)
             )
-        err_state = br.state.extend_pc([Not(InVal(ret))])
         if isinstance(check_sat(err_state.pc, ctx.bounds), Sat):
             err_state = err_state.with_(store={**err_state.store, "err": Lit("ExprEval")})
             out.append(
@@ -402,8 +404,6 @@ def _make_report(ctx, gamma, f, state0, final_state, br: Branch, outcome, bindin
     )
     report.replayed = _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds)
     if validate:
-        from .quadcheck import check_quadruple_bounded
-
         try:
             verdict = check_quadruple_bounded(gamma, quad, bounds, ctx.bundle, ctx.preds)
             report.quadruple_verdict = type(verdict).__name__
@@ -416,10 +416,6 @@ def _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds) -> bool:
     """Soundness replay: every bounded model of the final state is
     concretely reachable from an initial model extended with anti-heap
     resources."""
-    from .engine import models_under
-    from .assertions import star_conjuncts
-    from .values import is_nat, value_key
-
     bundle = ctx.bundle
     initial = state0.with_(pc=final_state.pc)
     models = models_of(final_state, bundle, ctx.preds, bounds)
@@ -455,9 +451,9 @@ def _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds) -> bool:
                     budget=ctx.budget, max_addresses=bounds.max_addresses,
                 )
                 for o, st in results:
-                    if o is not outcome:
-                        continue
-                    if _state_matches(st, target, outcome):
+                    if o is outcome and st.mem == target.mem and all(
+                        st.store.get(x) == v for x, v in target.store.items()
+                    ):
                         matched = True
                         break
                 if matched:
@@ -465,14 +461,5 @@ def _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds) -> bool:
             if matched:
                 break
         if not matched:
-            return False
-    return True
-
-
-def _state_matches(got: ConcreteState, want: ConcreteState, outcome) -> bool:
-    if got.mem != want.mem:
-        return False
-    for x, v in want.store.items():
-        if got.store.get(x) != v:
             return False
     return True

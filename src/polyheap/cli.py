@@ -6,13 +6,16 @@
     polyheap check-model MODEL            conformance matrix for a model
 
 Reports are JSON (deterministic for identical file + configuration); the
-human format is rendered from the same dictionary. Exit codes: 0 success,
-1 verification failure / conformance mismatch, 2 parse or configuration
-error (including a program whose actions or resource atoms do not fit the
-model, and a bound option that gives no bound: a `--bounds-values` item
-that is not a literal, a `--bounds-cells` or `--trials` count below 1, a
-`POLYHEAP_SEED` that is not an integer), 3 faults or bugs found, 4
-inconclusive verification, 5 analysis unsupported by the model.
+human format is rendered from the same dictionary. `--smtlib-out DIR`
+writes each path condition the solver checks to DIR as an SMT-LIB file.
+Exit codes: 0 success, 1 verification failure / conformance mismatch, 2
+parse or configuration error (including a program whose actions or
+resource atoms do not fit the model, a `--smtlib-out` directory that
+cannot be made, and a bound option that gives no bound: a
+`--bounds-values` item that is not a literal, a `--bounds-cells` or
+`--trials` count below 1, a `POLYHEAP_SEED` that is not an integer), 3
+faults or bugs found, 4 inconclusive verification, 5 analysis unsupported
+by the model.
 """
 
 from __future__ import annotations
@@ -53,14 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--model", default="linear", help=f"memory model ({', '.join(MODEL_NAMES)})")
-        p.add_argument("--mode", choices=("ox", "ux", "ex"), default=None)
         p.add_argument("--bounds-values", default=None, help="comma-separated literal values")
         p.add_argument("--bounds-cells", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=32)
-        p.add_argument("--solver", choices=("builtin", "smtlib-dump"), default="builtin")
-        p.add_argument("--smtlib-out", default=None, metavar="DIR")
+        p.add_argument("--smtlib-out", default=None, metavar="DIR",
+                       help="write each path condition the solver checks to DIR as SMT-LIB")
         p.add_argument("--format", choices=("json", "human"), default="human")
 
     p_run = sub.add_parser("run", help="run a function concretely")
@@ -80,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-model", help="conformance matrix for a model")
     p_check.add_argument("model_name")
-    p_check.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     common(p_check)
     return ap
 
@@ -124,13 +125,17 @@ def _render_human(report: dict) -> str:
 
 
 def _load(ns):
-    """The model and the parsed program of `ns`. ValueError when an action
-    of the program is not in the model's `actions` table, or takes another
-    number of arguments there, or when a resource atom of a specification
-    or predicate body is not in the resource model's `arities` table, or
-    has other in/out counts there."""
+    """The model and the parsed program of `ns` (no program under
+    check-model); under run, `ns.args` become values. ValueError when an
+    action of the program is not in the model's `actions` table, or takes
+    another number of arguments there, or when a resource atom of a
+    specification or predicate body is not in the resource model's
+    `arities` table, or has other in/out counts there."""
+    if ns.command == "check-model":
+        return get_model(ns.model_name), None
     bundle = get_model(ns.model)
-    prog = parse_program(open(ns.file, encoding="utf-8").read())
+    with open(ns.file, encoding="utf-8") as fh:
+        prog = parse_program(fh.read())
     actions = [c for f in prog.functions.values() for c in basic_cmds(f.body)
                if isinstance(c, Action)]
     for c in actions:
@@ -153,25 +158,21 @@ def _load(ns):
                 f"resource {a.name!r} takes {n_in} in- and {n_out} out-parameter(s)"
                 f" under model {bundle.name}, not {len(a.ins)} and {len(a.outs)}"
             )
+    if ns.command == "run":
+        ns.args = tuple(_parse_value(a) for a in ns.args)
     return bundle, prog
 
 
-def cmd_run(ns, bounds: Bounds) -> int:
-    try:
-        bundle, prog = _load(ns)
-        args = tuple(_parse_value(a) for a in ns.args)
-    except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_run(ns, bounds: Bounds, bundle, prog) -> int:
     if ns.entry not in prog.functions:
         print(f"error: no function {ns.entry!r}", file=sys.stderr)
         return 2
-    if len(args) != len(prog.functions[ns.entry].params):
+    if len(ns.args) != len(prog.functions[ns.entry].params):
         print("error: argument count does not match the function", file=sys.stderr)
         return 2
     try:
         results = run_function(
-            prog.functions, ns.entry, args, bundle.cmm.empty, bundle.cmm,
+            prog.functions, ns.entry, ns.args, bundle.cmm.empty, bundle.cmm,
             budget=ns.budget, max_addresses=bounds.max_addresses,
         )
     except BudgetExhausted:
@@ -189,17 +190,11 @@ def cmd_run(ns, bounds: Bounds) -> int:
                 "_human": f"{o.value}: {out!r}  memory={mem!r}",
             }
         )
-    report = _report(ns, "run", items, bounds)
-    sys.stdout.write(_emit(report, ns.format))
+    _report(ns, items, bounds)
     return 0 if all_ok else 3
 
 
-def cmd_verify(ns, bounds: Bounds) -> int:
-    try:
-        bundle, prog = _load(ns)
-    except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_verify(ns, bounds: Bounds, bundle, prog) -> int:
     for fid in prog.specs:
         if fid not in prog.functions:
             print(f"error: specification for unknown function {fid!r}", file=sys.stderr)
@@ -210,13 +205,7 @@ def cmd_verify(ns, bounds: Bounds) -> int:
         for idx, q in enumerate(prog.specs[fid]):
             if q.flavor == "ISL":
                 continue
-            try:
-                verdict = verify_ox(
-                    prog.functions, prog.specs, fid, q, bundle, prog.preds, bounds
-                )
-            except UnsupportedCapability as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 5
+            verdict = verify_ox(prog.functions, prog.specs, fid, q, bundle, prog.preds, bounds)
             item = {
                 "spec": f"{fid}#{idx}",
                 "flavor": q.flavor,
@@ -231,8 +220,7 @@ def cmd_verify(ns, bounds: Bounds) -> int:
                 item["reason"] = str(verdict.reason)
             item["_human"] = f"{fid}#{idx} [{q.flavor}]: {type(verdict).__name__}"
             items.append(item)
-    report = _report(ns, "verify", items, bounds)
-    sys.stdout.write(_emit(report, ns.format))
+    _report(ns, items, bounds)
     if any_failed:
         return 1
     if any_inconclusive:
@@ -240,12 +228,7 @@ def cmd_verify(ns, bounds: Bounds) -> int:
     return 0
 
 
-def cmd_findbugs(ns, bounds: Bounds) -> int:
-    try:
-        bundle, prog = _load(ns)
-    except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_findbugs(ns, bounds: Bounds, bundle, prog) -> int:
     targets = [ns.entry] if ns.entry else sorted(prog.functions)
     items = []
     bug_count = 0
@@ -253,14 +236,9 @@ def cmd_findbugs(ns, bounds: Bounds) -> int:
         if fid not in prog.functions:
             print(f"error: no function {fid!r}", file=sys.stderr)
             return 2
-        try:
-            reports = biabduct(
-                prog.functions, prog.specs, fid, bundle, prog.preds, bounds,
-                budget=ns.budget,
-            )
-        except UnsupportedCapability as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 5
+        reports = biabduct(
+            prog.functions, prog.specs, fid, bundle, prog.preds, bounds, budget=ns.budget
+        )
         for r in sorted(reports, key=lambda r: repr(r.key())):
             is_bug = r.outcome == "err" and not r.unrecoverable
             bug_count += int(is_bug)
@@ -286,21 +264,11 @@ def cmd_findbugs(ns, bounds: Bounds) -> int:
                 f" anti-heap={format_assertion(r.anti_heap) if r.anti_heap else '-'}"
             )
             items.append(item)
-    report = _report(ns, "find-bugs", items, bounds)
-    sys.stdout.write(_emit(report, ns.format))
+    _report(ns, items, bounds)
     return 3 if bug_count else 0
 
 
-def cmd_checkmodel(ns, bounds: Bounds) -> int:
-    try:
-        bundle = get_model(ns.model_name)
-    except (KeyError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if ns.sabotage:
-        from .models import sabotage
-
-        bundle = sabotage(bundle)
+def cmd_checkmodel(ns, bounds: Bounds, bundle, prog) -> int:
     results = run_conformance(bundle, bounds)
     declared = {"ox": bundle.declared_soundness.ox, "ux": bundle.declared_soundness.ux}
     items = []
@@ -332,17 +300,18 @@ def cmd_checkmodel(ns, bounds: Bounds) -> int:
                     "_human": f"undeclared {mode} soundness was not refuted within bounds",
                 }
             )
-    report = _report(ns, "check-model", items, bounds, model=ns.model_name, declared=declared)
-    sys.stdout.write(_emit(report, ns.format))
+    _report(ns, items, bounds, declared=declared)
     return 0 if ok else 1
 
 
-def _report(ns, command, items, bounds: Bounds, model=None, **extra) -> dict:
+def _report(ns, items, bounds: Bounds, **extra):
+    """Write the report of `ns.command` to stdout."""
     report = {
         "tool": "polyheap",
-        "command": command,
-        "model": model or getattr(ns, "model", None),
-        "mode": getattr(ns, "mode", None),
+        "command": ns.command,
+        "model": ns.model_name if ns.command == "check-model" else ns.model,
+        # each analysis fixes its own engine mode; the key is kept for the schema
+        "mode": None,
         "seed": bounds.seed,
         "bounds": {
             "values": [value_to_json(v) for v in bounds.sorted_domain()],
@@ -353,7 +322,11 @@ def _report(ns, command, items, bounds: Bounds, model=None, **extra) -> dict:
         "results": items,
     }
     report.update(extra)
-    return report
+    sys.stdout.write(_emit(report, ns.format))
+
+
+_COMMANDS = {"run": cmd_run, "verify": cmd_verify, "find-bugs": cmd_findbugs,
+             "check-model": cmd_checkmodel}
 
 
 def main(argv=None) -> int:
@@ -363,19 +336,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: bad bound option: {exc}", file=sys.stderr)
         return 2
-    if ns.solver == "smtlib-dump":
-        out_dir = ns.smtlib_out or "smtlib-out"
-        solver.enable_smtlib_dump(out_dir)
     try:
-        if ns.command == "run":
-            return cmd_run(ns, bounds)
-        if ns.command == "verify":
-            return cmd_verify(ns, bounds)
-        if ns.command == "find-bugs":
-            return cmd_findbugs(ns, bounds)
-        if ns.command == "check-model":
-            return cmd_checkmodel(ns, bounds)
-        raise AssertionError(ns.command)
+        try:
+            if ns.smtlib_out is not None:
+                solver.enable_smtlib_dump(ns.smtlib_out)
+            bundle, prog = _load(ns)
+        except (ParseError, ValueError, KeyError, NotImplementedError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return _COMMANDS[ns.command](ns, bounds, bundle, prog)
+    except UnsupportedCapability as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except RecursionError:
         print("error: program nests too deeply", file=sys.stderr)
         return 2

@@ -199,6 +199,33 @@ def _shrink(fails, mems_tuple: tuple, cmm, bounds: Bounds) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def frame_breach(cmm, mode: str, frame, full, inner):
+    """The (outcome, observation) of the first result that breaks the
+    frame property, or None. `full` and `inner` are the runs from mu . frame
+    and from mu, as (outcome, memory, observation) triples; an observation
+    is what the run returns besides its memory, as a tuple.
+
+    OX: every run of mu . frame is matched by a run of mu (or mu misses)
+    whose memory recomposes with the frame to it. UX: every non-miss run
+    of mu whose memory recomposes with the frame is a run of mu . frame.
+    """
+    if mode == "ox":
+        for o, mem, obs in full:
+            for o2, mem2, obs2 in inner:
+                if o2 is MISS or (o2 is o and obs2 == obs and cmm.compose(mem2, frame) == mem):
+                    break
+            else:
+                return o, obs
+        return None
+    for o, mem, obs in inner:
+        if o is MISS:
+            continue
+        lifted = cmm.compose(mem, frame)
+        if lifted is not None and (o, lifted, obs) not in full:
+            return o, obs
+    return None
+
+
 def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResult:
     assert mode in ("ox", "ux")
     mems = _mems(cmm, bounds)
@@ -227,45 +254,19 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
             # so undefined compositions are vacuous
             if composed is None:
                 continue
-            full = cmm.exec_action(composed, name, args, bounds.max_addresses)
-            inner = run_mu(c, wide)
-            for o, mem2, outs in full:
-                if not _ox_frame_holds(cmm, inner, frame, o, mem2, outs):
-                    return CheckResult(
-                        "frame", mode, "fail", trials,
-                        _frame_witness(mu, frame, name, args, o, outs),
-                    )
+            breach = frame_breach(
+                cmm, mode, frame, cmm.exec_action(composed, name, args, bounds.max_addresses),
+                run_mu(c, wide),
+            )
         else:
             # the conclusion executes mu . frame: when the composition is
             # undefined while a non-miss result recomposes with the frame,
             # the property fails (the freed-marker counterexample)
-            inner = run_mu(c, bounds.max_addresses)
-            full = (
-                [(x, y, tuple(z)) for x, y, z in cmm.exec_action(composed, name, args, wide)]
-                if composed is not None
-                else []
-            )
-            for o, mem2, outs in inner:
-                if o is MISS:
-                    continue
-                lifted = cmm.compose(mem2, frame)
-                if lifted is None:
-                    continue
-                if (o, lifted, tuple(outs)) not in full:
-                    return CheckResult(
-                        "frame", mode, "fail", trials,
-                        _frame_witness(mu, frame, name, args, o, outs),
-                    )
+            full = cmm.exec_action(composed, name, args, wide) if composed is not None else []
+            breach = frame_breach(cmm, mode, frame, full, run_mu(c, bounds.max_addresses))
+        if breach is not None:
+            return CheckResult("frame", mode, "fail", trials, _frame_witness(mu, frame, name, args, *breach))
     return CheckResult("frame", mode, "pass", trials)
-
-
-def _ox_frame_holds(cmm, inner_results, frame, o, mem2, outs):
-    for o2, mem3, outs2 in inner_results:
-        if o2 is MISS:
-            return True
-        if o2 is o and tuple(outs2) == tuple(outs) and cmm.compose(mem3, frame) == mem2:
-            return True
-    return False
 
 
 def _frame_witness(mu, frame, name, args, o, outs):
@@ -673,22 +674,14 @@ def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v,
 # Full-suite driver
 # ---------------------------------------------------------------------------
 
-ALL_CHECKS = ("pcm", "frame", "action", "cp")
 
-
-def run_conformance(bundle: MemoryModelBundle, bounds: Bounds, checks=ALL_CHECKS, modes=("ox", "ux")) -> list:
-    results = []
-    for check in checks:
-        if check == "pcm":
-            r = check_pcm_laws(bundle.cmm, bounds)
-            for mode in modes:
-                results.append(CheckResult("pcm", mode, r.verdict, r.trials, r.witness))
-            continue
-        for mode in modes:
-            if check == "frame":
-                results.append(check_frame(bundle.cmm, mode, bounds))
-            elif check == "action":
-                results.append(check_action_soundness(bundle, mode, bounds))
-            elif check == "cp":
-                results.append(check_cp_soundness(bundle, mode, bounds))
+def run_conformance(bundle: MemoryModelBundle, bounds: Bounds) -> list:
+    """Every check in both modes; the PCM laws have no mode and are
+    reported under each."""
+    modes = ("ox", "ux")
+    pcm = check_pcm_laws(bundle.cmm, bounds)
+    results = [CheckResult("pcm", mode, pcm.verdict, pcm.trials, pcm.witness) for mode in modes]
+    results += [check_frame(bundle.cmm, mode, bounds) for mode in modes]
+    results += [check_action_soundness(bundle, mode, bounds) for mode in modes]
+    results += [check_cp_soundness(bundle, mode, bounds) for mode in modes]
     return results

@@ -36,6 +36,7 @@ from .assertions import (
     SpecContext,
     Star,
     TrueA,
+    disjuncts,
     format_assertion,
     lv_assertion,
     pv_assertion,
@@ -48,7 +49,10 @@ from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT, ERR, MISS, OK, Outcome
 from .satisfaction import heap_models
-from .solver import Entail, Sat, UNSAT, _literals_in, check_sat, entails, pc_extend, pc_lvars
+from .solver import (
+    Entail, Sat, UNSAT, _literals_in, check_sat, entails, enumeration_domain, models, pc_extend,
+    pc_lvars,
+)
 from .syntax import (
     Action,
     Assign,
@@ -75,7 +79,7 @@ from .syntax import (
     subst_expr,
     subst_pvars,
 )
-from .values import FALSE, TRUE, UNDEF
+from .values import FALSE, TRUE, UNDEF, value_key
 
 
 class Mode(Enum):
@@ -265,13 +269,18 @@ def _exec_assign(ctx, oracle, state, cmd: Assign):
     if ctx.keep_path(st_ok):
         ctx.note("assign", OK, ok_guards)
         out.append(Branch(OK, oracle, st_ok))
-    st_err = state.with_(store={**state.store, "err": Lit("ExprEval")}).extend_pc(
-        [Not(InVal(e))]
-    )
-    if ctx.keep_path(st_err):
-        ctx.note("assign-err-eval", ERR, (Not(InVal(e)),))
-        out.append(Branch(ERR, oracle, st_err))
-    return out
+    return out + _eval_error(ctx, oracle, state, [e], "assign-err-eval")
+
+
+def _eval_error(ctx, oracle, state, exprs, rule) -> list:
+    """The error branch on which some of `exprs` fails to evaluate, when
+    it is feasible."""
+    bad = Not(conj([InVal(e) for e in exprs]))
+    st = state.with_(store={**state.store, "err": Lit("ExprEval")}).extend_pc([bad])
+    if not ctx.keep_path(st):
+        return []
+    ctx.note(rule, ERR, (bad,))
+    return [Branch(ERR, oracle, st)]
 
 
 def _exec_if(ctx, oracle, state, cmd: IfElse):
@@ -282,12 +291,7 @@ def _exec_if(ctx, oracle, state, cmd: IfElse):
         if ctx.keep_path(st):
             ctx.note(rule, OK, (eq(e, Lit(val)),))
             out.extend(sym_exec(ctx, oracle, st, branch_cmd))
-    st_eval = state.with_(store={**state.store, "err": Lit("ExprEval")}).extend_pc(
-        [Not(InVal(e))]
-    )
-    if ctx.keep_path(st_eval):
-        ctx.note("if-err-eval", ERR, (Not(InVal(e)),))
-        out.append(Branch(ERR, oracle, st_eval))
+    out += _eval_error(ctx, oracle, state, [e], "if-err-eval")
     ty = [InVal(e), Not(InType(e, "bool"))]
     st_ty = state.with_(store={**state.store, "err": Lit("Type")}).extend_pc(ty)
     if ctx.keep_path(st_ty):
@@ -336,13 +340,8 @@ def _exec_action(ctx, oracle, state, cmd: Action, fix_depth: int = 0):
                     continue
             ctx.note(f"action-{o.value}", o, pc_frag)
             out.append(Branch(o, oracle, st, reason=tuple(outs)))
-    # evaluation-error branch: some argument fails to evaluate
     if args:
-        bad = Not(conj([InVal(a) for a in args]))
-        st = state.with_(store={**state.store, "err": Lit("ExprEval")}).extend_pc([bad])
-        if ctx.keep_path(st):
-            ctx.note("action-err-eval", ERR, (bad,))
-            out.append(Branch(ERR, oracle, st))
+        out += _eval_error(ctx, oracle, state, args, "action-err-eval")
     return out
 
 
@@ -423,11 +422,20 @@ def _call_post(ctx, oracle, state, subst, target_var, post_var, post, outcome):
     return out
 
 
-def _exec_fold(ctx, oracle, state, cmd: Fold):
+def _pred_cmd_abort(ctx, oracle, state, cmd, keyword):
+    """The abort of a fold or unfold outside OX mode or of an unknown
+    predicate; None when neither applies."""
     if ctx.mode is not Mode.OX:
-        return [Branch(ABORT, oracle, state, reason=(Lit("UnsupportedInMode"), Lit("fold")))]
+        return [Branch(ABORT, oracle, state, reason=(Lit("UnsupportedInMode"), Lit(keyword)))]
     if cmd.pred not in ctx.preds:
         return [Branch(ABORT, oracle, state, reason=(Lit("UnknownPredicate"), Lit(cmd.pred)))]
+    return None
+
+
+def _exec_fold(ctx, oracle, state, cmd: Fold):
+    aborted = _pred_cmd_abort(ctx, oracle, state, cmd, "fold")
+    if aborted:
+        return aborted
     d = ctx.preds[cmd.pred]
     if len(cmd.args) != len(d.ins):
         return [Branch(ABORT, oracle, state, reason=(Lit("PredArity"), Lit(cmd.pred)))]
@@ -435,8 +443,6 @@ def _exec_fold(ctx, oracle, state, cmd: Fold):
     st0 = state.extend_pc(_guards(args))
     if not ctx.keep_path(st0):
         return []
-    from .assertions import disjuncts
-
     options = disjuncts(d.body)
     chosen, oracle = oracle.pick(options)
     subst = dict(zip(d.ins, args))
@@ -455,10 +461,9 @@ def _exec_fold(ctx, oracle, state, cmd: Fold):
 
 
 def _exec_unfold(ctx, oracle, state, cmd: Unfold):
-    if ctx.mode is not Mode.OX:
-        return [Branch(ABORT, oracle, state, reason=(Lit("UnsupportedInMode"), Lit("unfold")))]
-    if cmd.pred not in ctx.preds:
-        return [Branch(ABORT, oracle, state, reason=(Lit("UnknownPredicate"), Lit(cmd.pred)))]
+    aborted = _pred_cmd_abort(ctx, oracle, state, cmd, "unfold")
+    if aborted:
+        return aborted
     d = ctx.preds[cmd.pred]
     args = [sym_eval(a, state.store) for a in cmd.args]
     st0 = state.extend_pc(_guards(args))
@@ -686,20 +691,6 @@ def _consume_pred(ctx, oracle, assertion: Pred, subst, state, pending):
     return out
 
 
-def consume_pure(ctx: EngineContext, mode: Mode, e: Expr, state: SymbolicState) -> list:
-    """Pure-assertion consumption. OX: state unchanged iff entailed, no
-    result otherwise. UX/EX: conjoin and keep when satisfiable."""
-    if pv_expr(e):
-        raise EngineError("consume of a boolean with program variables")
-    saved = ctx.mode
-    ctx.mode = mode
-    try:
-        res = ctx.pure_holds(state, e)
-    finally:
-        ctx.mode = saved
-    return res if res is not None else []
-
-
 def produce(ctx: EngineContext, assertion: Assertion, subst: dict, state: SymbolicState) -> list:
     """Add the assertion's state; branches over disjunctions and model
     choices, pruning unsatisfiable results."""
@@ -774,16 +765,8 @@ def models_of(
 ):
     """Bounded enumeration of (interpretation, concrete state) models of a
     symbolic state; the ground-truth relation for the soundness harnesses."""
-    from .solver import enumeration_domain, models
-
     lvars = sorted(state.lvars(bundle.smm) | set(extra_lvars))
-    domain = enumeration_domain(state.pc, bounds)
-    for v in _state_values(state):
-        if v not in domain:
-            domain.append(v)
-    from .values import value_key
-
-    domain = sorted(set(domain), key=value_key)
+    domain = sorted(set(enumeration_domain(state.pc, bounds)) | _state_values(state), key=value_key)
     out = []
     for theta in models(state.pc, lvars, domain, bounds):
         for st in models_under(theta, state, bundle, preds, bounds):

@@ -4,7 +4,8 @@ Random command programs run both concretely and symbolically from related
 states; over-approximate soundness demands every concrete run has a
 matching symbolic path, under-approximate soundness demands every model
 of a symbolic result is concretely reachable. The command-level frame
-property is checked the same way, directly against the interpreter.
+property is checked directly against the interpreter, with the same
+`conformance.frame_breach` that checks it for actions.
 
 Programs are generated over the core constructs plus memory actions; the
 side conditions are applied literally: abort-free (over-approximate
@@ -18,6 +19,7 @@ import itertools
 from random import Random
 
 from .concrete import ConcreteState, run
+from .conformance import frame_breach
 from .engine import (
     EngineContext,
     Mode,
@@ -28,7 +30,8 @@ from .engine import (
 )
 from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
-from .outcomes import ABORT, MISS
+from .outcomes import ABORT
+from .satisfaction import witness_domain
 from .solver import Sat, _extensions, _holds_all, check_sat
 from .syntax import (
     Action,
@@ -43,7 +46,6 @@ from .syntax import (
     Seq,
     Skip,
 )
-from .values import UNDEF, value_key
 
 _PVARS = ("x", "y", "z")
 
@@ -110,16 +112,10 @@ def random_state_pair(rng: Random, bundle, bounds: Bounds, mems: list):
     return ConcreteState(store, mem), sym, theta
 
 
-def _match_domain(bounds, bundle, state: ConcreteState):
-    vals = set(bounds.value_domain) | bundle.cmm.mem_values(state.mem)
-    vals.update(v for v in state.store.values() if v is not UNDEF)
-    return sorted(vals, key=value_key)
-
-
 def _branch_matches(bundle, preds, bounds, branch, theta, known, final: ConcreteState) -> bool:
     state = branch.state
     new = state.lvars(bundle.smm) - known
-    domain = _match_domain(bounds, bundle, final)
+    domain = witness_domain(final.store, final.mem, bundle.cmm, bounds)
     for th in _extensions(theta, new, domain):
         if not _holds_all(state.pc, th):
             continue
@@ -221,6 +217,15 @@ def check_engine_ux(bundle, bounds: Bounds, trials: int, seed: int, preds=None, 
     return failures
 
 
+def _cmd_runs(cmd, store, mem, cmm, window) -> list:
+    """The runs of `cmd` from `store` and `mem` (none when `mem` is
+    undefined) as `frame_breach` results: a run's observation is its store."""
+    if mem is None:
+        return []
+    return [(o, st.mem, tuple(sorted(st.store.items())))
+            for o, st in run({}, ConcreteState(store, mem), cmd, cmm, 8, window)]
+
+
 def check_cmd_frame(bundle, bounds: Bounds, trials: int, seed: int, mode: str):
     """Command-level frame property, checked directly on the interpreter."""
     rng = Random(seed)
@@ -233,37 +238,15 @@ def check_cmd_frame(bundle, bounds: Bounds, trials: int, seed: int, mode: str):
         mu = rng.choice(mems)
         frame = rng.choice(mems)
         composed = cmm.compose(mu, frame)
+        if mode == "ox" and composed is None:
+            continue
+        # the existential side searches the window widened by the frame
         wide = bounds.max_addresses + cmm.addr_span(frame)
-        if mode == "ox":
-            if composed is None:
-                continue
-            full = run({}, ConcreteState(store, composed), cmd, cmm, 8, bounds.max_addresses)
-            inner = run({}, ConcreteState(store, mu), cmd, cmm, 8, wide)
-            for o, st in full:
-                ok = any(
-                    o2 is MISS
-                    or (o2 is o and st2.store == st.store and cmm.compose(st2.mem, frame) == st.mem)
-                    for o2, st2 in inner
-                )
-                if not ok:
-                    failures.append({"trial": trial, "cmd": cmd, "mem": mu, "frame": frame})
-                    break
-        else:
-            inner = run({}, ConcreteState(store, mu), cmd, cmm, 8, bounds.max_addresses)
-            full = (
-                run({}, ConcreteState(store, composed), cmd, cmm, 8, wide)
-                if composed is not None
-                else []
-            )
-            for o, st in inner:
-                if o is MISS:
-                    continue
-                lifted = cmm.compose(st.mem, frame)
-                if lifted is None:
-                    continue
-                if not any(
-                    o2 is o and st2.store == st.store and st2.mem == lifted for o2, st2 in full
-                ):
-                    failures.append({"trial": trial, "cmd": cmd, "mem": mu, "frame": frame})
-                    break
+        full_window, inner_window = (
+            (bounds.max_addresses, wide) if mode == "ox" else (wide, bounds.max_addresses)
+        )
+        full = _cmd_runs(cmd, store, composed, cmm, full_window)
+        inner = _cmd_runs(cmd, store, mu, cmm, inner_window)
+        if frame_breach(cmm, mode, frame, full, inner) is not None:
+            failures.append({"trial": trial, "cmd": cmd, "mem": mu, "frame": frame})
     return failures

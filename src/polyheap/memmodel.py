@@ -98,8 +98,8 @@ class ConcreteMemoryModel:
         raise NotImplementedError
 
     def exec_action(self, mem, name, args, max_addresses: int):
-        """All results of running the action: [(Outcome, mem', values)].
-        Allocation enumerates the `max_addresses` least fresh addresses."""
+        """All results of running the action: [(Outcome, mem', values)],
+        with `values` a tuple. Allocation enumerates the `max_addresses` least fresh addresses."""
         raise NotImplementedError
 
     def enumerate_splits(self, mem):

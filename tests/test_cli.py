@@ -253,9 +253,10 @@ def test_bad_bound_option_exit_two(options, env, monkeypatch, capsys):
 
 
 def test_smtlib_dump(tmp_path):
+    """`--smtlib-out DIR` alone turns the dump on."""
     out = tmp_path / "dumps"
     p = run_cli(
-        "verify", prog("verify_suite.ph"), "--solver", "smtlib-dump",
+        "verify", prog("verify_suite.ph"),
         "--smtlib-out", str(out), "--bounds-values", "nil,0,1,2,7",
     )
     assert p.returncode == 0
@@ -264,6 +265,26 @@ def test_smtlib_dump(tmp_path):
     text = files[0].read_text()
     assert text.startswith("(set-logic ALL)")
     assert text.rstrip().endswith("(check-sat)")
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_unmakeable_smtlib_dir_exit_two(sub, tmp_path, capsys):
+    """A dump directory that cannot be made (a regular file, or a path
+    under one) is a configuration error under every command: exit 2 and
+    one error line, before any work."""
+    from polyheap.cli import main
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in _EVERY_COMMAND:
+        assert main([*argv, "--smtlib-out", str(blocker / sub)]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    p = run_cli("verify", prog("swap.ph"), "--smtlib-out", str(blocker / sub))
+    assert p.returncode == 2 and p.stdout == ""
+    assert p.stderr.startswith("error: ") and p.stderr.count("\n") == 1
+    assert "Traceback" not in p.stderr
 
 
 def test_verify_inconclusive_exit_four(tmp_path):

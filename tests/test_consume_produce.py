@@ -18,7 +18,6 @@ from polyheap.engine import (
     SymbolicState,
     UnsupportedAssertion,
     consume,
-    consume_pure,
     initial_state,
     produce,
 )
@@ -113,14 +112,14 @@ def test_consume_exists_learns_through_equality():
 
 
 def test_consume_pure_modes():
-    ctx = make_ctx()
+    ox, ux = make_ctx(Mode.OX), make_ctx(Mode.UX)
     st = SymbolicState({}, {}, (), (Bin("<=", Lit(1), LVar("x")), Bin("<=", LVar("x"), Lit(2))))
     # entailment fails in the over-approximate reading
-    assert consume_pure(ctx, Mode.OX, eq(LVar("x"), Lit(1)), st) == []
+    assert ox.pure_holds(st, eq(LVar("x"), Lit(1))) is None
     # the under-approximate reading narrows the path instead
-    [narrowed] = consume_pure(ctx, Mode.UX, eq(LVar("x"), Lit(1)), st)
+    [narrowed] = ux.pure_holds(st, eq(LVar("x"), Lit(1)))
     assert eq(LVar("x"), Lit(1)) in narrowed.pc
-    assert consume_pure(ctx, Mode.OX, Bin("<=", LVar("x"), Lit(5)), st) == [st]
+    assert ox.pure_holds(st, Bin("<=", LVar("x"), Lit(5))) == [st]
 
 
 def test_unique_match_requires_entailment():

@@ -1,12 +1,16 @@
 """Differential engine-soundness harnesses at unit scale (the acceptance
 module runs them at the full advertised trial counts)."""
 
+from random import Random
+
+import pytest
+
 from polyheap.assertions import PredTable
 from polyheap.concrete import ConcreteState, run
 from polyheap.engine import EngineContext, Mode, PredInstance, SymbolicState, models_of, sym_exec
-from polyheap.harness import check_cmd_frame, check_engine_ox, check_engine_ux
+from polyheap.harness import check_cmd_frame, check_engine_ox, check_engine_ux, random_command
 from polyheap.memmodel import Bounds
-from polyheap.models import get_model
+from polyheap.models import get_model, sabotage
 from polyheap.oracle import Oracle
 from polyheap.outcomes import MISS, OK
 from polyheap.parser import parse_program
@@ -74,3 +78,78 @@ def test_engine_soundness_on_other_models():
         b = get_model(name)
         assert check_engine_ox(b, bounds, 25, 9) == [], name
         assert check_engine_ux(b, bounds, 12, 9) == [], name
+
+
+# ---------------------------------------------------------------------------
+# check_cmd_frame before it shared conformance.frame_breach, kept as the
+# reference: each mode's side condition written out against the interpreter.
+# ---------------------------------------------------------------------------
+
+
+def _old_check_cmd_frame(bundle, bounds, trials, seed, mode):
+    rng = Random(seed)
+    mems = list(bundle.cmm.generator(bounds))
+    cmm = bundle.cmm
+    failures = []
+    for trial in range(trials):
+        cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
+        store = {x: rng.choice(bounds.sorted_domain()) for x in ("x", "y", "z")}
+        mu = rng.choice(mems)
+        frame = rng.choice(mems)
+        composed = cmm.compose(mu, frame)
+        wide = bounds.max_addresses + cmm.addr_span(frame)
+        if mode == "ox":
+            if composed is None:
+                continue
+            full = run({}, ConcreteState(store, composed), cmd, cmm, 8, bounds.max_addresses)
+            inner = run({}, ConcreteState(store, mu), cmd, cmm, 8, wide)
+            for o, st in full:
+                ok = any(
+                    o2 is MISS
+                    or (o2 is o and st2.store == st.store and cmm.compose(st2.mem, frame) == st.mem)
+                    for o2, st2 in inner
+                )
+                if not ok:
+                    failures.append({"trial": trial, "cmd": cmd, "mem": mu, "frame": frame})
+                    break
+        else:
+            inner = run({}, ConcreteState(store, mu), cmd, cmm, 8, bounds.max_addresses)
+            full = (
+                run({}, ConcreteState(store, composed), cmd, cmm, 8, wide)
+                if composed is not None
+                else []
+            )
+            for o, st in inner:
+                if o is MISS:
+                    continue
+                lifted = cmm.compose(st.mem, frame)
+                if lifted is None:
+                    continue
+                if not any(
+                    o2 is o and st2.store == st.store and st2.mem == lifted for o2, st2 in full
+                ):
+                    failures.append({"trial": trial, "cmd": cmd, "mem": mu, "frame": frame})
+                    break
+    return failures
+
+
+CMD_FRAME_BUNDLES = {
+    "linear": lambda: get_model("linear"),
+    "linear-ox": lambda: get_model("linear-ox"),
+    "chunks": lambda: get_model("chunks"),
+    "frac": lambda: get_model("frac"),
+    "sabotaged-compose": lambda: sabotage(get_model("linear")),
+}
+
+
+@pytest.mark.parametrize("name", CMD_FRAME_BUNDLES)
+def test_cmd_frame_matches_reference(name):
+    """The same failures, trial by trial, as the reference in both modes at
+    three seeds; linear-ox (in ux) and the broken composition fail some
+    trials at every seed."""
+    bundle = CMD_FRAME_BUNDLES[name]()
+    for mode in ("ox", "ux"):
+        for seed in (1, 3, 7):
+            assert check_cmd_frame(bundle, B, 60, seed, mode) == _old_check_cmd_frame(
+                bundle, B, 60, seed, mode
+            ), (mode, seed)
