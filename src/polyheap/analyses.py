@@ -216,16 +216,14 @@ def _verify_branch(ctx, f, q, subst, br: Branch, failing, unknown):
         # a failing path needs a bounded state-level model to count: the
         # path condition alone over-approximates satisfiability (memory
         # and store constrain the same variables)
-        verdict = check_sat(state.pc, ctx.bounds)
-        if verdict is UNSAT:
+        if check_sat(state.pc, ctx.bounds) is UNSAT:
             return
-        entry = {
-            "reason": reason,
-            "outcome": outcome.value,
-            "pc": [format_expr(c) for c in state.pc],
-        }
         if models_of(state, ctx.bundle, ctx.preds, ctx.bounds):
-            failing.append(entry)
+            failing.append({
+                "reason": reason,
+                "outcome": outcome.value,
+                "pc": [format_expr(c) for c in state.pc],
+            })
 
     if br.outcome is ABORT:
         classify(br.state, f"abort: {_fmt_reason(br.reason)}", ABORT)

@@ -54,13 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="polyheap", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--model", default="linear", help=f"memory model ({', '.join(MODEL_NAMES)})")
+    def common(p, model=True, budget=False):
+        """The options of every command; check-model takes its model as
+        an argument, and only run and find-bugs read a call budget."""
+        if model:
+            p.add_argument("--model", default="linear", help=f"memory model ({', '.join(MODEL_NAMES)})")
         p.add_argument("--bounds-values", default=None, help="comma-separated literal values")
         p.add_argument("--bounds-cells", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=32)
+        if budget:
+            p.add_argument("--budget", type=int, default=32)
         p.add_argument("--smtlib-out", default=None, metavar="DIR",
                        help="write each path condition the solver checks to DIR as SMT-LIB")
         p.add_argument("--format", choices=("json", "human"), default="human")
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("entry")
     p_run.add_argument("args", nargs="*")
-    common(p_run)
+    common(p_run, budget=True)
 
     p_verify = sub.add_parser("verify", help="verify function specifications")
     p_verify.add_argument("file")
@@ -78,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bugs = sub.add_parser("find-bugs", help="bi-abductive bug finding")
     p_bugs.add_argument("file")
     p_bugs.add_argument("--entry", default=None, help="restrict to one function")
-    common(p_bugs)
+    common(p_bugs, budget=True)
 
     p_check = sub.add_parser("check-model", help="conformance matrix for a model")
     p_check.add_argument("model_name")
-    common(p_check)
+    common(p_check, model=False)
     return ap
 
 

@@ -110,6 +110,21 @@ class ConcreteMemoryModel:
         """Deterministic stream of well-formed memories within bounds."""
         raise NotImplementedError
 
+    def positions(self, mem, bounds: Bounds) -> list:
+        """One sort key for each time `generator(bounds)` yields a memory
+        equal to `mem`, ordered as the generator orders them. Keys from
+        one model and one bounds compare with each other. This default
+        scans the generator; a model that knows where its generator puts
+        a memory computes them directly."""
+        return [i for i, m in enumerate(self.generator(bounds)) if m == mem]
+
+    def generated_values(self, bounds: Bounds) -> set:
+        """The union of `mem_values` over every memory of `generator(bounds)`."""
+        out = set()
+        for m in self.generator(bounds):
+            out |= self.mem_values(m)
+        return out
+
     def action_cases(self, bounds: Bounds):
         """(name, args) pairs worth testing within bounds."""
         raise NotImplementedError

@@ -170,6 +170,31 @@ class MapConcrete(ConcreteMemoryModel):
                     if sum(map(self.weight, vals)) <= bounds.max_cells:
                         yield dict(zip(keys, vals))
 
+    def positions(self, mem, bounds: Bounds) -> list:
+        """The generator yields `mem` at (size, sorted keys, the index in
+        `payload_states` of each payload), once for each tuple of indices
+        whose states equal the payloads: a repeated state repeats it."""
+        n = self.key_count(bounds)
+        if len(mem) > min(bounds.max_cells, n) or not all(is_nat(k) and k < n for k in mem):
+            return []
+        keys = sorted(mem)
+        states = self.payload_states(bounds)
+        choices = [[i for i, s in enumerate(states) if s == mem[k]] for k in keys]
+        if not all(choices) or sum(self.weight(mem[k]) for k in keys) > bounds.max_cells:
+            return []
+        return [(len(keys), tuple(keys), idx) for idx in itertools.product(*choices)]
+
+    def generated_values(self, bounds: Bounds) -> set:
+        # weights are non-negative, so an entry of a generated memory is
+        # also generated alone
+        out = set()
+        if bounds.max_cells >= 1:
+            states = [v for v in self.payload_states(bounds) if self.weight(v) <= bounds.max_cells]
+            for k in range(self.key_count(bounds)):
+                for v in states:
+                    out |= self.mem_values({k: v})
+        return out
+
     def mem_values(self, mem):
         out = set()
         for k, v in mem.items():

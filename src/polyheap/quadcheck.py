@@ -14,37 +14,43 @@ are `run_function` and the satisfaction relation.
 Pure conjuncts prune the search. The `Bool` leaves at the top of an
 assertion's star tree (`pure_conjuncts`) must all be true for it to hold on
 any heap, so they are evaluated before any heap is visited: once per
-interpretation for the precondition, once per interpretation and value for
-a postcondition. An interpretation whose precondition fails them has no
-precondition heap, and a value whose postcondition fails them meets no
-heap. Survivors go through `holds` on the whole assertion in the same
-heap-outer, value-inner order, so the verdict and the first counterexample
-are those of checking every heap. The one exception: a false conjunct next
-to a predicate that exceeds its unfolding depth now rules the pair out
-instead of truncating the enumeration, so such a check can be definite
-where it used to be Inconclusive.
+interpretation for the precondition, and for a postcondition once per
+interpretation and value, or once per interpretation for a conjunct that
+does not mention `ret`/`err`. An interpretation whose precondition fails
+them has no precondition heap, and a value whose postcondition fails them
+meets no heap. Survivors go through `holds` on the whole assertion in the
+same heap-outer, value-inner order, so the verdict and the first
+counterexample are those of checking every heap. The one exception: a
+false conjunct next to a predicate that exceeds its unfolding depth now
+rules the pair out instead of truncating the enumeration, so such a check
+can be definite where it used to be Inconclusive.
 
 Footprints prune it further. A star of pure conjuncts, `emp` and resources
 holds on at most one heap (`satisfaction.footprint`). It is computed once
 per interpretation for the precondition, once per run result for the SL
-post check and once per interpretation and value for the ISL one. Only
-the generated heaps equal to it go to `holds`, found by their frozen form
-and visited in the same order. A star with a predicate, `exists`, a disjunction, an
-implication or `True` in it has no footprint, and every heap is visited,
-so depth exhaustion shows exactly where it did.
+post check, and for the ISL one once per interpretation and value, or once
+per interpretation when the post's resources do not mention `ret`/`err`.
+The model says where its generator yields that heap (`positions`; the map
+models work it out without running the generator), and `holds` checks it
+once per position, in generator order. A star with a predicate, `exists`,
+a disjunction, an implication or `True` in it has no footprint: then the
+generated heaps are listed, once per call, and every one is visited, so
+depth exhaustion shows exactly where it did. The ISL values are the domain
+and the values the generated heaps hold (`generated_values`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .assertions import Quadruple, lv_assertion
+from .assertions import Quadruple, Res, lv_assertion, split_external_pre, star_conjuncts
 from .concrete import BudgetExhausted, run_function
 from .memmodel import Bounds, MemoryModelBundle
 from .outcomes import ERR, MISS, OK
 from .satisfaction import UNKNOWN, DepthExceeded, footprint, holds, may_hold, pure_conjuncts, pure_holds
-from .syntax import ImplContext
+from .syntax import ImplContext, pv_expr
 from .values import value_key
 
 
@@ -91,13 +97,8 @@ def check_quadruple_bounded(
     domain = bounds.sorted_domain()
     if len(domain) ** len(lvars) > _ENUM_CAP:
         return Inconclusive("interpretation space exceeds the enumeration cap")
-    from .assertions import split_external_pre
-
     param_map, _ = split_external_pre(q.pre, q.params)
-    heaps = list(bundle.cmm.generator(bounds))
-    where = {}  # frozen heap -> its positions in generator order
-    for i, h in enumerate(heaps):
-        where.setdefault(_freeze(h), []).append(i)
+    cmm = bundle.cmm
     complete = True
     run_cache = {}
 
@@ -105,32 +106,42 @@ def check_quadruple_bounded(
         key = (args, _freeze(mem))
         if key not in run_cache:
             run_cache[key] = run_function(
-                gamma, q.fid, args, mem, bundle.cmm, budget, bounds.max_addresses
+                gamma, q.fid, args, mem, cmm, budget, bounds.max_addresses
             )
         return run_cache[key]
 
     sat = lambda theta, store, mem, a: holds(
-        theta, store, mem, a, cmm=bundle.cmm, rm=bundle.rm, preds=preds, bounds=bounds
+        theta, store, mem, a, cmm=cmm, rm=bundle.rm, preds=preds, bounds=bounds
     )
-    fp = lambda theta, store, a: footprint(theta, store, a, bundle.cmm, bundle.rm)
+    fp = lambda theta, store, a: footprint(theta, store, a, cmm, bundle.rm)
+
+    @functools.cache
+    def generated():
+        return list(enumerate(cmm.generator(bounds)))
 
     def visit(theta, store, a):
-        """Positions of the heaps on which `a` may hold, in generator order."""
+        """(position, heap) for each generated heap on which `a` may
+        hold, in generator order."""
         a_fp = fp(theta, store, a)
         if a_fp is UNKNOWN:
-            return range(len(heaps))
-        return where.get(_freeze(a_fp), ()) if a_fp is not None else ()
+            return generated()
+        return [(p, a_fp) for p in cmm.positions(a_fp, bounds)] if a_fp is not None else []
 
     pre_pure = pure_conjuncts(q.pre)
-    posts = [
-        (o, post, var, pure_conjuncts(post))
-        for o, post, var in ((OK, q.post_ok, "ret"), (ERR, q.post_err, "err"))
-    ]
+    posts = []
+    for o, post, var in ((OK, q.post_ok, "ret"), (ERR, q.post_err, "err")):
+        pure = pure_conjuncts(post)
+        # what does not mention the value is checked once per interpretation
+        fixed_pure = [e for e in pure if var not in pv_expr(e)]
+        var_pure = [e for e in pure if var in pv_expr(e)]
+        fixed_fp = not any(
+            var in pv_expr(e)
+            for a in star_conjuncts(post) if isinstance(a, Res)
+            for e in a.ins + a.outs
+        )
+        posts.append((o, post, var, fixed_pure, var_pure, fixed_fp))
     # the ISL value list: the domain and every value some heap holds
-    isl_vals = set(domain)
-    for h in heaps:
-        isl_vals |= bundle.cmm.mem_values(h)
-    isl_vals = sorted(isl_vals, key=value_key)
+    isl_vals = sorted(set(domain) | cmm.generated_values(bounds), key=value_key)
 
     for combo in itertools.product(domain, repeat=len(lvars)):
         theta = dict(zip(lvars, combo))
@@ -139,9 +150,7 @@ def check_quadruple_bounded(
         pre_heaps = []
         if pure_holds(pre_pure, theta, store):
             try:
-                pre_heaps = [
-                    heaps[i] for i in visit(theta, store, q.pre) if sat(theta, store, heaps[i], q.pre)
-                ]
+                pre_heaps = [h for _, h in visit(theta, store, q.pre) if sat(theta, store, h, q.pre)]
             except DepthExceeded:
                 complete = False
                 continue
@@ -173,12 +182,22 @@ def check_quadruple_bounded(
                         )
 
         if q.flavor in ("ISL", "ESL"):
-            for o, post, var, post_pure in posts:
-                vals = [v for v in isl_vals if pure_holds(post_pure, theta, {var: v})]
+            for o, post, var, fixed_pure, var_pure, fixed_fp in posts:
+                if not pure_holds(fixed_pure, theta, {}):
+                    continue
+                vals = [v for v in isl_vals if pure_holds(var_pure, theta, {var: v})]
+                if not vals:
+                    continue
                 # heap-outer, value-inner, as if every pair were visited
-                pairs = sorted((i, k) for k, v in enumerate(vals) for i in visit(theta, {var: v}, post))
-                for i, k in pairs:
-                    h2, v = heaps[i], vals[k]
+                if fixed_fp:
+                    pairs = [(h2, v) for _, h2 in visit(theta, {}, post) for v in vals]
+                else:
+                    spots = sorted(
+                        ((p, k, h2) for k, v in enumerate(vals) for p, h2 in visit(theta, {var: v}, post)),
+                        key=lambda t: t[:2],
+                    )
+                    pairs = [(h2, vals[k]) for _, k, h2 in spots]
+                for h2, v in pairs:
                     try:
                         if not sat(theta, {var: v}, h2, post):
                             continue

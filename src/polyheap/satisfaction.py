@@ -10,8 +10,9 @@ that callers such as `quadcheck` evaluate once per interpretation before
 they enumerate heaps; `holds` itself still checks them on every split.
 `footprint` gives the one heap on which a star of pure conjuncts, `emp`
 and resources can hold (every resource is precise), so `heap_models` and
-`quadcheck` call `holds` only on generated heaps equal to it; for any
-other assertion it is UNKNOWN and they visit every heap.
+`quadcheck` call `holds` only on that heap, at each of the positions the
+model's generator gives it (`positions`); for any other assertion it is
+UNKNOWN and they visit every generated heap.
 
 This module is the ground-truth side of every dual-route check in the
 toolkit, so it deliberately stays independent of the symbolic engine and
@@ -173,15 +174,20 @@ def witness_domain(store, mem, cmm, bounds: Bounds) -> list:
 
 def heap_models(theta, store, assertion, *, cmm, rm, preds=None, bounds=None, depth=4):
     """All generated heaps satisfying the assertion under theta, in
-    generator order. When the assertion has a footprint, only the heaps
-    equal to it are checked."""
+    generator order. An assertion with a footprint holds at most on that
+    heap, so it is returned once for each time the generator yields it
+    (`cmm.positions`) when `holds` accepts it; only an assertion without
+    one makes the generator run."""
     bounds = bounds if bounds is not None else Bounds()
     fp = footprint(theta, store, assertion, cmm, rm)
     if fp is None:
         return []
+    if fp is not UNKNOWN:
+        n = len(cmm.positions(fp, bounds))
+        ok = n and holds(theta, store, fp, assertion, cmm=cmm, rm=rm, preds=preds, bounds=bounds, depth=depth)
+        return [fp] * n if ok else []
     return [
         mem
         for mem in cmm.generator(bounds)
-        if may_hold(fp, mem)
-        and holds(theta, store, mem, assertion, cmm=cmm, rm=rm, preds=preds, bounds=bounds, depth=depth)
+        if holds(theta, store, mem, assertion, cmm=cmm, rm=rm, preds=preds, bounds=bounds, depth=depth)
     ]

@@ -178,6 +178,42 @@ def test_checkmodel_unknown_exit_two():
     assert run_cli("check-model", "cheri").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", prog("swap.ph"), "--budget", "1"),
+        ("check-model", "frac", "--bounds-values", "0", "--budget", "1"),
+        ("check-model", "frac", "--bounds-values", "0", "--model", "linear"),
+    ],
+    ids=["verify-budget", "check-model-budget", "check-model-model"],
+)
+def test_option_a_command_does_not_read_exit_two(argv, capsys):
+    """`--budget` is read only by run and find-bugs, and check-model takes
+    its model from its argument: an option the command would ignore is a
+    usage error, exit 2, before any work."""
+    from polyheap.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+def test_budget_is_read_where_it_is_accepted(tmp_path, capsys):
+    """run still reads `--budget`: a budget of one call is exhausted by a
+    function that calls another. find-bugs still accepts it."""
+    from polyheap.cli import main
+
+    f = tmp_path / "call.ph"
+    f.write_text("func g(x) { skip; return x }\nfunc f(x) { y := g(x); return y }\n")
+    assert main(["run", str(f), "f", "7", "--budget", "1"]) == 2
+    assert capsys.readouterr().err == "error: call budget exhausted\n"
+    assert main(["run", str(f), "f", "7", "--budget", "2"]) == 0
+    assert main(["find-bugs", prog("bugs.ph"), "--entry", "use_after_free", "--budget", "1"]) == 3
+
+
 def test_json_reports_are_deterministic():
     args = (
         "find-bugs", prog("bugs.ph"), "--entry", "use_after_free",

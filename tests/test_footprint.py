@@ -101,8 +101,9 @@ def test_every_split_composes_back(name, bounds):
 @pytest.mark.parametrize("bounds", LAW_BOUNDS, ids=["cells-1", "cells-2"])
 @pytest.mark.parametrize("name", BUNDLES)
 def test_frozen_lookup_finds_the_equal_heaps(name, bounds):
-    """quadcheck finds a footprint's heaps by looking up its frozen form;
-    that gives the heaps equal to it, for one resource and for two."""
+    """A heap's frozen form is the key of quadcheck's run cache, which
+    meets footprint heaps and generated ones: looking a footprint up by it
+    gives the heaps equal to it, for one resource and for two."""
     bundle = get_model(name)
     heaps = list(bundle.cmm.generator(bounds))
     where = {}
