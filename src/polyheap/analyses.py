@@ -51,7 +51,7 @@ from .engine import (
 from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT, ERR, MISS, OK, Outcome
-from .quadcheck import check_quadruple_bounded
+from .quadcheck import Inconclusive, check_quadruple_bounded
 from .satisfaction import DepthExceeded, heap_models
 from .solver import Sat, UNSAT, check_sat
 from .syntax import (
@@ -69,7 +69,7 @@ from .syntax import (
     lv_expr,
     prog_vars,
 )
-from .values import is_nat, value_key
+from .values import is_nat
 
 
 class UnsupportedCapability(Exception):
@@ -87,14 +87,6 @@ class Failed:
 
     def __repr__(self):
         return f"Failed({len(self.paths)} paths)"
-
-
-class Inconclusive:
-    def __init__(self, reason):
-        self.reason = reason
-
-    def __repr__(self):
-        return f"Inconclusive({self.reason})"
 
 
 def _reachable(gamma: ImplContext, fid: str) -> frozenset:
@@ -421,12 +413,12 @@ def _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds) -> bool:
         starts = models_under(theta, initial, bundle, ctx.preds, bounds)
         matched = False
         # the fix heap may involve values that only occur in this model
-        vals = set(bounds.value_domain) | set(theta.values()) | bundle.cmm.mem_values(target.mem)
+        vals = bounds.domain_with(theta.values(), bundle.cmm.mem_values(target.mem))
         addr_cap = max(
             [bounds.max_addresses] + [v + 1 for v in vals if is_nat(v) and v < 8]
         )
         fix_bounds = Bounds(
-            value_domain=tuple(sorted(vals, key=value_key)),
+            value_domain=tuple(vals),
             max_cells=max(bounds.max_cells, len(star_conjuncts(anti))),
             max_addresses=addr_cap,
             trials=bounds.trials,

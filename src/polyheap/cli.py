@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import solver
-from .analyses import Failed, Inconclusive, UnsupportedCapability, biabduct, verify_ox
+from .analyses import Failed, UnsupportedCapability, biabduct, verify_ox
 from .assertions import Res, atoms, format_assertion
 from .concrete import BudgetExhausted, run_function
 from .conformance import run_conformance
@@ -34,7 +34,7 @@ from .memmodel import Bounds
 from .models import MODEL_NAMES, get_model
 from .outcomes import OK
 from .parser import ParseError, _Parser, parse_program
-from .quadcheck import _freeze
+from .quadcheck import Inconclusive, _freeze
 from .syntax import Action, Lit, basic_cmds
 from .values import value_to_json
 

@@ -31,13 +31,13 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .evaluation import eval_lexpr
-from .memmodel import Bounds, MemoryModelBundle
+from .evaluation import all_true, eval_lexpr
+from .memmodel import FREED, Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT, MISS, OK
-from .solver import _extensions, _holds_all
+from .solver import extensions
 from .syntax import LVar, Lit, lv_expr
-from .values import UNDEF, value_key
+from .values import UNDEF, is_value
 
 
 @dataclass
@@ -344,10 +344,19 @@ class _Lazy:
         return self.value
 
 
-def _extend(theta, new, domain):
-    """`_extensions(theta, new, domain())`, calling `domain` only when some
-    variable is new: `theta` alone needs no values."""
-    return _extensions(theta, new, domain() if new else ())
+def _branch_models(smm, theta, new, domain, pc, smem, outs, want=None):
+    """(th, memory, values) for each extension `th` of `theta` over the
+    variables `new` that makes `pc` true and under which `smem` denotes a
+    memory and every expression of `outs` a value (the values `want`, when
+    given: then no memory is built for other values). `domain` is called
+    only when some variable is new: `theta` alone needs no values."""
+    for th in extensions(pc, theta, new, domain() if new else ()):
+        vals = _eval_vec(outs, th)
+        if vals is None or want is not None and vals != want:
+            continue
+        mem = smm.concretize(th, smem)
+        if mem is not None:
+            yield th, mem, vals
 
 
 def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap: int = 4000) -> CheckResult:
@@ -377,9 +386,7 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
 def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_args):
     cmm, smm = bundle.cmm, bundle.smm
     branches = smm.exec_action(smem, name, sym_args, _Namer("f"))
-    domain = _Lazy(
-        lambda: sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(args), key=value_key)
-    )
+    domain = _Lazy(lambda: bounds.domain_with(cmm.mem_values(mem), args))
     wide = bounds.max_addresses + bounds.max_cells
 
     # side condition: miss/abort branches leave the memory unchanged
@@ -390,15 +397,14 @@ def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_
     if mode == "ox":
         # each branch's new variables, shared by the concrete outcomes
         news = [_Lazy(functools.partial(_new_lvars, smm, b, known)) for b in branches]
-        # vacuous when some abort branch is plausible under an extension
+        # vacuous when some abort branch is plausible under an extension;
+        # an abort branch keeps the lifted memory, which always denotes
         for (o, smem2, pc, outs), new in zip(branches, news):
-            if o is ABORT:
-                for th in _extend(theta, new(), domain):
-                    if _holds_all(pc, th) and _eval_vec(outs, th) is not None:
-                        return None
+            if o is ABORT and any(_branch_models(smm, theta, new(), domain, pc, smem2, outs)):
+                return None
         concrete = cmm.exec_action(mem, name, args, bounds.max_addresses)
         for o, mem2, outs_c in concrete:
-            search_domain = _Lazy(functools.partial(_outcome_domain, cmm, domain, mem, mem2, outs_c))
+            search_domain = _Lazy(functools.partial(_outcome_domain, cmm, bounds, domain, mem, mem2, outs_c))
             if not _ox_matched(smm, branches, news, theta, search_domain, o, mem2, outs_c):
                 return {
                     "kind": "unmatched-concrete-step",
@@ -413,15 +419,9 @@ def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_
         if o is ABORT:
             continue
         new = _branch_lvars(smm, smem2, pc, outs) - known
-        for th in _extend(theta, new, domain):
-            if not _holds_all(pc, th):
-                continue
-            mem2 = smm.concretize(th, smem2)
-            if mem2 is None:
-                continue
-            outs_v = _eval_vec(outs, th)
+        for th, mem2, outs_v in _branch_models(smm, theta, new, domain, pc, smem2, outs):
             args_v = _eval_vec(sym_args, th)
-            if outs_v is None or args_v is None or tuple(args_v) != tuple(args):
+            if args_v is None or tuple(args_v) != tuple(args):
                 continue
             mem0 = smm.concretize(th, smem)
             if mem0 is None:
@@ -437,11 +437,11 @@ def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_
     return None
 
 
-def _outcome_domain(cmm, domain, mem, mem2, outs_c):
+def _outcome_domain(cmm, bounds, domain, mem, mem2, outs_c):
     """`domain()` widened by the values, results and new addresses of the
     concrete outcome `mem2`, `outs_c` of a step from `mem`."""
     extra = set(mem2.keys()) - set(mem.keys()) if isinstance(mem2, dict) else set()
-    return sorted(set(domain()) | cmm.mem_values(mem2) | set(outs_c) | extra, key=value_key)
+    return bounds.domain_with(domain(), cmm.mem_values(mem2), outs_c, extra)
 
 
 def _branch_lvars(smm, smem2, pc, outs):
@@ -459,17 +459,12 @@ def _new_lvars(smm, branch, known):
 
 
 def _ox_matched(smm, branches, news, theta, domain, o, mem2, outs_c):
-    for (o2, smem2, pc, outs), new in zip(branches, news):
-        if o2 is not o or len(outs) != len(outs_c):
-            continue
-        for th in _extend(theta, new(), domain):
-            if not _holds_all(pc, th):
-                continue
-            if _eval_vec(outs, th) != tuple(outs_c):
-                continue
-            if smm.sat_mem(th, mem2, smem2):
-                return True
-    return False
+    return any(
+        m == mem2
+        for (o2, smem2, pc, outs), new in zip(branches, news)
+        if o2 is o and len(outs) == len(outs_c)
+        for _, m, _ in _branch_models(smm, theta, new(), domain, pc, smem2, outs, tuple(outs_c))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,27 +542,19 @@ def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, known, t
     ins = tuple(Lit(v) for v in ins_v)
     fanout = (len(mem) if isinstance(mem, dict) else 4) + 1
     branches = _consume_branches(smm, emode, name, ins, smem, fanout)
-    domain = _Lazy(
-        lambda: sorted(set(bounds.value_domain) | cmm.mem_values(mem) | set(ins_v), key=value_key)
-    )
+    domain = _Lazy(lambda: bounds.domain_with(cmm.mem_values(mem), ins_v))
 
     if mode == "ux":
         for o, _, outs, (smem_f, checks, pc) in branches:
             if o is not OK:
                 continue
             new = _branch_lvars(smm, smem_f, tuple(checks) + tuple(pc), outs) - known
-            for th in _extend(theta, new, domain):
-                outs_th = _eval_vec(outs, th)
-                if outs_th is None or not _holds_all(pc, th):
-                    continue
-                mem_f = smm.concretize(th, smem_f)
-                if mem_f is None:
-                    continue
+            for th, mem_f, outs_th in _branch_models(smm, theta, new, domain, pc, smem_f, outs):
                 for mem_r in res_heaps(name, ins_v, outs_th):
                     whole = cmm.compose(mem_r, mem_f)
                     if whole is None:
                         continue
-                    if not _holds_all(checks, th) or not smm.sat_mem(th, whole, smem):
+                    if not all_true(checks, th) or not smm.sat_mem(th, whole, smem):
                         return {
                             "kind": "consume-ux",
                             "outs": [repr(v) for v in outs_th],
@@ -579,27 +566,21 @@ def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, known, t
     # OX: some consume branch must cover the model
     if not smm.sat_mem(theta, mem, smem):
         return None
-    plausible_abort = False
+    # vacuous when some abort branch has a model; its values are not read
     for o, _, outs, (smem_f, checks, pc) in branches:
-        if o is ABORT and _holds_all(checks, theta):
+        if o is ABORT and all_true(checks, theta):
             new = _branch_lvars(smm, smem_f, tuple(pc), outs) - known
-            for th in _extend(theta, new, domain):
-                if _holds_all(pc, th) and smm.concretize(th, smem_f) is not None:
-                    plausible_abort = True
-                    break
-        if plausible_abort:
-            break
-    if plausible_abort:
-        return None
+            if any(_branch_models(smm, theta, new, domain, pc, smem_f, ())):
+                return None
     covered = False
     for o, _, outs, (smem_f, checks, pc) in branches:
         if o is not OK:
             continue
-        if not _holds_all(checks, theta):
+        if not all_true(checks, theta):
             covered = True  # implication vacuous for this branch
             break
         outs_th = _eval_vec(outs, theta)
-        if outs_th is None or not _holds_all(pc, theta):
+        if outs_th is None or not all_true(pc, theta):
             continue
         mem_f = smm.concretize(theta, smem_f)
         if mem_f is None:
@@ -620,14 +601,9 @@ def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, known, t
 
 
 def _outs_present(rm, name, ins_v, mem_r, bounds):
-    from .memmodel import FREED
-    from .values import is_value
-
     n_out = rm.arities[name][1]
-    vals = set(bounds.sorted_domain())
-    if isinstance(mem_r, dict):
-        vals.update(v for v in mem_r.values() if v is not FREED and is_value(v))
-    for outs in itertools.product(sorted(vals, key=value_key), repeat=n_out):
+    held = [v for v in mem_r.values() if v is not FREED and is_value(v)] if isinstance(mem_r, dict) else ()
+    for outs in itertools.product(bounds.domain_with(held), repeat=n_out):
         if rm.holds_resource(mem_r, name, ins_v, outs):
             return outs
     return None
@@ -647,7 +623,7 @@ def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v,
                 continue
             hit = False
             for smem2, pc in results:
-                if _holds_all(pc, theta) and smm.sat_mem(theta, whole, smem2):
+                if all_true(pc, theta) and smm.sat_mem(theta, whole, smem2):
                     hit = True
                     break
             if not hit:
@@ -655,7 +631,7 @@ def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v,
         return None
     # UX: every produced state's models split into resource + frame models
     for smem2, pc in results:
-        if not _holds_all(pc, theta):
+        if not all_true(pc, theta):
             continue
         whole = smm.concretize(theta, smem2)
         if whole is None:

@@ -79,7 +79,7 @@ from .syntax import (
     subst_expr,
     subst_pvars,
 )
-from .values import FALSE, TRUE, UNDEF, value_key
+from .values import FALSE, TRUE, UNDEF
 
 
 class Mode(Enum):
@@ -766,7 +766,7 @@ def models_of(
     """Bounded enumeration of (interpretation, concrete state) models of a
     symbolic state; the ground-truth relation for the soundness harnesses."""
     lvars = sorted(state.lvars(bundle.smm) | set(extra_lvars))
-    domain = sorted(set(enumeration_domain(state.pc, bounds)) | _state_values(state), key=value_key)
+    domain = enumeration_domain(state.pc, bounds, _state_values(state))
     out = []
     for theta in models(state.pc, lvars, domain, bounds):
         for st in models_under(theta, state, bundle, preds, bounds):

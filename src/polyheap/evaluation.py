@@ -3,12 +3,17 @@
 Total functions into Value-or-UNDEF. Unbound variables, type mismatches and
 division by zero all yield UNDEF rather than raising. `eval_expr` is the
 store-only program-expression evaluator; `eval_lexpr` additionally
-interprets logical variables and the membership tests.
+interprets logical variables and the membership tests. `all_true` decides
+a conjunction: the solver's path conditions and the pure conjuncts of an
+assertion.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .values import (
+    TRUE,
     UNDEF,
     Rat,
     VBool,
@@ -71,6 +76,17 @@ def eval_lexpr(e: Expr, theta: dict, store: dict, memo: dict | None = None):
             items.append(v)
         return tuple(items)
     raise TypeError(f"not an expression: {e!r}")
+
+
+_NO_STORE = MappingProxyType({})
+
+
+def all_true(exprs, theta: dict, store=_NO_STORE) -> bool:
+    """Every expression evaluates to TRUE under theta and store. One memo
+    serves the call, so a subterm shared by the expressions (`x + 1 + ...
+    + 1` along a path) is evaluated once."""
+    memo = {}
+    return all(eval_lexpr(e, theta, store, memo) is TRUE for e in exprs)
 
 
 def eval_expr(e: Expr, store: dict):

@@ -32,7 +32,7 @@ from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT
 from .satisfaction import witness_domain
-from .solver import Sat, _extensions, _holds_all, check_sat
+from .solver import Sat, check_sat, extensions
 from .syntax import (
     Action,
     Assign,
@@ -116,9 +116,7 @@ def _branch_matches(bundle, preds, bounds, branch, theta, known, final: Concrete
     state = branch.state
     new = state.lvars(bundle.smm) - known
     domain = witness_domain(final.store, final.mem, bundle.cmm, bounds)
-    for th in _extensions(theta, new, domain):
-        if not _holds_all(state.pc, th):
-            continue
+    for th in extensions(state.pc, theta, new, domain):
         for model in models_under(th, state, bundle, preds, bounds):
             if model.mem == final.mem and all(
                 model.store.get(x) == v for x, v in final.store.items()

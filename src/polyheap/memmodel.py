@@ -72,6 +72,13 @@ class Bounds:
     def sorted_domain(self) -> list:
         return sorted(self.value_domain, key=value_key)
 
+    def domain_with(self, *values) -> list:
+        """The value domain widened by every value of the iterables
+        `values`, without repeats and sorted by `value_key`: the values a
+        bounded search draws from when a state or a condition holds values
+        the bounds do not list."""
+        return sorted(set(self.value_domain).union(*values), key=value_key)
+
 
 DEFAULT_BOUNDS = Bounds()
 

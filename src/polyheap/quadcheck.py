@@ -37,6 +37,14 @@ a disjunction, an implication or `True` in it has no footprint: then the
 generated heaps are listed, once per call, and every one is visited, so
 depth exhaustion shows exactly where it did. The ISL values are the domain
 and the values the generated heaps hold (`generated_values`).
+
+Interpretations are total and come from `itertools.product` over the
+domain, within `solver._ENUM_CAP`, the one enumeration cap: a larger space
+is Inconclusive. They cannot come from `solver.models` over the
+precondition's pure part, because the ISL half needs the interpretations
+the precondition rules out too: a post model under one of them is an
+`unreachable-post` counterexample. The product is also cheaper per
+interpretation than the backtracking search when nothing is pruned.
 """
 
 from __future__ import annotations
@@ -45,13 +53,14 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
+from . import solver
 from .assertions import Quadruple, Res, lv_assertion, split_external_pre, star_conjuncts
 from .concrete import BudgetExhausted, run_function
+from .evaluation import all_true
 from .memmodel import Bounds, MemoryModelBundle
 from .outcomes import ERR, MISS, OK
-from .satisfaction import UNKNOWN, DepthExceeded, footprint, holds, may_hold, pure_conjuncts, pure_holds
+from .satisfaction import UNKNOWN, DepthExceeded, footprint, holds, may_hold, pure_conjuncts
 from .syntax import ImplContext, pv_expr
-from .values import value_key
 
 
 class Valid:
@@ -60,6 +69,9 @@ class Valid:
 
 
 class Inconclusive:
+    """No verdict within the bounds, and why; `check_quadruple_bounded`
+    and `analyses.verify_ox` both give it."""
+
     def __init__(self, reason: str):
         self.reason = reason
 
@@ -77,9 +89,6 @@ class CounterExample:
         return f"CounterExample({self.kind}, theta={self.theta}, {self.detail})"
 
 
-_ENUM_CAP = 200_000
-
-
 def check_quadruple_bounded(
     gamma: ImplContext,
     q: Quadruple,
@@ -95,7 +104,7 @@ def check_quadruple_bounded(
     f = gamma[q.fid]
     lvars = sorted(lv_assertion(q.pre) | lv_assertion(q.post_ok) | lv_assertion(q.post_err))
     domain = bounds.sorted_domain()
-    if len(domain) ** len(lvars) > _ENUM_CAP:
+    if len(domain) ** len(lvars) > solver._ENUM_CAP:
         return Inconclusive("interpretation space exceeds the enumeration cap")
     param_map, _ = split_external_pre(q.pre, q.params)
     cmm = bundle.cmm
@@ -141,14 +150,14 @@ def check_quadruple_bounded(
         )
         posts.append((o, post, var, fixed_pure, var_pure, fixed_fp))
     # the ISL value list: the domain and every value some heap holds
-    isl_vals = sorted(set(domain) | cmm.generated_values(bounds), key=value_key)
+    isl_vals = bounds.domain_with(cmm.generated_values(bounds))
 
     for combo in itertools.product(domain, repeat=len(lvars)):
         theta = dict(zip(lvars, combo))
         args = tuple(theta.get(param_map[x]) for x in q.params)
         store = dict(zip(q.params, args))
         pre_heaps = []
-        if pure_holds(pre_pure, theta, store):
+        if all_true(pre_pure, theta, store):
             try:
                 pre_heaps = [h for _, h in visit(theta, store, q.pre) if sat(theta, store, h, q.pre)]
             except DepthExceeded:
@@ -183,9 +192,9 @@ def check_quadruple_bounded(
 
         if q.flavor in ("ISL", "ESL"):
             for o, post, var, fixed_pure, var_pure, fixed_fp in posts:
-                if not pure_holds(fixed_pure, theta, {}):
+                if not all_true(fixed_pure, theta):
                     continue
-                vals = [v for v in isl_vals if pure_holds(var_pure, theta, {var: v})]
+                vals = [v for v in isl_vals if all_true(var_pure, theta, {var: v})]
                 if not vals:
                     continue
                 # heap-outer, value-inner, as if every pair were visited

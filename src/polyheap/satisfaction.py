@@ -36,7 +36,7 @@ from .assertions import (
 )
 from .evaluation import eval_lexpr
 from .memmodel import Bounds
-from .values import TRUE, UNDEF, value_key
+from .values import TRUE, UNDEF
 
 
 class DepthExceeded(Exception):
@@ -109,14 +109,6 @@ def pure_conjuncts(assertion: Assertion) -> list:
     return [a.expr for a in star_conjuncts(assertion) if isinstance(a, Bool)]
 
 
-def pure_holds(exprs, theta: dict, store: dict) -> bool:
-    """Every expression evaluates to TRUE under theta and store. One memo
-    serves the call, so a subterm shared by the expressions is evaluated
-    once."""
-    memo = {}
-    return all(eval_lexpr(e, theta, store, memo) is TRUE for e in exprs)
-
-
 class _Unknown:
     __slots__ = ()
 
@@ -166,10 +158,7 @@ def may_hold(fp, mem) -> bool:
 
 
 def witness_domain(store, mem, cmm, bounds: Bounds) -> list:
-    vals = set(bounds.value_domain)
-    vals.update(v for v in store.values() if v is not UNDEF)
-    vals.update(cmm.mem_values(mem))
-    return sorted(vals, key=value_key)
+    return bounds.domain_with((v for v in store.values() if v is not UNDEF), cmm.mem_values(mem))
 
 
 def heap_models(theta, store, assertion, *, cmm, rm, preds=None, bounds=None, depth=4):

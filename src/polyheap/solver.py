@@ -37,17 +37,24 @@ its logical variables (`conjunct_lvars`). That is exact: nodes are frozen,
 so a cached fact never goes stale, and the hash keeps the dataclass
 formula, so set and dict orders, and the reports, do not move. Folding
 returns a node none of whose children changed as it is, so `rewrite`
-folds only the nodes it builds. `_holds_all` evaluates the conjuncts under
-one interpretation with one memo keyed by node identity, so a shared
-subterm such as `x + 1 + ... + 1` is evaluated once per interpretation,
-not once per conjunct; the memo lives only for the call, while the nodes
-and the interpretation stay fixed.
+folds only the nodes it builds. `evaluation.all_true` evaluates the
+conjuncts under one interpretation with one memo keyed by node identity, so
+a shared subterm such as `x + 1 + ... + 1` is evaluated once per
+interpretation, not once per conjunct; the memo lives only for the call,
+while the nodes and the interpretation stay fixed.
 
-Bounded enumeration (`models`) forward-checks: when the space is small
-enough to enumerate in full, it backtracks over the sorted variables and
+Every bounded search for interpretations is one search, `extensions`: it
+extends a base interpretation over sorted variables, backtracking, and
 checks each conjunct as soon as its last variable is decided, so a failed
-conjunct prunes every extension. It yields exactly what filtering
-`_assignments` by the whole condition yields, in the same order.
+conjunct prunes every extension. It yields exactly what filtering the
+`itertools.product` of the options by the whole condition yields, in the
+same order and with the same key order. An `_OMIT` option leaves a
+variable unbound, so `models` is `extensions` of the empty interpretation
+with options `domain + [_OMIT]` whenever the space is within `_ENUM_CAP`,
+the one enumeration cap (`quadcheck` reads it too); above it `models`
+samples. With no variable to decide, `extensions` checks the base
+interpretation alone: the engine and conformance harnesses ask that often.
+Domains come from `Bounds.domain_with`.
 
 Path conditions are tuples of program-variable-free expressions, read
 conjunctively.
@@ -62,7 +69,7 @@ from enum import Enum
 from fractions import Fraction
 from random import Random
 
-from .evaluation import eval_lexpr
+from .evaluation import all_true, eval_lexpr
 from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr, pv_expr
 from .values import FALSE, TRUE, UNDEF, is_nat, is_rat, type_name, value_key
 
@@ -628,11 +635,10 @@ def _literals_in(e: Expr, out: set):
     out |= _lits(e)
 
 
-def enumeration_domain(pc, bounds) -> list:
-    vals = set(bounds.value_domain)
-    for c in pc:
-        _literals_in(c, vals)
-    return sorted(vals, key=value_key)
+def enumeration_domain(pc, bounds, *values) -> list:
+    """The values a search for models of `pc` draws from: the bounds'
+    domain, the literals of `pc` and every value of the iterables `values`."""
+    return bounds.domain_with(*map(_lits, pc), *values)
 
 
 _OMIT = object()  # interpretations are partial: a variable may stay unbound
@@ -656,62 +662,61 @@ def _assignments(lvars, domain, bounds):
         yield {x: v for x, v in zip(lvars, combo) if v is not _OMIT}
 
 
-def _holds_all(pc, theta) -> bool:
-    """Every conjunct is true under `theta`. One memo serves the call, so a
-    subterm shared by conjuncts (`x + 1 + ... + 1` along a path) is
-    evaluated once."""
-    memo = {}
-    return all(eval_lexpr(c, theta, {}, memo) is TRUE for c in pc)
+def extensions(pc, theta, lvars, options):
+    """The extensions of `theta` that give each of the sorted `lvars` one
+    of `options` and make every conjunct of `pc` true, in
+    `itertools.product` order; `_OMIT`, as an option, leaves a variable
+    unbound. Keys keep `{**theta, **new}` order (with `_OMIT`, for a
+    `theta` that binds none of `lvars`). With no variable to decide it is
+    a list of `theta` alone when `pc` holds: the harnesses ask that most
+    often, and a list costs less than a generator. Otherwise it is a lazy
+    search (`_backtrack`)."""
+    if not lvars:
+        return [dict(theta)] if all_true(pc, theta) else []
+    return _backtrack(pc, theta, sorted(lvars), options)
 
 
-def _extensions(theta, new_lvars, domain):
-    """`theta` extended by every assignment of `domain` values to the
-    sorted `new_lvars` (`itertools.product` order); `theta` alone when
-    there are none."""
-    new_lvars = sorted(new_lvars)
-    if not new_lvars:
-        yield dict(theta)
-        return
-    for combo in itertools.product(domain, repeat=len(new_lvars)):
-        yield {**theta, **dict(zip(new_lvars, combo))}
-
-
-def models(pc, lvars, domain, bounds):
-    """The interpretations of `_assignments(lvars, domain, bounds)` that make
-    every conjunct of `pc` true, in the same order and with the same key
-    order. When the space is enumerated in full, the search backtracks over
-    the sorted variables and checks each conjunct right after the step that
-    decides its last variable (leaving a variable unbound decides it too);
-    a conjunct over variables outside `lvars` waits for the last step. The
-    sampled stream is filtered as it comes."""
-    order = sorted(lvars)
-    options = list(domain) + [_OMIT]
-    if len(options) ** len(order) > _ENUM_CAP:
-        yield from (theta for theta in _assignments(order, domain, bounds) if _holds_all(pc, theta))
-        return
-    step = {x: i + 1 for i, x in enumerate(order)}
+def _backtrack(pc, theta, order, options):
+    """The search of `extensions` over `order`: it checks each conjunct
+    right after the step that decides its last variable (variables of
+    `theta` are decided from the start); a conjunct over a variable in
+    neither waits for the last step."""
+    step = dict.fromkeys(theta, 0)
+    step.update((x, i + 1) for i, x in enumerate(order))
     checks = [[] for _ in range(len(order) + 1)]  # checks[i]: after deciding order[i - 1]
     for c in pc:
         vs = conjunct_lvars(c)
         last = len(order) if vs - step.keys() else max((step[x] for x in vs), default=0)
         checks[last].append(c)
-    theta = {}
+    th = dict(theta)
 
     def extend(i):
         if i == len(order):
-            yield dict(theta)
+            yield dict(th)
             return
         x = order[i]
         for v in options:  # _OMIT comes last and leaves x unbound again
             if v is _OMIT:
-                theta.pop(x, None)
+                th.pop(x, None)
             else:
-                theta[x] = v
-            if _holds_all(checks[i + 1], theta):
+                th[x] = v
+            if all_true(checks[i + 1], th):
                 yield from extend(i + 1)
 
-    if _holds_all(checks[0], theta):
+    if all_true(checks[0], th):
         yield from extend(0)
+
+
+def models(pc, lvars, domain, bounds):
+    """The interpretations of `_assignments(lvars, domain, bounds)` that make
+    every conjunct of `pc` true, in the same order and with the same key
+    order: `extensions` of the empty interpretation when the space is
+    enumerated in full, and the sampled stream filtered as it comes when
+    it exceeds `_ENUM_CAP`. An iterator."""
+    options = list(domain) + [_OMIT]
+    if len(options) ** len(lvars) > _ENUM_CAP:
+        return (theta for theta in _assignments(lvars, domain, bounds) if all_true(pc, theta))
+    return iter(extensions(pc, {}, lvars, options))
 
 
 _sat_cache: dict = {}

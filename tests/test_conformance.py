@@ -1,6 +1,8 @@
 """Conformance harness behaviour: passing models pass, broken models are
 refuted with small witnesses, and the declared-soundness pattern holds."""
 
+import itertools
+
 import pytest
 
 from polyheap.conformance import (
@@ -23,11 +25,11 @@ from polyheap.conformance import (
     check_pcm_laws,
 )
 from polyheap.engine import Mode
+from polyheap.evaluation import all_true as _holds_all
 from polyheap.memmodel import Bounds, MemoryModelBundle
 from polyheap.models import MODEL_NAMES, get_model, sabotage
 from polyheap.oracle import Oracle
 from polyheap.outcomes import ABORT, MISS, OK
-from polyheap.solver import _extensions, _holds_all
 from polyheap.syntax import Lit
 from polyheap.values import NIL, value_key
 from test_mutations import consume_wrong_out, drops_miss_branch, invents_results, produce_ignores_input
@@ -105,8 +107,6 @@ def _materialised_sample(items, cap, seed):
 def test_lazy_frame_sample_matches_materialised_sample(cap):
     """check_frame's trials, in order, are those of sampling the full list of
     mems x mems x cases index tuples."""
-    import itertools
-
     from polyheap.conformance import _mems, _sample_product
 
     cmm = get_model("linear").cmm
@@ -152,6 +152,19 @@ def test_produce_consume_round_trip_per_model(name):
 # heaps, witness domains, lvars) across trials and skipped replayed consume
 # seeds, kept as the reference for the differential tests below.
 # ---------------------------------------------------------------------------
+
+
+def _extensions(theta, new_lvars, domain):
+    """`theta` extended by every assignment of `domain` values to the
+    sorted `new_lvars` (`itertools.product` order); `theta` alone when
+    there are none. The enumerator the conformance searches used before
+    they shared the solver's."""
+    new_lvars = sorted(new_lvars)
+    if not new_lvars:
+        yield dict(theta)
+        return
+    for combo in itertools.product(domain, repeat=len(new_lvars)):
+        yield {**theta, **dict(zip(new_lvars, combo))}
 
 
 def _old_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap: int = 4000) -> CheckResult:

@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from polyheap import solver
 from polyheap.cli import main
-from polyheap.evaluation import eval_lexpr
-from polyheap.satisfaction import pure_holds
-from polyheap.solver import _holds_all, _literals_in, fold_expr, pc_lvars
+from polyheap.evaluation import all_true, eval_lexpr
+from polyheap.solver import _literals_in, fold_expr, pc_lvars
 from polyheap.syntax import BIN_OPS, TYPE_NAMES, Bin, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr
 from polyheap.values import FALSE, NIL, TRUE, Rat, value_key
 
@@ -125,8 +124,7 @@ def test_memoised_holds_all_matches_plain_evaluation(pc, theta):
     plain = [eval_lexpr(c, theta, {}) for c in pc]
     memo = {}
     assert [eval_lexpr(c, theta, {}, memo) for c in pc] == plain
-    assert _holds_all(pc, theta) == all(v is TRUE for v in plain)
-    assert pure_holds(pc, theta, {}) == all(v is TRUE for v in plain)
+    assert all_true(pc, theta) == all(v is TRUE for v in plain)
 
 
 @given(_shared_pcs(), _shared_pcs())

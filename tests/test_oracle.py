@@ -3,10 +3,12 @@ from hypothesis import given, strategies as st
 from polyheap.oracle import Oracle
 
 
-@given(st.lists(st.integers(0, 9), max_size=6), st.integers(0, 4), st.integers(0, 4))
-def test_shift_law(prefix, k, n):
+@given(st.lists(st.integers(0, 9), max_size=6), st.integers(0, 4), st.integers(0, 4), st.integers(1, 5))
+def test_shift_law(prefix, k, n, size):
     o = Oracle(tuple(prefix), default=7)
-    assert o.shift(k).query(n) == o.query(n + k)
+    options = list(range(size))
+    assert o.shift(k).shift(n).pick(options)[0] == o.shift(n + k).pick(options)[0]
+    assert o.sizes == [(n + k, size), (n + k, size)]
 
 
 def test_pick_is_deterministic_and_shifts():
@@ -29,16 +31,16 @@ def test_read_log_survives_shift_and_pick():
     o = Oracle.of(1, 2)
     _, o2 = o.pick(["a", "b"])
     o3 = o2.shift(2)
-    o3.query(1)
+    o3.shift(1).pick(["a", "b", "c", "d"])
     _, o4 = o3.pick(["c"])
-    assert o4.reads is o.reads
-    assert o.reads == [0, 4, 3]
+    assert o4.sizes is o.sizes
+    assert o.sizes == [(0, 2), (4, 4), (3, 1)]
 
 
 def test_read_log_does_not_affect_equality_or_hash():
     a, b = Oracle.of(1, 2), Oracle.of(1, 2)
-    a.query(5)
-    assert a.reads != b.reads
+    a.shift(5).pick(["a"])
+    assert a.sizes != b.sizes
     assert a == b and hash(a) == hash(b)
     assert a.shift(1) == b.shift(1)
     assert repr(a) == repr(b)
@@ -48,11 +50,10 @@ def test_read_log_does_not_affect_equality_or_hash():
 def test_size_log_records_choice_set_sizes():
     o = Oracle.of(1, 2)
     _, o2 = o.pick(["a", "b"])
-    o2.shift(2).query(1)
+    o2.shift(2).pick(["a"])
     _, o3 = o2.pick(["c", "d", "e"])
     assert o3.sizes is o.sizes
-    assert o.sizes == [(0, 2), (4, None), (1, 3)]
-    assert o.reads == [0, 4, 1]
+    assert o.sizes == [(0, 2), (3, 1), (1, 3)]
     b = Oracle.of(1, 2)
     assert o == b and hash(o) == hash(b) and repr(o) == repr(b)
 
@@ -63,9 +64,10 @@ def test_replays_compares_picks_modulo_their_size():
     assert Oracle.of(2).replays(run)  # 2 % 2 == 0 picks "a" again
     assert not Oracle.of(1).replays(run)
     assert Oracle.of(0, 5).replays(run)  # position 1 was never read
-    raw = Oracle.of()
-    raw.query(0)
-    assert not Oracle.of(2).replays(raw)  # a raw read sees the whole value
+    wide = Oracle.of()
+    wide.pick(list(range(5)))
+    assert not Oracle.of(2).replays(wide)  # 2 % 5 picks another element
+    assert Oracle.of(5).replays(wide)
 
 
 def test_trace_collector_records_rules():

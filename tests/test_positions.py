@@ -28,10 +28,12 @@ from polyheap.models.chunks import ChunkConcrete
 from polyheap.models.maps import MapConcrete
 from polyheap.outcomes import ERR, MISS, OK
 from polyheap.parser import parse_program
-from polyheap.quadcheck import CounterExample, Inconclusive, Valid, _ENUM_CAP, _freeze, check_quadruple_bounded
+from polyheap.evaluation import all_true
+from polyheap.quadcheck import CounterExample, Inconclusive, Valid, _freeze, check_quadruple_bounded
 from polyheap.satisfaction import (
-    UNKNOWN, DepthExceeded, footprint, heap_models, holds, may_hold, pure_conjuncts, pure_holds,
+    UNKNOWN, DepthExceeded, footprint, heap_models, holds, may_hold, pure_conjuncts,
 )
+from polyheap.solver import _ENUM_CAP
 from polyheap.syntax import Action, Lit, basic_cmds
 from polyheap.values import NIL, TRUE, value_key
 from test_footprint import _assertions, _outcome, _preds
@@ -179,7 +181,7 @@ def _old_check(gamma, q, bounds, bundle, preds=None, budget=16):
         args = tuple(theta.get(param_map[x]) for x in q.params)
         store = dict(zip(q.params, args))
         pre_heaps = []
-        if pure_holds(pre_pure, theta, store):
+        if all_true(pre_pure, theta, store):
             try:
                 pre_heaps = [heaps[i] for i in visit(theta, store, q.pre) if sat(theta, store, heaps[i], q.pre)]
             except DepthExceeded:
@@ -208,7 +210,7 @@ def _old_check(gamma, q, bounds, bundle, preds=None, budget=16):
                         )
         if q.flavor in ("ISL", "ESL"):
             for o, post, var, post_pure in posts:
-                vals = [v for v in isl_vals if pure_holds(post_pure, theta, {var: v})]
+                vals = [v for v in isl_vals if all_true(post_pure, theta, {var: v})]
                 pairs = sorted((i, k) for k, v in enumerate(vals) for i in visit(theta, {var: v}, post))
                 for i, k in pairs:
                     h2, v = heaps[i], vals[k]

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from conftest import programs_dir
-from polyheap import quadcheck
+from polyheap import quadcheck, solver
 from polyheap.analyses import biabduct
 from polyheap.assertions import Res, Star, lv_assertion, split_external_pre
 from polyheap.concrete import BudgetExhausted, run_function
@@ -15,6 +15,8 @@ from polyheap.outcomes import ERR, MISS, OK
 from polyheap.parser import parse_program
 from polyheap.quadcheck import CounterExample, Inconclusive, Valid, check_quadruple_bounded
 from polyheap.satisfaction import DepthExceeded, holds
+from polyheap.solver import models
+from polyheap.syntax import Bin, LVar
 from polyheap.values import NIL, value_key
 
 B = Bounds(value_domain=(NIL, 0, 1, 2), max_cells=2, max_addresses=3, trials=200, seed=0)
@@ -110,6 +112,25 @@ def test_depth_exhaustion_is_inconclusive(lin):
     assert isinstance(check(DEPTH_LOOP, lin), Inconclusive)
 
 
+def test_one_enumeration_cap(monkeypatch, lin):
+    """`models` and `check_quadruple_bounded` read one cap: at 16 each
+    enumerates its 16 candidates in full, at 15 `models` samples and the
+    quadruple is Inconclusive."""
+    x, y = LVar("x"), LVar("y")
+    pc = (Bin("<=", x, y),)
+    domain = [0, 1, 2]  # with a variable left unbound: 4 ** 2 candidates
+    full = [{"x": a, "y": b} for a in domain for b in domain if a <= b]
+    assert len(B.value_domain) ** 2 == 16  # ESL_LOOKUP has #x and #v
+    monkeypatch.setattr(solver, "_ENUM_CAP", 16)
+    assert list(models(pc, {"x", "y"}, domain, B)) == full
+    assert isinstance(check(ESL_LOOKUP, lin), Valid)
+    monkeypatch.setattr(solver, "_ENUM_CAP", 15)
+    sampled = list(models(pc, {"x", "y"}, domain, B))
+    assert len(sampled) > len(full) and all(th in full for th in sampled)  # B.trials draws
+    r = check(ESL_LOOKUP, lin)
+    assert isinstance(r, Inconclusive) and r.reason == "interpretation space exceeds the enumeration cap"
+
+
 def test_false_pure_conjunct_hides_depth_exhaustion(lin):
     # the precondition has no model, so the quadruple is valid; the loop
     # that checked every heap against the whole assertion unfolded
@@ -150,7 +171,7 @@ def _old_check(gamma, q, bounds, bundle, preds=None, budget=16):
     q.check_external_shape()
     lvars = sorted(lv_assertion(q.pre) | lv_assertion(q.post_ok) | lv_assertion(q.post_err))
     domain = bounds.sorted_domain()
-    if len(domain) ** len(lvars) > quadcheck._ENUM_CAP:
+    if len(domain) ** len(lvars) > solver._ENUM_CAP:
         return Inconclusive("interpretation space exceeds the enumeration cap")
     param_map, _ = split_external_pre(q.pre, q.params)
     heaps = list(bundle.cmm.generator(bounds))

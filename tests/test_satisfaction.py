@@ -15,7 +15,8 @@ from polyheap.assertions import (
 )
 from polyheap.memmodel import Bounds
 from polyheap.models import get_model
-from polyheap.satisfaction import DepthExceeded, heap_models, holds, pure_conjuncts, pure_holds
+from polyheap.evaluation import all_true
+from polyheap.satisfaction import DepthExceeded, heap_models, holds, pure_conjuncts
 from polyheap.syntax import Lit, LVar, PVar, eq
 from polyheap.values import NIL
 
@@ -102,6 +103,6 @@ def test_pure_conjuncts_are_necessary(lin):
     heaps = list(lin["cmm"].generator(B))
     for v in B.value_domain:
         theta, store = {"x": v}, {"r": 2}
-        if not pure_holds(pure_conjuncts(a), theta, store):
+        if not all_true(pure_conjuncts(a), theta, store):
             assert not any(holds(theta, store, h, a, **lin) for h in heaps)
     assert holds({"x": 2}, {"r": 2}, {1: 2}, a, **lin)

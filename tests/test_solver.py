@@ -1,9 +1,10 @@
+import itertools
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyheap.evaluation import eval_lexpr
+from polyheap.evaluation import all_true, eval_lexpr
 from polyheap import solver
 from polyheap.memmodel import Bounds
 from polyheap.smtlib import export_smtlib
@@ -15,11 +16,11 @@ from polyheap.solver import (
     UNKNOWN,
     UNSAT,
     _assignments,
-    _holds_all,
     check_sat,
     clear_caches,
     entails,
     enumeration_domain,
+    extensions,
     fold_expr,
     models,
     pc_extend,
@@ -171,7 +172,15 @@ _PCS = st.lists(_EXPRS, max_size=4).map(tuple)
 
 def _generate_and_test(pc, lvars, domain, bounds):
     """The loop that `models` replaces."""
-    return [theta for theta in _assignments(lvars, domain, bounds) if _holds_all(pc, theta)]
+    return [theta for theta in _assignments(lvars, domain, bounds) if all_true(pc, theta)]
+
+
+def _product_then_filter(pc, theta, lvars, domain):
+    """The loop that `extensions` replaces in the engine and conformance
+    harnesses."""
+    new = sorted(lvars)
+    ths = ({**theta, **dict(zip(new, combo))} for combo in itertools.product(domain, repeat=len(new)))
+    return [th for th in ths if all_true(pc, th)]
 
 
 def _same_stream(got, want):
@@ -179,13 +188,23 @@ def _same_stream(got, want):
     assert [list(theta) for theta in got] == [list(theta) for theta in want]
 
 
-@given(_PCS, st.sets(st.sampled_from("xyzw"), max_size=3))
+@given(
+    _PCS,
+    st.sets(st.sampled_from("xyzw"), max_size=3),
+    st.dictionaries(st.sampled_from("xyzw"), st.sampled_from([NIL, TRUE, 0, 1, 5]), max_size=3),
+)
 @settings(max_examples=120, deadline=None)
-def test_models_match_generate_and_test(pc, lvars):
+def test_models_match_generate_and_test(pc, lvars, base):
     # lvars may miss variables of pc, or be empty
     domain = enumeration_domain(pc, B)
     assert (len(domain) + 1) ** len(lvars) <= _ENUM_CAP
     _same_stream(list(models(pc, lvars, domain, B)), _generate_and_test(pc, lvars, domain, B))
+    # a base interpretation that overlaps lvars, and one that does not;
+    # 5 is outside the domain, and the base keys come in any order
+    apart = {k: v for k, v in base.items() if k not in lvars}
+    for theta in (base, apart):
+        got = list(extensions(pc, theta, lvars, domain))
+        _same_stream(got, _product_then_filter(pc, theta, lvars, domain))
 
 
 @given(_PCS)
@@ -216,7 +235,7 @@ _GUARDS = st.recursive(
 def test_core_contradiction_has_no_bounded_model(pc):
     if RewriteCore(pc).contradiction:
         domain = enumeration_domain(pc, B)
-        assert not any(_holds_all(pc, theta) for theta in _assignments(pc_lvars(pc), domain, B))
+        assert not any(all_true(pc, theta) for theta in _assignments(pc_lvars(pc), domain, B))
 
 
 def _old_fold_expr(e):
