@@ -18,9 +18,11 @@ side can make.
 
 The symbolic checks keep, per call, what does not depend on the trial:
 the lifts of each memory, the argument vectors of each action case and
-the heaps on which each resource holds. Witness domains are built only
-when a branch has new variables. Model operations are pure, so sharing
-changes no verdict, trial count or witness.
+the heaps on which each resource holds. A step's new logical variables
+are the names its namer minted (consume and produce mint none), so a
+witness domain is built only when the step minted a name. Model
+operations are pure, so sharing changes no verdict, trial count or
+witness.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .memmodel import FREED, Bounds, MemoryModelBundle
 from .oracle import Oracle
 from .outcomes import ABORT, MISS, OK
 from .solver import extensions
-from .syntax import LVar, Lit, lv_expr
+from .syntax import LVar, Lit
 from .values import UNDEF, is_value
 
 
@@ -51,10 +53,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-
-def _fmt_mem(mem):
-    return repr(mem)
 
 
 def _sample_product(sizes: tuple, cap: int, seed: int):
@@ -100,7 +98,7 @@ def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckRes
         trials += 1
         if unit_fails(a):
             (a2,) = _shrink(lambda xs: unit_fails(xs[0]), (a,), cmm, bounds)
-            return CheckResult("pcm", "-", "fail", trials, {"law": "unit", "mem": _fmt_mem(a2)})
+            return CheckResult("pcm", "-", "fail", trials, {"law": "unit", "mem": repr(a2)})
 
     def commut_fails(pair):
         a, b = pair
@@ -112,13 +110,13 @@ def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckRes
             w = _shrink(lambda xs: commut_fails(xs), (mems[i], mems[j]), cmm, bounds)
             return CheckResult(
                 "pcm", "-", "fail", trials,
-                {"law": "commutativity", "mems": [_fmt_mem(m) for m in w]},
+                {"law": "commutativity", "mems": [repr(m) for m in w]},
             )
         comp = cmm.compose(mems[i], mems[j])
         if comp is not None and not cmm.is_wf(comp):
             return CheckResult(
                 "pcm", "-", "fail", trials,
-                {"law": "wf-compose", "mems": [_fmt_mem(mems[i]), _fmt_mem(mems[j])]},
+                {"law": "wf-compose", "mems": [repr(mems[i]), repr(mems[j])]},
             )
 
     def assoc_fails(triple):
@@ -146,7 +144,7 @@ def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckRes
                         w = _shrink(assoc_fails, (mems[i], mems[j], mems[k]), cmm, bounds)
                         return CheckResult(
                             "pcm", "-", "fail", trials,
-                            {"law": "associativity", "mems": [_fmt_mem(m) for m in w]},
+                            {"law": "associativity", "mems": [repr(m) for m in w]},
                         )
     else:
         rng = Random(bounds.seed)
@@ -157,7 +155,7 @@ def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckRes
                 w = _shrink(assoc_fails, triple, cmm, bounds)
                 return CheckResult(
                     "pcm", "-", "fail", trials,
-                    {"law": "associativity", "mems": [_fmt_mem(m) for m in w]},
+                    {"law": "associativity", "mems": [repr(m) for m in w]},
                 )
     return CheckResult("pcm", "-", "pass", trials)
 
@@ -271,8 +269,8 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
 
 def _frame_witness(mu, frame, name, args, o, outs):
     return {
-        "mem": _fmt_mem(mu),
-        "frame": _fmt_mem(frame),
+        "mem": repr(mu),
+        "frame": repr(frame),
         "action": name,
         "args": [repr(a) for a in args],
         "outcome": o.value,
@@ -295,6 +293,10 @@ class _Namer:
         self.n += 1
         return name
 
+    def minted(self) -> list:
+        """The names returned so far, in order."""
+        return [f"{self.prefix}{k}" for k in range(self.n)]
+
 
 def _lift_styles(smm, mem):
     """(smem, theta) pairs relating the concrete memory to symbolic ones."""
@@ -304,12 +306,9 @@ def _lift_styles(smm, mem):
 
 
 def _lifts(smm, mems):
-    """`i` -> the `_lift_styles` of `mems[i]`, each with its smem's lvars;
-    computed on the first request for `i`, since a check samples each
-    memory many times."""
-    return functools.cache(
-        lambda i: [(smem, theta, smm.lvars(smem)) for smem, theta in _lift_styles(smm, mems[i])]
-    )
+    """`i` -> the `_lift_styles` of `mems[i]`, computed on the first request
+    for `i`, since a check samples each memory many times."""
+    return functools.cache(lambda i: _lift_styles(smm, mems[i]))
 
 
 def _arg_styles(case_args):
@@ -330,27 +329,13 @@ def _eval_vec(exprs, theta):
     return tuple(vals)
 
 
-class _Lazy:
-    """`fn()`, computed on the first call and then kept."""
-
-    __slots__ = ("fn", "value")
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self):
-        if self.fn is not None:
-            self.value, self.fn = self.fn(), None
-        return self.value
-
-
 def _branch_models(smm, theta, new, domain, pc, smem, outs, want=None):
     """(th, memory, values) for each extension `th` of `theta` over the
     variables `new` that makes `pc` true and under which `smem` denotes a
     memory and every expression of `outs` a value (the values `want`, when
-    given: then no memory is built for other values). `domain` is called
+    given: then no memory is built for other values). `domain` is read
     only when some variable is new: `theta` alone needs no values."""
-    for th in extensions(pc, theta, new, domain() if new else ()):
+    for th in extensions(pc, theta, new, domain):
         vals = _eval_vec(outs, th)
         if vals is None or want is not None and vals != want:
             continue
@@ -371,22 +356,23 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
         mem = mems[i]
         name, args = cases[c]
         sym_args, theta_a = arg_styles[c][s]
-        for smem, theta0, lvars in lifts(i):
-            theta = {**theta0, **theta_a}
+        for smem, theta0 in lifts(i):
             trials += 1
-            witness = _action_case(
-                bundle, mode, bounds, mem, smem, lvars | set(theta), theta, name, args, sym_args
-            )
+            witness = _action_case(bundle, mode, bounds, mem, smem, {**theta0, **theta_a}, name, args, sym_args)
             if witness is not None:
-                witness.update({"action": name, "args": [repr(a) for a in args], "mem": _fmt_mem(mem)})
+                witness.update({"action": name, "args": [repr(a) for a in args], "mem": repr(mem)})
                 return CheckResult("action", mode, "fail", trials, witness)
     return CheckResult("action", mode, "pass", trials)
 
 
-def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_args):
+def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
     cmm, smm = bundle.cmm, bundle.smm
-    branches = smm.exec_action(smem, name, sym_args, _Namer("f"))
-    domain = _Lazy(lambda: bounds.domain_with(cmm.mem_values(mem), args))
+    namer = _Namer("f")
+    branches = smm.exec_action(smem, name, sym_args, namer)
+    # the step's new variables are the names it minted (the contract of
+    # `SymbolicMemoryModel.exec_action`), shared by all its branches
+    new = namer.minted()
+    domain = bounds.domain_with(cmm.mem_values(mem), args) if new else ()
     wide = bounds.max_addresses + bounds.max_cells
 
     # side condition: miss/abort branches leave the memory unchanged
@@ -395,22 +381,20 @@ def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_
             return {"kind": "miss-changes-memory", "outcome": o.value}
 
     if mode == "ox":
-        # each branch's new variables, shared by the concrete outcomes
-        news = [_Lazy(functools.partial(_new_lvars, smm, b, known)) for b in branches]
         # vacuous when some abort branch is plausible under an extension;
         # an abort branch keeps the lifted memory, which always denotes
-        for (o, smem2, pc, outs), new in zip(branches, news):
-            if o is ABORT and any(_branch_models(smm, theta, new(), domain, pc, smem2, outs)):
+        for o, smem2, pc, outs in branches:
+            if o is ABORT and any(_branch_models(smm, theta, new, domain, pc, smem2, outs)):
                 return None
         concrete = cmm.exec_action(mem, name, args, bounds.max_addresses)
         for o, mem2, outs_c in concrete:
-            search_domain = _Lazy(functools.partial(_outcome_domain, cmm, bounds, domain, mem, mem2, outs_c))
-            if not _ox_matched(smm, branches, news, theta, search_domain, o, mem2, outs_c):
+            search_domain = _outcome_domain(cmm, bounds, domain, mem, mem2, outs_c) if new else ()
+            if not _ox_matched(smm, branches, new, theta, search_domain, o, mem2, outs_c):
                 return {
                     "kind": "unmatched-concrete-step",
                     "outcome": o.value,
                     "returns": [repr(v) for v in outs_c],
-                    "result-mem": _fmt_mem(mem2),
+                    "result-mem": repr(mem2),
                 }
         return None
 
@@ -418,7 +402,6 @@ def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_
     for o, smem2, pc, outs in branches:
         if o is ABORT:
             continue
-        new = _branch_lvars(smm, smem2, pc, outs) - known
         for th, mem2, outs_v in _branch_models(smm, theta, new, domain, pc, smem2, outs):
             args_v = _eval_vec(sym_args, th)
             if args_v is None or tuple(args_v) != tuple(args):
@@ -432,38 +415,24 @@ def _action_case(bundle, mode, bounds, mem, smem, known, theta, name, args, sym_
                     "kind": "unrealisable-symbolic-step",
                     "outcome": o.value,
                     "returns": [repr(v) for v in outs_v],
-                    "result-mem": _fmt_mem(mem2),
+                    "result-mem": repr(mem2),
                 }
     return None
 
 
 def _outcome_domain(cmm, bounds, domain, mem, mem2, outs_c):
-    """`domain()` widened by the values, results and new addresses of the
+    """`domain` widened by the values, results and new addresses of the
     concrete outcome `mem2`, `outs_c` of a step from `mem`."""
     extra = set(mem2.keys()) - set(mem.keys()) if isinstance(mem2, dict) else set()
-    return bounds.domain_with(domain(), cmm.mem_values(mem2), outs_c, extra)
+    return bounds.domain_with(domain, cmm.mem_values(mem2), outs_c, extra)
 
 
-def _branch_lvars(smm, smem2, pc, outs):
-    out = smm.lvars(smem2)
-    for c in pc:
-        out |= lv_expr(c)
-    for e in outs:
-        out |= lv_expr(e)
-    return out
-
-
-def _new_lvars(smm, branch, known):
-    _, smem2, pc, outs = branch
-    return _branch_lvars(smm, smem2, pc, outs) - known
-
-
-def _ox_matched(smm, branches, news, theta, domain, o, mem2, outs_c):
+def _ox_matched(smm, branches, new, theta, domain, o, mem2, outs_c):
     return any(
         m == mem2
-        for (o2, smem2, pc, outs), new in zip(branches, news)
+        for o2, smem2, pc, outs in branches
         if o2 is o and len(outs) == len(outs_c)
-        for _, m, _ in _branch_models(smm, theta, new(), domain, pc, smem2, outs, tuple(outs_c))
+        for _, m, _ in _branch_models(smm, theta, new, domain, pc, smem2, outs, tuple(outs_c))
     )
 
 
@@ -523,33 +492,30 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
     for i, c in _sample_product((len(mems), len(cases)), cap, bounds.seed):
         mem = mems[i]
         name, ins_v, outs_v = cases[c]
-        for smem, theta0, lvars in lifts(i):
+        for smem, theta0 in lifts(i):
             trials += 1
-            known = lvars | set(theta0)
-            w = _cp_consume_case(
-                bundle, emode, mode, bounds, res_heaps, mem, smem, known, theta0, name, ins_v
-            )
+            w = _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, theta0, name, ins_v)
             if w is None:
                 w = _cp_produce_case(bundle, mode, res_heaps, mem, smem, theta0, name, ins_v, outs_v)
             if w is not None:
-                w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": _fmt_mem(mem)})
+                w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": repr(mem)})
                 return CheckResult("cp", mode, "fail", trials, w)
     return CheckResult("cp", mode, "pass", trials)
 
 
-def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, known, theta, name, ins_v):
+def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, theta, name, ins_v):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     ins = tuple(Lit(v) for v in ins_v)
     fanout = (len(mem) if isinstance(mem, dict) else 4) + 1
+    # a consume mints no variable (`SymbolicMemoryModel.consume_res`), so
+    # `theta` decides each branch: no variable is new and no domain is read
     branches = _consume_branches(smm, emode, name, ins, smem, fanout)
-    domain = _Lazy(lambda: bounds.domain_with(cmm.mem_values(mem), ins_v))
 
     if mode == "ux":
         for o, _, outs, (smem_f, checks, pc) in branches:
             if o is not OK:
                 continue
-            new = _branch_lvars(smm, smem_f, tuple(checks) + tuple(pc), outs) - known
-            for th, mem_f, outs_th in _branch_models(smm, theta, new, domain, pc, smem_f, outs):
+            for th, mem_f, outs_th in _branch_models(smm, theta, (), (), pc, smem_f, outs):
                 for mem_r in res_heaps(name, ins_v, outs_th):
                     whole = cmm.compose(mem_r, mem_f)
                     if whole is None:
@@ -558,8 +524,8 @@ def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, known, t
                         return {
                             "kind": "consume-ux",
                             "outs": [repr(v) for v in outs_th],
-                            "frame": _fmt_mem(mem_f),
-                            "res-heap": _fmt_mem(mem_r),
+                            "frame": repr(mem_f),
+                            "res-heap": repr(mem_r),
                         }
         return None
 
@@ -569,8 +535,7 @@ def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, known, t
     # vacuous when some abort branch has a model; its values are not read
     for o, _, outs, (smem_f, checks, pc) in branches:
         if o is ABORT and all_true(checks, theta):
-            new = _branch_lvars(smm, smem_f, tuple(pc), outs) - known
-            if any(_branch_models(smm, theta, new, domain, pc, smem_f, ())):
+            if any(_branch_models(smm, theta, (), (), pc, smem_f, ())):
                 return None
     covered = False
     for o, _, outs, (smem_f, checks, pc) in branches:
@@ -627,7 +592,7 @@ def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v,
                     hit = True
                     break
             if not hit:
-                return {"kind": "produce-ox-uncovered", "res-heap": _fmt_mem(mem_r), "outs": [repr(v) for v in outs_v]}
+                return {"kind": "produce-ox-uncovered", "res-heap": repr(mem_r), "outs": [repr(v) for v in outs_v]}
         return None
     # UX: every produced state's models split into resource + frame models
     for smem2, pc in results:
@@ -642,7 +607,7 @@ def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v,
                 found = True
                 break
         if not found:
-            return {"kind": "produce-ux-unsplit", "result-mem": _fmt_mem(whole), "outs": [repr(v) for v in outs_v]}
+            return {"kind": "produce-ux-unsplit", "result-mem": repr(whole), "outs": [repr(v) for v in outs_v]}
     return None
 
 

@@ -183,14 +183,13 @@ class EngineContext:
                     best = max(best, int(m.group(1)) + 1)
         self._fresh_counter = best
 
-    def note(self, rule, outcome, pc_delta, oracle_index=None):
+    def note(self, rule, outcome, pc_delta):
         if self.trace is not None:
             self.trace.append(
                 {
                     "rule": rule,
                     "outcome": outcome.value,
                     "pc_delta": [format_expr(c) for c in pc_delta],
-                    "oracle_index": oracle_index,
                 }
             )
 

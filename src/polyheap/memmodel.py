@@ -190,7 +190,10 @@ class SymbolicMemoryModel:
     def exec_action(self, smem, name, args, fresh):
         """All symbolic results [(Outcome, smem', pc-conjunct tuple, outs)].
         miss/abort results must leave the memory unchanged. `fresh` yields
-        fresh logical variable names."""
+        fresh logical variable names: every logical variable of a result
+        that is in neither `smem` nor `args` is a name that `fresh`
+        returned during this call (the conformance harness takes a step's
+        new variables from them)."""
         raise NotImplementedError
 
     def consume_res(self, mode, oracle, name, ins, smem):
@@ -200,12 +203,15 @@ class SymbolicMemoryModel:
         pc-conjuncts are appended to its path condition. Apart from the
         returned oracles, the result depends only on the answers the oracle
         gives to the reads it makes (the conformance harness skips an
-        oracle that would replay an earlier run)."""
+        oracle that would replay an earlier run). It introduces no logical
+        variable: every one in a result is in `smem` or `ins`."""
         raise NotImplementedError
 
     def produce_res(self, name, ins, outs, smem):
         """[(smem', pc-conjuncts)] for a resource that fits the resource
-        model's `arities`; empty when production is undefined."""
+        model's `arities`; empty when production is undefined. It introduces
+        no logical variable: every one in a result is in `smem`, `ins` or
+        `outs`."""
         raise NotImplementedError
 
     def mem_to_assertion(self, smem) -> list:

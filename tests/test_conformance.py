@@ -1,6 +1,7 @@
 """Conformance harness behaviour: passing models pass, broken models are
 refuted with small witnesses, and the declared-soundness pattern holds."""
 
+import functools
 import itertools
 
 import pytest
@@ -8,10 +9,8 @@ import pytest
 from polyheap.conformance import (
     CheckResult,
     _arg_styles,
-    _branch_lvars,
     _consume_branches,
     _eval_vec,
-    _fmt_mem,
     _frame_witness,
     _lift_styles,
     _mems,
@@ -30,7 +29,7 @@ from polyheap.memmodel import Bounds, MemoryModelBundle
 from polyheap.models import MODEL_NAMES, get_model, sabotage
 from polyheap.oracle import Oracle
 from polyheap.outcomes import ABORT, MISS, OK
-from polyheap.syntax import Lit
+from polyheap.syntax import Lit, lv_expr
 from polyheap.values import NIL, value_key
 from test_mutations import consume_wrong_out, drops_miss_branch, invents_results, produce_ignores_input
 
@@ -130,7 +129,7 @@ def test_produce_consume_round_trip_per_model(name):
     from polyheap.conformance import _resource_cases
     from polyheap.oracle import Oracle
     from polyheap.outcomes import OK
-    from polyheap.syntax import Lit
+    from polyheap.syntax import Lit, lv_expr
 
     bundle = get_model(name)
     bounds = Bounds(value_domain=(NIL, 0, 1, "f"), max_cells=2, max_addresses=2)
@@ -149,9 +148,21 @@ def test_produce_consume_round_trip_per_model(name):
 
 # ---------------------------------------------------------------------------
 # The symbolic checks before they shared per-call work (lifts, resource
-# heaps, witness domains, lvars) across trials and skipped replayed consume
-# seeds, kept as the reference for the differential tests below.
+# heaps, witness domains) across trials, skipped replayed consume seeds and
+# took a step's new variables from the names it minted, kept as the
+# reference for the differential tests below: they find new variables by
+# walking each branch.
 # ---------------------------------------------------------------------------
+
+
+def _branch_lvars(smm, smem2, pc, outs):
+    """Every logical variable of a branch: of its memory, its conjuncts and
+    its outputs. The references take a branch's new variables as these
+    minus the variables of the lifted memory and of `theta`."""
+    out = smm.lvars(smem2)
+    for e in (*pc, *outs):
+        out |= lv_expr(e)
+    return out
 
 
 def _extensions(theta, new_lvars, domain):
@@ -184,7 +195,7 @@ def _old_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, 
                 bundle, mode, bounds, mem, smem, theta, name, args, sym_args
             )
             if witness is not None:
-                witness.update({"action": name, "args": [repr(a) for a in args], "mem": _fmt_mem(mem)})
+                witness.update({"action": name, "args": [repr(a) for a in args], "mem": repr(mem)})
                 return CheckResult("action", mode, "fail", trials, witness)
     return CheckResult("action", mode, "pass", trials)
 
@@ -219,7 +230,7 @@ def _old_action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_arg
                     "kind": "unmatched-concrete-step",
                     "outcome": o.value,
                     "returns": [repr(v) for v in outs_c],
-                    "result-mem": _fmt_mem(mem2),
+                    "result-mem": repr(mem2),
                 }
         return None
 
@@ -247,7 +258,7 @@ def _old_action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_arg
                     "kind": "unrealisable-symbolic-step",
                     "outcome": o.value,
                     "returns": [repr(v) for v in outs_v],
-                    "result-mem": _fmt_mem(mem2),
+                    "result-mem": repr(mem2),
                 }
     return None
 
@@ -298,7 +309,7 @@ def _old_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap:
             if w is None:
                 w = _old_cp_produce_case(bundle, mode, heaps, mem, smem, theta0, name, ins_v, outs_v)
             if w is not None:
-                w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": _fmt_mem(mem)})
+                w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": repr(mem)})
                 return CheckResult("cp", mode, "fail", trials, w)
     return CheckResult("cp", mode, "pass", trials)
 
@@ -331,8 +342,8 @@ def _old_cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, n
                         return {
                             "kind": "consume-ux",
                             "outs": [repr(v) for v in outs_th],
-                            "frame": _fmt_mem(mem_f),
-                            "res-heap": _fmt_mem(mem_r),
+                            "frame": repr(mem_f),
+                            "res-heap": repr(mem_r),
                         }
         return None
 
@@ -397,7 +408,7 @@ def _old_cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v,
                     hit = True
                     break
             if not hit:
-                return {"kind": "produce-ox-uncovered", "res-heap": _fmt_mem(mem_r), "outs": [repr(v) for v in outs_v]}
+                return {"kind": "produce-ox-uncovered", "res-heap": repr(mem_r), "outs": [repr(v) for v in outs_v]}
         return None
     # UX: every produced state's models split into resource + frame models
     for smem2, pc in results:
@@ -412,7 +423,7 @@ def _old_cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v,
                 found = True
                 break
         if not found:
-            return {"kind": "produce-ux-unsplit", "result-mem": _fmt_mem(whole), "outs": [repr(v) for v in outs_v]}
+            return {"kind": "produce-ux-unsplit", "result-mem": repr(whole), "outs": [repr(v) for v in outs_v]}
     return None
 
 
@@ -472,6 +483,43 @@ def test_symbolic_checks_match_reference_on_mutants(mutant):
             _same_result(r, old(bundle, mode, bounds, cap=800))
             refuted += not r.passed
     assert refuted
+
+
+CONTRACT_BUNDLES = {
+    **{name: functools.partial(get_model, name) for name in BUNDLES},
+    **{m: MUTANTS[m] for m in MUTANTS if m != "sabotaged-compose"},
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_BUNDLES)
+def test_steps_add_only_the_variables_they_mint(name):
+    """The contract the symbolic checks rely on: every variable of an
+    action branch that is neither the lifted memory's nor `theta`'s is a
+    name the step's namer returned, and consume and produce add none."""
+    bundle = CONTRACT_BUNDLES[name]()
+    cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
+    bounds = Bounds(value_domain=(NIL, 0, 1), max_cells=1, max_addresses=2)
+    mems = _mems(cmm, bounds, cap=256)
+    cases = list(cmm.action_cases(bounds))
+    resources = list(_resource_cases(rm, bounds))
+    for mem in mems:
+        for smem, theta0 in _lift_styles(smm, mem):
+            for act, args in cases:
+                for sym_args, theta_a in _arg_styles(args):
+                    known = smm.lvars(smem) | set(theta0) | set(theta_a)
+                    namer = _Namer("f")
+                    for _, smem2, pc, outs in smm.exec_action(smem, act, sym_args, namer):
+                        new = _branch_lvars(smm, smem2, pc, outs) - known
+                        assert new <= set(namer.minted()), (act, args, smem, new)
+            known = smm.lvars(smem) | set(theta0)
+            for rname, ins_v, outs_v in resources:
+                ins, outs = tuple(Lit(v) for v in ins_v), tuple(Lit(v) for v in outs_v)
+                for mode in (Mode.OX, Mode.UX):
+                    branches = _consume_branches(smm, mode, rname, ins, smem, len(mem) + 1)
+                    for _, _, c_outs, (smem_f, checks, pc) in branches:
+                        assert _branch_lvars(smm, smem_f, (*checks, *pc), c_outs) <= known, (rname, ins_v, smem)
+                for smem2, pc in smm.produce_res(rname, ins, outs, smem):
+                    assert _branch_lvars(smm, smem2, pc, ()) <= known, (rname, ins_v, outs_v, smem)
 
 
 def _strip(branches):

@@ -84,5 +84,5 @@ def test_trace_collector_records_rules():
     rules = [t["rule"] for t in ctx.trace]
     assert "skip" in rules and "assign" in rules
     for record in ctx.trace:
-        assert set(record) == {"rule", "outcome", "pc_delta", "oracle_index"}
+        assert set(record) == {"rule", "outcome", "pc_delta"}
         json.dumps(record)  # JSON-lines ready
