@@ -15,7 +15,6 @@ against the concrete semantics over bounded models.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .assertions import (
@@ -49,7 +48,7 @@ from .engine import (
     sym_exec,
 )
 from .memmodel import Bounds, MemoryModelBundle
-from .oracle import Oracle
+from .oracle import Oracle, explore
 from .outcomes import ABORT, ERR, MISS, OK, Outcome
 from .quadcheck import Inconclusive, check_quadruple_bounded
 from .satisfaction import DepthExceeded, heap_models
@@ -101,10 +100,8 @@ def _reachable(gamma: ImplContext, fid: str) -> frozenset:
     return frozenset(seen)
 
 
-# the angelic choice prefixes verify_ox tries: values below ORACLE_FANOUT at
-# up to ORACLE_DEPTH positions
-ORACLE_FANOUT = 3
-ORACLE_DEPTH = 3
+# the most angelic-choice runs verify_ox tries before it gives up
+ORACLE_RUNS = 40
 
 
 def verify_ox(
@@ -144,25 +141,18 @@ def verify_ox(
     param_map, spatial_pre = split_external_pre(q.pre, q.params)
     state0 = _entry_state(f, param_map, bundle.smm)
 
-    # search over angelic choice prefixes; most verifications need none.
-    # A later prefix that answers every read of an earlier run alike would
-    # replay it (runs are deterministic) and is skipped.
-    oracles = [Oracle.constant(0)]
-    for depth in range(1, ORACLE_DEPTH + 1):
-        for prefix in itertools.product(range(ORACLE_FANOUT), repeat=depth):
-            oracles.append(Oracle(prefix, 0, 0))
-    done = []  # the oracle of every run so far, with its read logs
+    # one run per distinct resolution of the angelic choices, breadth
+    # first; most verifications need only the first
     best = None
-    for oracle in oracles:
-        if any(oracle.replays(prev) for prev in done):
-            continue
+    for n, oracle in enumerate(explore()):
+        if n == ORACLE_RUNS:
+            return Inconclusive(f"no oracle run verified within {ORACLE_RUNS} runs")
         verdict = _verify_once(specs2, f, q, bundle, preds, bounds, mode, spatial_pre, state0, oracle)
         if isinstance(verdict, Verified):
             return verdict
         if best is None or isinstance(best, Failed) and isinstance(verdict, Inconclusive):
             best = verdict
-        done.append(oracle)
-    return best if best is not None else Inconclusive("no oracle explored")
+    return best
 
 
 def _entry_state(f, lvar_of, smm) -> SymbolicState:

@@ -35,7 +35,7 @@ from random import Random
 
 from .evaluation import all_true, eval_lexpr
 from .memmodel import FREED, Bounds, MemoryModelBundle
-from .oracle import Oracle
+from .oracle import explore
 from .outcomes import ABORT, MISS, OK
 from .solver import extensions
 from .syntax import LVar, Lit
@@ -456,18 +456,11 @@ def _resource_cases(rm, bounds: Bounds):
                 yield name, ins, outs
 
 
-def _consume_branches(smm, mode, name, ins, smem, fanout: int):
-    """Union of consume results over oracle first-choices 0 .. fanout - 1.
-    A seed whose oracle gives every read of an earlier run the same answer
-    would replay that run, since a consume's result depends only on the
-    oracle answers it reads, so it is skipped: a consume that reads no
-    choice runs once."""
-    seen, runs = [], []
-    for seed in range(max(fanout, 1)):
-        oracle = Oracle.constant(seed)
-        if any(oracle.replays(run) for run in runs):
-            continue
-        runs.append(oracle)
+def _consume_branches(smm, mode, name, ins, smem):
+    """Union of consume results over every distinct run of the consume's
+    angelic choices (`explore`): a consume that reads no choice runs once."""
+    seen = []
+    for oracle in explore():
         for branch in smm.consume_res(mode, oracle, name, ins, smem):
             if branch not in seen:
                 seen.append(branch)
@@ -506,10 +499,9 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
 def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, theta, name, ins_v):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     ins = tuple(Lit(v) for v in ins_v)
-    fanout = (len(mem) if isinstance(mem, dict) else 4) + 1
     # a consume mints no variable (`SymbolicMemoryModel.consume_res`), so
     # `theta` decides each branch: no variable is new and no domain is read
-    branches = _consume_branches(smm, emode, name, ins, smem, fanout)
+    branches = _consume_branches(smm, emode, name, ins, smem)
 
     if mode == "ux":
         for o, _, outs, (smem_f, checks, pc) in branches:

@@ -1,25 +1,19 @@
-"""Angelic-choice oracles.
+"""Angelic-choice oracles, and `explore`, the one search over them.
 
 An oracle is an indexable infinite stream of naturals. Every angelic
 choice (`pick`) reads the value at the oracle's `offset` and shifts by
 one, so `shift(k)` picks what the `k`-th later choice would; the `offset`
 field lets tests count how many choices a rule consumed. Choice sets are
 always deterministically ordered, so a prefix of naturals pins an
-execution path.
-
-Every oracle also carries a read log, `sizes`: the `(position,
-choice-set size)` pair of every pick. `shift` (hence `pick`) hands the
-list on, so it collects every read made from a root oracle and its
-descendants, including reads a memory model makes directly. A `pick` sees
-its position only modulo the size of its choice set, so a run behaves the
-same under any oracle that gives each of its reads the same answer modulo
-that size (`replays`); verification uses this to skip prefixes that would
-replay an earlier run. The log is excluded from equality, hashing and
-repr, so it never changes how oracles compare.
+execution path. Every oracle carries a read log, `sizes`, shared with
+the oracles `shift` derives from it: the `(position, choice-set size)`
+of every pick, which `explore` follows. The log is excluded from
+equality, hashing and repr.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -40,17 +34,14 @@ class Oracle:
         return Oracle(self.prefix, self.default, self.offset + k, self.sizes)
 
     def pick(self, options: list):
-        """One angelic choice: (chosen element, shifted oracle)."""
+        """One angelic choice: (chosen element, shifted oracle). Sibling
+        paths share positions, so two reads at one position can have
+        different sizes: the smaller one wraps, modulo its size, and the
+        run still differs at the larger one."""
         if not options:
             raise ValueError("cannot pick from an empty choice set")
         self.sizes.append((self.offset, len(options)))
         return options[self.at(self.offset) % len(options)], self.shift(1)
-
-    def replays(self, run: "Oracle") -> bool:
-        """Every read logged by `run` gets the same answer from this oracle
-        modulo its choice-set size, so a deterministic run under this oracle
-        repeats `run`."""
-        return all(self.at(i) % n == run.at(i) % n for i, n in run.sizes)
 
     @classmethod
     def constant(cls, value: int = 0) -> "Oracle":
@@ -59,3 +50,24 @@ class Oracle:
     @classmethod
     def of(cls, *choices: int) -> "Oracle":
         return cls(tuple(choices), 0, 0)
+
+
+def explore():
+    """One oracle per distinct run of a deterministic computation, breadth
+    first; the caller runs each before asking for the next. A run under
+    prefix `p` answers 0 past `p`. Each position `i >= len(p)` it read,
+    with `n` the largest choice-set size read there, has the children `p`
+    padded with zeros up to `i`, then `v` for `v` in `1 .. n-1`: they
+    repeat the run below `i` and differ from it at `i`."""
+    queue = deque([()])
+    while queue:
+        prefix = queue.popleft()
+        oracle = Oracle(prefix, 0, 0)
+        yield oracle
+        widest = {}
+        for i, n in oracle.sizes:
+            if i >= len(prefix):
+                widest[i] = max(n, widest.get(i, 0))
+        for i in sorted(widest):
+            padded = prefix + (0,) * (i - len(prefix))
+            queue.extend(padded + (v,) for v in range(1, widest[i]))

@@ -408,7 +408,9 @@ class RewriteCore:
         """Final contradiction sweeps over the closed state."""
         for a, b in self.diseq:
             ra, rb = self.rewrite(a), self.rewrite(b)
-            if ra == rb:
+            # `rewrite` substitutes only literal representatives; two
+            # variables made equal by absorbed equalities share a class
+            if ra == rb or self._find(ra) == self._find(rb):
                 self.contradiction = True
                 return
         for e in self.pos:

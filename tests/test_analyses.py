@@ -13,6 +13,7 @@ from polyheap.analyses import (
     verify_ox,
 )
 from polyheap.assertions import Emp, format_assertion, normalize
+from polyheap.cli import main
 from polyheap.memmodel import Bounds
 from polyheap.models import get_model
 from polyheap.oracle import Oracle
@@ -211,10 +212,11 @@ spec SL wrong(x) { requires: x = #x * cell(#x; #v); ensures_ok: cell(#x; #v) * r
 @pytest.mark.parametrize(
     "fid, verdict, old_count, new_prefixes",
     [
-        # the second spec of inner verifies outer; (0,) replays ()
+        # the second spec of inner verifies outer; the first run reads
+        # only position 0, a choice between two specs, so (1,) is its one child
         ("outer", Verified, 3, [(), (1,)]),
-        # neither spec verifies wrong; only position 0 is ever read, as a
-        # choice between two specs, so (2,) replays ()
+        # neither spec verifies wrong; position 0 is the only one read, so
+        # the search ends after (1,) where the old loop ran all 40 prefixes
         ("wrong", Failed, 40, [(), (1,)]),
     ],
 )
@@ -226,6 +228,27 @@ def test_oracle_search_branches_only_on_read_positions(monkeypatch, fid, verdict
     assert isinstance(new, verdict)
     _same_verdict(old, new)
     assert (old_passes, new_passes) == (old_count, new_prefixes)
+
+
+@pytest.mark.parametrize("fid, calls, runs", [("one", 1, 4), ("four", 4, 13)])
+def test_oracle_search_tries_every_spec_of_a_callee(monkeypatch, fid, calls, runs):
+    """Only the fourth spec of g fits, so each call needs the choice 3,
+    which the old loop over values below 3 never tried."""
+    prog = load("verify_angelic.ph")
+    args = (prog.functions, prog.specs, fid, prog.specs[fid][0], get_model("linear"), prog.preds, B)
+    old, _ = _old_verify_ox(monkeypatch, *args)
+    new, new_passes = _new_verify_ox(monkeypatch, *args)
+    assert isinstance(old, Failed) and isinstance(new, Verified)
+    assert len(new_passes) == runs and new_passes[-1] == (3,) * calls
+
+
+def test_oracle_search_out_of_runs_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(analyses, "ORACLE_RUNS", 12)
+    prog = load("verify_angelic.ph")
+    r = verify_ox(prog.functions, prog.specs, "four", prog.specs["four"][0], get_model("linear"), prog.preds, B)
+    assert isinstance(r, Inconclusive) and "12 runs" in str(r.reason)
+    assert main(["verify", os.path.join(programs_dir(), "verify_angelic.ph")]) == 4
+    assert "four#0 [SL]: Inconclusive" in capsys.readouterr().out
 
 
 # -- bi-abduction -------------------------------------------------------------

@@ -515,7 +515,7 @@ def test_steps_add_only_the_variables_they_mint(name):
             for rname, ins_v, outs_v in resources:
                 ins, outs = tuple(Lit(v) for v in ins_v), tuple(Lit(v) for v in outs_v)
                 for mode in (Mode.OX, Mode.UX):
-                    branches = _consume_branches(smm, mode, rname, ins, smem, len(mem) + 1)
+                    branches = _consume_branches(smm, mode, rname, ins, smem)
                     for _, _, c_outs, (smem_f, checks, pc) in branches:
                         assert _branch_lvars(smm, smem_f, (*checks, *pc), c_outs) <= known, (rname, ins_v, smem)
                 for smem2, pc in smm.produce_res(rname, ins, outs, smem):
@@ -555,7 +555,7 @@ def test_consume_branches_skip_only_replayed_seeds(name, monkeypatch):
                         if run not in distinct:
                             distinct.append(run)
                     calls.clear()
-                    got = _consume_branches(smm, mode, rname, ins, smem, fanout)
+                    got = _consume_branches(smm, mode, rname, ins, smem)
                     assert len(calls) == len(distinct)
                     most = max(most, len(calls))
                     old = _old_consume_branches(smm, mode, rname, ins, smem, fanout)

@@ -34,6 +34,7 @@ CASES = [
     (f"verify-{p}", ("verify", os.path.join(programs_dir(), f"{p}.ph"), "--model", m), 0)
     for p, m in (
         ("verify_suite", "linear"),
+        ("verify_angelic", "linear"),
         ("verify_frac", "frac"),
         ("verify_block", "block-offset"),
         ("verify_objects", "objects"),

@@ -1,6 +1,8 @@
+import itertools
+
 from hypothesis import given, strategies as st
 
-from polyheap.oracle import Oracle
+from polyheap.oracle import Oracle, explore
 
 
 @given(st.lists(st.integers(0, 9), max_size=6), st.integers(0, 4), st.integers(0, 4), st.integers(1, 5))
@@ -58,16 +60,88 @@ def test_size_log_records_choice_set_sizes():
     assert o == b and hash(o) == hash(b) and repr(o) == repr(b)
 
 
-def test_replays_compares_picks_modulo_their_size():
-    run = Oracle.of()
-    run.pick(["a", "b"])
-    assert Oracle.of(2).replays(run)  # 2 % 2 == 0 picks "a" again
-    assert not Oracle.of(1).replays(run)
-    assert Oracle.of(0, 5).replays(run)  # position 1 was never read
-    wide = Oracle.of()
-    wide.pick(list(range(5)))
-    assert not Oracle.of(2).replays(wide)  # 2 % 5 picks another element
-    assert Oracle.of(5).replays(wide)
+# a synthetic deterministic computation: a tree of reads, where a read of
+# size n picks one of its n subtrees at the next position, and a fork runs
+# both of its subtrees from the same position, as sibling paths do
+reads = st.recursive(
+    st.just(("leaf",)),
+    lambda sub: st.one_of(
+        st.tuples(st.just("fork"), sub, sub),
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(st.just("read"), st.lists(sub, min_size=n, max_size=n))
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+def _run(tree, oracle) -> tuple:
+    """The run of `tree` under `oracle`: each read's size and answer, in order."""
+    out = []
+
+    def walk(t, o):
+        if t[0] == "read":
+            k, o2 = o.pick(list(range(len(t[1]))))
+            out.append((len(t[1]), k))
+            walk(t[1][k], o2)
+        elif t[0] == "fork":
+            walk(t[1], o)
+            walk(t[2], o)
+
+    walk(tree, oracle)
+    return tuple(out)
+
+
+def _depth(t) -> int:
+    if t[0] == "read":
+        return 1 + max(_depth(c) for c in t[1])
+    if t[0] == "fork":
+        return max(_depth(t[1]), _depth(t[2]))
+    return 0
+
+
+def _widest(oracle) -> dict:
+    widest = {}
+    for i, n in oracle.sizes:
+        widest[i] = max(n, widest.get(i, 0))
+    return widest
+
+
+@given(reads)
+def test_explore_yields_each_distinct_run_once(tree):
+    depth = _depth(tree)
+    runs = []
+    # no more than 4 ** depth runs are distinct: a search that repeats one
+    # fails here instead of running on
+    for oracle in itertools.islice(explore(), 4**depth + 1):
+        runs.append(_run(tree, oracle))
+    assert len(set(runs)) == len(runs)
+    # brute force over every oracle up to the tree's depth; `explore`
+    # answers each position below the largest size read there
+    every, below_widest, uniform = set(), set(), True
+    for prefix in itertools.product(range(4), repeat=depth):
+        oracle = Oracle(prefix, 0, 0)
+        run = _run(tree, oracle)
+        every.add(run)
+        widest = _widest(oracle)
+        if all(v < widest.get(i, 1) for i, v in enumerate(prefix)):
+            below_widest.add(run)
+        uniform = uniform and len(set(oracle.sizes)) == len(widest)
+    assert set(runs) == below_widest
+    if uniform:  # no position is read with two sizes: nothing is missed
+        assert below_widest == every
+
+
+def test_explore_widens_a_shared_position_to_its_largest_size():
+    def run(oracle):
+        oracle.pick(["a", "b"])
+        oracle.pick(["a", "b", "c"])  # a sibling path reads position 0 too
+
+    prefixes = []
+    for oracle in itertools.islice(explore(), 10):
+        run(oracle)
+        prefixes.append(oracle.prefix)
+    assert prefixes == [(), (1,), (2,)]
 
 
 def test_trace_collector_records_rules():

@@ -52,6 +52,15 @@ def test_entails_examples():
     assert entails((eq(x, y), eq(y, Lit(3))), eq(x, Lit(3)), B) is Entail.YES
 
 
+def test_transitive_equality_between_variables():
+    # `rewrite` substitutes only literal representatives: b and x share a
+    # union-find class with no literal in it
+    a, b = LVar("a"), LVar("b")
+    pc = (InVal(x), InVal(a), InVal(b), eq(a, x), eq(b, a))
+    assert entails(pc, eq(b, x), B) is Entail.YES
+    assert check_sat((eq(a, x), eq(b, a), Not(eq(b, x))), B) is UNSAT
+
+
 def test_interval_exclusion():
     pc = (Bin("<=", Lit(1), x), Bin("<=", x, Lit(2)), Not(eq(x, Lit(1))), Not(eq(x, Lit(2))))
     assert check_sat(pc, B) is UNSAT
