@@ -16,9 +16,12 @@ cell count: removing cells from a memory can only lower a fresh address's
 rank, hence the widened window covers every choice the bounded universal
 side can make.
 
-The symbolic checks keep, per call, what does not depend on the trial:
-the lifts of each memory, the argument vectors of each action case and
-the heaps on which each resource holds. A step's new logical variables
+The checks compute once per call what does not depend on the trial:
+the lifts of each memory, where memories of one shape share one variable
+lift; each symbolic step (action, consume, produce) from a lifted memory
+with given arguments; the argument vectors of each action case; the heaps
+on which each resource holds; and, in the frame check, each memory's
+runs and each (memory, frame) composition. A step's new logical variables
 are the names its namer minted (consume and produce mint none), so a
 witness domain is built only when the step minted a name. Model
 operations are pure, so sharing changes no verdict, trial count or
@@ -230,8 +233,10 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
     cases = list(cmm.action_cases(bounds))
     trials = 0
     # the runs of mems[i] by (case, address window); the sample has i
-    # outermost, so they are kept only while i stays the same
-    runs, runs_of = {}, None
+    # outermost, so they are kept only while i stays the same. The case
+    # is innermost, so mu . frame and the widened window are kept while
+    # (i, j) stays the same.
+    runs, runs_of, pair = {}, None, None
 
     def run_mu(c, window):
         if (c, window) not in runs:
@@ -242,11 +247,13 @@ def check_frame(cmm, mode: str, bounds: Bounds, cap: int = 200_000) -> CheckResu
         if i != runs_of:
             runs.clear()
             runs_of = i
-        mu, frame = mems[i], mems[j]
-        composed = cmm.compose(mu, frame)
+        if (i, j) != pair:
+            pair = i, j
+            mu, frame = mems[i], mems[j]
+            composed = cmm.compose(mu, frame)
+            wide = bounds.max_addresses + cmm.addr_span(frame)
         name, args = cases[c]
         trials += 1
-        wide = bounds.max_addresses + cmm.addr_span(frame)
         if mode == "ox":
             # the property universally quantifies executions of mu . frame,
             # so undefined compositions are vacuous
@@ -306,9 +313,41 @@ def _lift_styles(smm, mem):
 
 
 def _lifts(smm, mems):
-    """`i` -> the `_lift_styles` of `mems[i]`, computed on the first request
-    for `i`, since a check samples each memory many times."""
-    return functools.cache(lambda i: _lift_styles(smm, mems[i]))
+    """`i` -> the `_lift_styles` of `mems[i]` as (smem, theta, steps)
+    triples, where `steps` memoises the steps run from `smem` (`_step`).
+    A check's sample has `i` outermost, so only the current `i`'s lifts
+    are kept. The variable lift names every value, so it depends only on
+    the memory's shape: memories of one shape share one lifted memory, and
+    its `steps`, for the whole check. Interning keys on the repr and checks
+    `==` on a hit, since payloads may be unhashable dicts."""
+    interned = {}
+    current_i, current = None, None
+
+    def intern(smem):
+        same = interned.setdefault(repr(smem), [])
+        for other, steps in same:
+            if other == smem:
+                return other, steps
+        same.append((smem, {}))
+        return same[-1]
+
+    def lifts(i):
+        nonlocal current_i, current
+        if i != current_i:
+            (ground, theta_g), (shaped, theta_h) = _lift_styles(smm, mems[i])
+            shaped, steps = intern(shaped)
+            current_i, current = i, [(ground, theta_g, {}), (shaped, theta_h, steps)]
+        return current
+
+    return lifts
+
+
+def _step(steps, key, run):
+    """`run()`, memoised in `steps` under `key`: model operations are pure,
+    so a step from one lifted memory gives the same result every time."""
+    if key not in steps:
+        steps[key] = run()
+    return steps[key]
 
 
 def _arg_styles(case_args):
@@ -356,22 +395,27 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
         mem = mems[i]
         name, args = cases[c]
         sym_args, theta_a = arg_styles[c][s]
-        for smem, theta0 in lifts(i):
+        for smem, theta0, steps in lifts(i):
             trials += 1
-            witness = _action_case(bundle, mode, bounds, mem, smem, {**theta0, **theta_a}, name, args, sym_args)
+            branches, new = _step(steps, (name, sym_args), lambda: _run_action(smm, smem, name, sym_args))
+            theta = {**theta0, **theta_a}
+            witness = _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args, branches, new)
             if witness is not None:
                 witness.update({"action": name, "args": [repr(a) for a in args], "mem": repr(mem)})
                 return CheckResult("action", mode, "fail", trials, witness)
     return CheckResult("action", mode, "pass", trials)
 
 
-def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
-    cmm, smm = bundle.cmm, bundle.smm
+def _run_action(smm, smem, name, sym_args):
+    """The branches of a symbolic step and its new variables: the names its
+    namer minted (the contract of `SymbolicMemoryModel.exec_action`),
+    shared by all its branches."""
     namer = _Namer("f")
-    branches = smm.exec_action(smem, name, sym_args, namer)
-    # the step's new variables are the names it minted (the contract of
-    # `SymbolicMemoryModel.exec_action`), shared by all its branches
-    new = namer.minted()
+    return smm.exec_action(smem, name, sym_args, namer), namer.minted()
+
+
+def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args, branches, new):
+    cmm, smm = bundle.cmm, bundle.smm
     domain = bounds.domain_with(cmm.mem_values(mem), args) if new else ()
     wide = bounds.max_addresses + bounds.max_cells
 
@@ -398,19 +442,24 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args):
                 }
         return None
 
-    # UX: satisfiable symbolic steps must be concretely realisable
+    # UX: satisfiable symbolic steps must be concretely realisable. A
+    # branch model extends `theta` by minted names only, which occur in
+    # neither `smem` nor `sym_args`: the pre-state, the arguments and
+    # their concrete runs are the trial's, not the model's.
+    args_v = _eval_vec(sym_args, theta)
+    if args_v is None or args_v != tuple(args):
+        return None
+    mem0 = smm.concretize(theta, smem)
+    results = None
     for o, smem2, pc, outs in branches:
         if o is ABORT:
             continue
         for th, mem2, outs_v in _branch_models(smm, theta, new, domain, pc, smem2, outs):
-            args_v = _eval_vec(sym_args, th)
-            if args_v is None or tuple(args_v) != tuple(args):
-                continue
-            mem0 = smm.concretize(th, smem)
             if mem0 is None:
                 return {"kind": "no-initial-model", "outcome": o.value}
-            results = cmm.exec_action(mem0, name, args_v, wide)
-            if (o, mem2, outs_v) not in [(x, y, tuple(z)) for x, y, z in results]:
+            if results is None:
+                results = [(x, y, tuple(z)) for x, y, z in cmm.exec_action(mem0, name, args_v, wide)]
+            if (o, mem2, outs_v) not in results:
                 return {
                     "kind": "unrealisable-symbolic-step",
                     "outcome": o.value,
@@ -481,27 +530,33 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
     res_heaps = functools.cache(
         lambda name, ins, outs: [m for m in heaps if rm.holds_resource(m, name, ins, outs)]
     )
+    lits = [(tuple(Lit(v) for v in ins_v), tuple(Lit(v) for v in outs_v)) for _, ins_v, outs_v in cases]
     trials = 0
     for i, c in _sample_product((len(mems), len(cases)), cap, bounds.seed):
         mem = mems[i]
         name, ins_v, outs_v = cases[c]
-        for smem, theta0 in lifts(i):
+        ins, outs = lits[c]
+        for smem, theta0, steps in lifts(i):
             trials += 1
-            w = _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, theta0, name, ins_v)
+            branches = _step(
+                steps, ("consume", name, ins), lambda: _consume_branches(smm, emode, name, ins, smem)
+            )
+            w = _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, theta0, name, ins_v, branches)
             if w is None:
-                w = _cp_produce_case(bundle, mode, res_heaps, mem, smem, theta0, name, ins_v, outs_v)
+                results = _step(
+                    steps, ("produce", name, ins, outs), lambda: smm.produce_res(name, ins, outs, smem)
+                )
+                w = _cp_produce_case(bundle, mode, res_heaps, mem, smem, theta0, name, ins_v, outs_v, results)
             if w is not None:
                 w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": repr(mem)})
                 return CheckResult("cp", mode, "fail", trials, w)
     return CheckResult("cp", mode, "pass", trials)
 
 
-def _cp_consume_case(bundle, emode, mode, bounds, res_heaps, mem, smem, theta, name, ins_v):
+def _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, theta, name, ins_v, branches):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
-    ins = tuple(Lit(v) for v in ins_v)
     # a consume mints no variable (`SymbolicMemoryModel.consume_res`), so
     # `theta` decides each branch: no variable is new and no domain is read
-    branches = _consume_branches(smm, emode, name, ins, smem)
 
     if mode == "ux":
         for o, _, outs, (smem_f, checks, pc) in branches:
@@ -566,11 +621,8 @@ def _outs_present(rm, name, ins_v, mem_r, bounds):
     return None
 
 
-def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v, outs_v):
+def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v, outs_v, results):
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
-    ins = tuple(Lit(v) for v in ins_v)
-    outs = tuple(Lit(v) for v in outs_v)
-    results = smm.produce_res(name, ins, outs, smem_f)
     if mode == "ox":
         if not smm.sat_mem(theta, mem_f, smem_f):
             return None

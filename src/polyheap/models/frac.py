@@ -51,9 +51,10 @@ class FracConcrete(MapConcrete):
         if u is FREED or v is FREED:
             return None
         (val1, q1), (val2, q2) = u, v
-        if val1 != val2 or q1 + q2 > 1:
+        if val1 != val2:
             return None
-        return (val1, q1 + q2)
+        q = q1 + q2
+        return (val1, q) if q <= 1 else None
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":

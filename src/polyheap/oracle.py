@@ -13,6 +13,7 @@ equality, hashing and repr.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -36,8 +37,7 @@ class Oracle:
     def pick(self, options: list):
         """One angelic choice: (chosen element, shifted oracle). Sibling
         paths share positions, so two reads at one position can have
-        different sizes: the smaller one wraps, modulo its size, and the
-        run still differs at the larger one."""
+        different sizes: each wraps, modulo its size."""
         if not options:
             raise ValueError("cannot pick from an empty choice set")
         self.sizes.append((self.offset, len(options)))
@@ -56,18 +56,21 @@ def explore():
     """One oracle per distinct run of a deterministic computation, breadth
     first; the caller runs each before asking for the next. A run under
     prefix `p` answers 0 past `p`. Each position `i >= len(p)` it read,
-    with `n` the largest choice-set size read there, has the children `p`
-    padded with zeros up to `i`, then `v` for `v` in `1 .. n-1`: they
-    repeat the run below `i` and differ from it at `i`."""
+    with `n` the least common multiple of the choice-set sizes read there,
+    has the children `p` padded with zeros up to `i`, then `v` for `v` in
+    `1 .. n-1`: they repeat the run below `i` and differ from it at `i`.
+    A read of size `m` sees `v` modulo `m`, and every such `m` divides `n`,
+    so `0 .. n-1` give each combination of answers that the reads at `i`
+    can see once."""
     queue = deque([()])
     while queue:
         prefix = queue.popleft()
         oracle = Oracle(prefix, 0, 0)
         yield oracle
-        widest = {}
+        width = {}
         for i, n in oracle.sizes:
             if i >= len(prefix):
-                widest[i] = max(n, widest.get(i, 0))
-        for i in sorted(widest):
+                width[i] = math.lcm(n, width.get(i, 1))
+        for i in sorted(width):
             padded = prefix + (0,) * (i - len(prefix))
-            queue.extend(padded + (v,) for v in range(1, widest[i]))
+            queue.extend(padded + (v,) for v in range(1, width[i]))

@@ -59,6 +59,14 @@ def test_verify_fixture_exit_zero():
     assert p.returncode == 0, p.stdout + p.stderr
 
 
+def test_verify_choice_shared_by_sibling_paths_exit_zero():
+    """f calls g (2 specs) on one branch and h (3 specs) on the other, at
+    one choice position: only the choice 5 picks the last spec of both."""
+    p = run_cli("verify", prog("verify_branch_specs.ph"))
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert "f#0 [SL]: Verified" in p.stdout
+
+
 def test_verify_wrong_post_exit_one(tmp_path):
     f = tmp_path / "wrong.ph"
     f.write_text(

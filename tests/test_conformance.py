@@ -13,6 +13,7 @@ from polyheap.conformance import (
     _eval_vec,
     _frame_witness,
     _lift_styles,
+    _lifts,
     _mems,
     _Namer,
     _outs_present,
@@ -644,3 +645,96 @@ def test_frame_check_runs_each_inner_case_once(monkeypatch):
     # the other calls run each defined composition once
     defined = sum(cmm.compose(m, f) is not None for m in mems for f in mems)
     assert len(calls) == len(mems) * cases + defined * cases
+
+
+@pytest.mark.parametrize("mode", ["ox", "ux"])
+def test_frame_check_composes_each_pair_once(monkeypatch, mode):
+    """With every trial taken, mu . frame is composed once per (mu, frame)
+    pair, not once per action case. The actions return copies of their
+    memories, so that the compositions of their results with the frame
+    are told apart from those of the pairs."""
+    cmm = get_model("frac").cmm
+    bounds = DIFF_BOUNDS[0]
+    run, compose = cmm.exec_action, cmm.compose
+    results, returned, pairs = [], set(), []
+
+    def copying_run(*a):
+        out = [(o, dict(m), obs) for o, m, obs in run(*a)]
+        results.extend(m for _, m, _ in out)  # keeps their ids unique
+        returned.update(id(m) for _, m, _ in out)
+        return out
+
+    def counting_compose(a, b):
+        if id(a) not in returned:
+            pairs.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(cmm, "exec_action", copying_run)
+    monkeypatch.setattr(cmm, "compose", counting_compose)
+    r = check_frame(cmm, mode, bounds)
+    mems, cases = _mems(cmm, bounds), len(list(cmm.action_cases(bounds)))
+    assert r.passed and r.trials == len(mems) ** 2 * cases
+    assert len(pairs) == len(mems) ** 2
+    assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
+
+
+def test_symbolic_steps_run_once_per_lifted_memory(monkeypatch):
+    """frac's symbolic action, consume and produce each run once per
+    (lifted memory, step, arguments) key in a check. The variable lifts of
+    one shape are one memory, so each of their steps runs once for every
+    memory of the shape, and far fewer steps run than trials. The
+    results stay those of the references that run every step afresh
+    (`test_symbolic_checks_match_reference`, which covers every bundled
+    model, and `..._on_mutants`)."""
+    bundle = get_model("frac")
+    smm = bundle.smm
+    bounds = DIFF_BOUNDS[0]
+    calls = []  # (lifted memory, step, arguments); the memories are kept, so ids stay unique
+    keys = {
+        "exec_action": lambda smem, name, args, fresh: (smem, "action", name, args),
+        "consume_res": lambda mode, oracle, name, ins, smem: (smem, "consume", mode, name, ins),
+        "produce_res": lambda name, ins, outs, smem: (smem, "produce", name, ins, outs),
+    }
+    for method, key in keys.items():
+        def wrapped(*a, _run=getattr(smm, method), _key=key):
+            calls.append(_key(*a))
+            return _run(*a)
+
+        monkeypatch.setattr(smm, method, wrapped)
+    for mode in ("ox", "ux"):
+        for check, reference in (
+            (check_action_soundness, _old_action_soundness),
+            (check_cp_soundness, _old_cp_soundness),
+        ):
+            calls.clear()
+            r = check(bundle, mode, bounds, cap=10**6)
+            steps = [(id(smem), *step) for smem, *step in calls]
+            assert len(set(steps)) == len(steps), (check.__name__, mode)
+            # one object per shape among the variable lifts
+            shaped = {id(smem): repr(smem) for smem, *_ in calls if smm.lvars(smem)}
+            assert len(shaped) == len(set(shaped.values()))
+            assert 0 < len(calls) < r.trials
+            _same_result(r, reference(bundle, mode, bounds, cap=10**6))
+
+
+def test_variable_lifts_of_one_shape_share_one_memory():
+    """On block-offset, whose payloads hold dicts (unhashable), every
+    memory of one shape gets one variable-lifted memory and one step memo,
+    and no two shapes share them."""
+    bundle = get_model("block-offset")
+    mems = _mems(bundle.cmm, DIFF_BOUNDS[0], cap=256)
+    lifts = _lifts(bundle.smm, mems)
+    shapes = {}  # repr of a fresh variable lift -> the interned (smem, steps)
+    for i, mem in enumerate(mems):
+        (_, _, ground_steps), (smem, _, steps) = lifts(i)
+        fresh = _lift_styles(bundle.smm, mem)[1][0]
+        assert smem == fresh and ground_steps is not steps
+        first = shapes.setdefault(repr(fresh), (smem, steps))
+        assert first[0] is smem and first[1] is steps
+    objects = {id(smem) for smem, _ in shapes.values()}
+    assert len(objects) == len(shapes) < len(mems)
+    assert any(
+        isinstance(entry, tuple) and isinstance(entry[0], dict) and entry[0]
+        for smem, _ in shapes.values()
+        for entry in smem.values()
+    )

@@ -35,6 +35,7 @@ CASES = [
     for p, m in (
         ("verify_suite", "linear"),
         ("verify_angelic", "linear"),
+        ("verify_branch_specs", "linear"),
         ("verify_frac", "frac"),
         ("verify_block", "block-offset"),
         ("verify_objects", "objects"),

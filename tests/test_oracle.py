@@ -1,6 +1,7 @@
 import itertools
+import math
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from polyheap.oracle import Oracle, explore
 
@@ -100,39 +101,36 @@ def _depth(t) -> int:
     return 0
 
 
-def _widest(oracle) -> dict:
-    widest = {}
-    for i, n in oracle.sizes:
-        widest[i] = max(n, widest.get(i, 0))
-    return widest
+def _sizes(t) -> set:
+    """The choice-set sizes of every read in `t`."""
+    if t[0] == "read":
+        return {len(t[1])}.union(*map(_sizes, t[1]))
+    if t[0] == "fork":
+        return _sizes(t[1]) | _sizes(t[2])
+    return set()
+
+
+LEAF = ("leaf",)
 
 
 @given(reads)
+# sibling reads of sizes 2 and 3 at one position: six runs, three of which
+# need an answer of 3 or more
+@example(("fork", ("read", [LEAF] * 2), ("read", [LEAF] * 3)))
 def test_explore_yields_each_distinct_run_once(tree):
     depth = _depth(tree)
-    runs = []
-    # no more than 4 ** depth runs are distinct: a search that repeats one
-    # fails here instead of running on
-    for oracle in itertools.islice(explore(), 4**depth + 1):
-        runs.append(_run(tree, oracle))
+    # brute force: a read of size n sees its answer modulo n, so answers
+    # below the least common multiple of the tree's sizes give every run
+    width = math.lcm(*_sizes(tree))
+    assume(width**depth <= 12**4)  # keeps the brute force short
+    every = {_run(tree, Oracle(p, 0, 0)) for p in itertools.product(range(width), repeat=depth)}
+    # a search that repeats a run fails here instead of running on
+    runs = [_run(tree, oracle) for oracle in itertools.islice(explore(), len(every) + 1)]
     assert len(set(runs)) == len(runs)
-    # brute force over every oracle up to the tree's depth; `explore`
-    # answers each position below the largest size read there
-    every, below_widest, uniform = set(), set(), True
-    for prefix in itertools.product(range(4), repeat=depth):
-        oracle = Oracle(prefix, 0, 0)
-        run = _run(tree, oracle)
-        every.add(run)
-        widest = _widest(oracle)
-        if all(v < widest.get(i, 1) for i, v in enumerate(prefix)):
-            below_widest.add(run)
-        uniform = uniform and len(set(oracle.sizes)) == len(widest)
-    assert set(runs) == below_widest
-    if uniform:  # no position is read with two sizes: nothing is missed
-        assert below_widest == every
+    assert set(runs) == every
 
 
-def test_explore_widens_a_shared_position_to_its_largest_size():
+def test_explore_widens_a_shared_position_to_the_lcm_of_its_sizes():
     def run(oracle):
         oracle.pick(["a", "b"])
         oracle.pick(["a", "b", "c"])  # a sibling path reads position 0 too
@@ -141,7 +139,8 @@ def test_explore_widens_a_shared_position_to_its_largest_size():
     for oracle in itertools.islice(explore(), 10):
         run(oracle)
         prefixes.append(oracle.prefix)
-    assert prefixes == [(), (1,), (2,)]
+    # (5,) picks "b" of 2 and "c" of 3, which no answer below 3 does
+    assert prefixes == [(), (1,), (2,), (3,), (4,), (5,)]
 
 
 def test_trace_collector_records_rules():
