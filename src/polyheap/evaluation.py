@@ -25,11 +25,6 @@ from .values import (
 from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar
 
 
-def values_equal(a, b) -> bool:
-    # wrappers make == structural across all constructors
-    return a == b
-
-
 _LEAVES = (Lit, PVar, LVar)
 
 
@@ -101,8 +96,9 @@ def _eval_bin(e: Bin, theta, store, memo):
     if op == "=":
         if a is UNDEF or b is UNDEF:
             return UNDEF
-        # cross-type equality is false, not an error
-        return vbool(values_equal(a, b))
+        # cross-type equality is false, not an error; wrappers make ==
+        # structural across all constructors
+        return vbool(a == b)
     if op in ("and", "or"):
         if isinstance(a, VBool) and isinstance(b, VBool):
             return vbool(a.b and b.b) if op == "and" else vbool(a.b or b.b)

@@ -80,9 +80,6 @@ class Bounds:
         return sorted(set(self.value_domain).union(*values), key=value_key)
 
 
-DEFAULT_BOUNDS = Bounds()
-
-
 class UnknownActionError(KeyError):
     pass
 

@@ -52,6 +52,11 @@ def _remove(mset: dict, chunk) -> dict:
     return out
 
 
+def _chunks_at(mem, kind, addr):
+    """The `kind` chunks of a concrete memory at address `addr`."""
+    return sorted({c for c in mem if c[0] == kind and c[1] == addr}, key=_skey)
+
+
 def _used_addresses(mem):
     out = set()
     for kind, a, b in mem:
@@ -104,27 +109,17 @@ class ChunkConcrete(ConcreteMemoryModel):
         return out if self.is_wf(out) else None
 
     def exec_action(self, mem, name, args, max_addresses):
-        if name == "lookup":
-            (addr,) = args
+        if name in ("lookup", "mutate"):
+            addr = args[0]
             if not is_nat(addr):
                 return [(ERR, mem, ("Type",))]
-            hits = sorted(
-                {c for c in mem if c[0] == "pt" and c[1] == addr}, key=_skey
-            )
+            hits = _chunks_at(mem, "pt", addr)
             if not hits:
                 return [(MISS, mem, ("MissingCell", addr))]
-            return [(OK, mem, (c[2],)) for c in hits]
-        if name == "mutate":
-            addr, val = args
-            if not is_nat(addr):
-                return [(ERR, mem, ("Type",))]
-            hits = sorted(
-                {c for c in mem if c[0] == "pt" and c[1] == addr}, key=_skey
-            )
-            if not hits:
-                return [(MISS, mem, ("MissingCell", addr))]
+            if name == "lookup":
+                return [(OK, mem, (c[2],)) for c in hits]
             return [
-                (OK, _add(_remove(mem, c), ("pt", addr, val)), ()) for c in hits
+                (OK, _add(_remove(mem, c), ("pt", addr, args[1])), ()) for c in hits
             ]
         if name == "new":
             used = _used_addresses(mem)
@@ -140,7 +135,7 @@ class ChunkConcrete(ConcreteMemoryModel):
             (addr,) = args
             if not is_nat(addr):
                 return [(ERR, mem, ("Type",))]
-            blocks = sorted({c for c in mem if c[0] == "mb" and c[1] == addr}, key=_skey)
+            blocks = _chunks_at(mem, "mb", addr)
             if not blocks:
                 return [(MISS, mem, ("MissingBlock", addr))]
             results = []
@@ -155,7 +150,7 @@ class ChunkConcrete(ConcreteMemoryModel):
         # failed frees have no effect: miss results restore the input memory
         if remaining == 0:
             return [(OK, mem, ())]
-        hits = sorted({c for c in mem if c[0] == "pt" and c[1] == addr}, key=_skey)
+        hits = _chunks_at(mem, "pt", addr)
         if not hits:
             return [(MISS, orig, ("MissingCell", addr))]
         out = []
@@ -256,38 +251,29 @@ class ChunkSymbolic(SymbolicMemoryModel):
     def _chunks(self, smem, kind):
         return sorted((c for c in smem if c[0] == kind), key=_skey)
 
+    def _absent(self, smem, e, kind, tag):
+        """The miss branch (`e` is a natural that no `kind` chunk starts at)
+        and the type error (`e` is not a natural) of an action at `e`."""
+        addrs = [c[1] for c in self._chunks(smem, kind)]
+        return [
+            (MISS, smem, (InType(e, "nat"), *not_in(e, addrs)), (Lit(tag), e)),
+            (ERR, smem, (Not(InType(e, "nat")),), (Lit("Type"),)),
+        ]
+
     def exec_action(self, smem, name, args, fresh):
         if name == "lookup":
             (e,) = args
             out = [
                 (OK, smem, (eq(e, c[1]),), (c[2],)) for c in self._chunks(smem, "pt")
             ]
-            out.append(
-                (
-                    MISS,
-                    smem,
-                    tuple([InType(e, "nat")] + not_in(e, [c[1] for c in self._chunks(smem, "pt")])),
-                    (Lit("MissingCell"), e),
-                )
-            )
-            out.append((ERR, smem, (Not(InType(e, "nat")),), (Lit("Type"),)))
-            return out
+            return out + self._absent(smem, e, "pt", "MissingCell")
         if name == "mutate":
             e, val = args
             out = []
             for c in self._chunks(smem, "pt"):
                 grown = _add(_remove(smem, c), ("pt", c[1], val))
                 out.append((OK, grown, (eq(e, c[1]), InVal(c[2])), ()))
-            out.append(
-                (
-                    MISS,
-                    smem,
-                    tuple([InType(e, "nat")] + not_in(e, [c[1] for c in self._chunks(smem, "pt")])),
-                    (Lit("MissingCell"), e),
-                )
-            )
-            out.append((ERR, smem, (Not(InType(e, "nat")),), (Lit("Type"),)))
-            return out
+            return out + self._absent(smem, e, "pt", "MissingCell")
         if name == "new":
             x = LVar(fresh())
             grown = _add(_add(smem, ("pt", x, NIL_E)), ("mb", x, Lit(1)))
@@ -307,16 +293,7 @@ class ChunkSymbolic(SymbolicMemoryModel):
             out.extend(
                 self._free_cells(base, smem, e, mb[1], (eq(e, mb[1]),), mb[2].value, 0)
             )
-        out.append(
-            (
-                MISS,
-                smem,
-                tuple([InType(e, "nat")] + not_in(e, [c[1] for c in self._chunks(smem, "mb")])),
-                (Lit("MissingBlock"), e),
-            )
-        )
-        out.append((ERR, smem, (Not(InType(e, "nat")),), (Lit("Type"),)))
-        return out
+        return out + self._absent(smem, e, "mb", "MissingBlock")
 
     def _free_cells(self, mem, orig, e, base_addr, pc, size, i):
         if i == size:

@@ -23,7 +23,7 @@ from ..memmodel import (
     Soundness,
     UnknownActionError,
 )
-from ..outcomes import ABORT, ERR, OK
+from ..outcomes import ERR, OK
 from ..syntax import InVal, LVar, NIL_E, eq
 from ..values import NIL, is_nat, is_value
 from .maps import (
@@ -32,7 +32,6 @@ from .maps import (
     MapSymbolic,
     bipartitions,
     fresh_addresses,
-    missing,
     produce_new,
     without,
 )
@@ -122,9 +121,6 @@ class LinearSymbolic(MapSymbolic):
         assert variant in ("exact", "unique", "cut", "noneg")
         self.variant = variant
         self.track_freed = variant != "noneg"
-        # noneg mirrors the traditional verification-only model: it drops
-        # the evaluation information of overwritten cells
-        self.keep_info = variant != "noneg"
         if variant == "noneg":
             # verification only: no bi-abductive fixes
             self.fixes = None
@@ -149,29 +145,27 @@ class LinearSymbolic(MapSymbolic):
             )
         if name == "mutate":
             e, val = args
-
-            def hit(k, v):
-                pc = [eq(e, k)]
-                if self.keep_info:
-                    pc.append(InVal(v))
-                return [(OK, {**smem, k: val}, tuple(pc), ())]
-
-            return self._matching(smem, e, MISSING_CELL, None, hit)
+            return self._overwrite(smem, e, lambda k: {**smem, k: val})
         if name == "new":
             x = LVar(fresh())
             return [(OK, {**smem, x: NIL_E}, (InVal(x),), (x,))]
         if name == "free":
             (e,) = args
-
-            def hit(k, v):
-                pc = [eq(e, k)]
-                if self.keep_info:
-                    pc.append(InVal(v))
-                mem = {**smem, k: FREED} if self.track_freed else without(smem, k)
-                return [(OK, mem, tuple(pc), ())]
-
-            return self._matching(smem, e, MISSING_CELL, None, hit)
+            if self.track_freed:
+                return self._overwrite(smem, e, lambda k: {**smem, k: FREED})
+            return self._overwrite(smem, e, lambda k: without(smem, k))
         raise UnknownActionError(name)
+
+    def _overwrite(self, smem, e, after):
+        """Mutate or free of the cell at `e`, leaving `after(k)` for the
+        entry at key `k`. noneg mirrors the traditional verification-only
+        model: it drops the evaluation information of the overwritten value."""
+
+        def hit(k, v):
+            pc = (eq(e, k),) if self.variant == "noneg" else (eq(e, k), InVal(v))
+            return [(OK, after(k), pc, ())]
+
+        return self._matching(smem, e, MISSING_CELL, None, hit)
 
     def _order(self, branches):
         # every hit before every use-after-free; cut keeps the first of each
@@ -184,28 +178,22 @@ class LinearSymbolic(MapSymbolic):
     # consume / produce -------------------------------------------------------
 
     def consume_res(self, mode, oracle, name, ins, smem):
-        want_freed = name == "freed"
         (e,) = ins
-        matches = [
-            (k, v) for k, v in self._entries(smem) if (v is FREED) == want_freed
-        ]
-        wrong = [(k, v) for k, v in self._entries(smem) if (v is FREED) != want_freed]
-        out = []
-        if self.variant == "cut":
-            if matches:
-                (k, v), oracle2 = oracle.pick(matches)
-                outs = () if want_freed else (v,)
-                out.append((OK, oracle2, outs, (without(smem, k), (), (eq(e, k),))))
-        else:
-            check = self.variant == "unique"
-            for k, v in matches:
-                outs = () if want_freed else (v,)
-                cond = (eq(e, k),)
-                out.append((OK, oracle, outs, (without(smem, k), cond if check else (), cond)))
-        for k, v in wrong:
-            out.append((ABORT, oracle, (), (smem, (), (eq(e, k),))))
-        out.append(missing(oracle, smem, MISSING_CELL, e))
-        return out
+        freed = name == "freed"
+
+        def hit(k, v):
+            cond = (eq(e, k),)
+            checks = cond if self.variant == "unique" else ()
+            return [(OK, oracle, () if freed else (v,), (without(smem, k), checks, cond))]
+
+        # every match before every abort and the missing branch; cut takes
+        # one match, chosen by the oracle
+        out = self._consume_at(oracle, smem, e, MISSING_CELL, hit, freed)
+        matches = [b for b in out if b[0] is OK]
+        if self.variant == "cut" and matches:
+            (_, _, outs, after), oracle2 = oracle.pick(matches)
+            matches = [(OK, oracle2, outs, after)]
+        return matches + [b for b in out if b[0] is not OK]
 
     def produce_res(self, name, ins, outs, smem):
         return produce_new(ins[0], smem, outs[0] if name == "cell" else FREED)

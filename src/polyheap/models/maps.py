@@ -23,8 +23,11 @@ Symbolic hooks (`MapSymbolic`):
   payload_assertions(k, v)  the resource assertions owning the entry
 Per-key walks (`MapSymbolic`), each taking the per-entry step `hit`/`merge`:
   _matching(smem, e, tag, guard, hit)        an action on the entry at `e`
-  _consume_at(oracle, smem, e, tag, hit)     consuming a resource at `e`
+  _consume_at(oracle, smem, e, tag, hit, freed=False)
+                                             consuming a resource at `e`
   _produce_at(e, smem, new, new_pc, merge)   producing a resource at `e`
+`_consume_freed`, the consume of a `freed` resource, is `_consume_at` with
+`freed=True`.
 
 `NestedConcrete`/`NestedSymbolic` specialise both to entries that are an
 inner map plus optional knowledge about it (block-offset, objects).
@@ -296,12 +299,13 @@ class MapSymbolic(SymbolicMemoryModel):
     def _order(self, branches):
         return branches
 
-    def _consume_at(self, oracle, smem, e, tag, hit):
-        """Consuming a resource at key `e`: per entry, in key order, an
-        abort on FREED or the `hit(k, payload)` branches; then `missing`."""
+    def _consume_at(self, oracle, smem, e, tag, hit, freed=False):
+        """Consuming a resource at key `e`: per entry, in key order, the
+        `hit(k, payload)` branches when the entry is FREED exactly when
+        `freed` is, else an abort; then `missing`."""
         out = []
         for k, v in self._entries(smem):
-            if v is FREED:
+            if (v is FREED) != freed:
                 out.append((ABORT, oracle, (), (smem, (), (eq(e, k),))))
             else:
                 out.extend(hit(k, v))
@@ -319,14 +323,10 @@ class MapSymbolic(SymbolicMemoryModel):
         return results
 
     def _consume_freed(self, oracle, e, smem, tag):
-        out = []
-        for k, v in self._entries(smem):
-            if v is FREED:
-                out.append((OK, oracle, (), (without(smem, k), (), (eq(e, k),))))
-            else:
-                out.append((ABORT, oracle, (), (smem, (), (eq(e, k),))))
-        out.append(missing(oracle, smem, tag, e))
-        return out
+        def hit(k, _):
+            return [(OK, oracle, (), (without(smem, k), (), (eq(e, k),)))]
+
+        return self._consume_at(oracle, smem, e, tag, hit, freed=True)
 
 
 class _Nested:

@@ -6,8 +6,9 @@ recorded one. The check-model cases use small bounds so the whole matrix
 stays fast; `linear-cut` is also run with two cells, which its action/ox
 refutation needs. The find-bugs cases run at default bounds, so their
 reports carry the bounded oracle's verdicts; `read_two.ph` makes it compose
-the footprints of two resources. To regenerate a file after an announced
-change of output:
+the footprints of two resources. `verify_pred.ph` is the one bundled
+program that folds, unfolds and consumes a user-defined predicate. To
+regenerate a file after an announced change of output:
 
     PYTHONPATH=src python -m polyheap.cli <argv...> > tests/golden/<name>.json
 """
@@ -40,6 +41,9 @@ CASES = [
         ("verify_block", "block-offset"),
         ("verify_objects", "objects"),
     )
+] + [
+    # a predicate unfolded and folded back; its third spec fails: exit 1
+    ("verify-verify_pred", ("verify", os.path.join(programs_dir(), "verify_pred.ph"), "--model", "linear"), 1),
 ] + [
     # linear-ox and chunks declare no bug-finding soundness: exit 5, no report
     (f"find-bugs-bugs-{m}", ("find-bugs", os.path.join(programs_dir(), "bugs.ph"), "--model", m),
