@@ -763,11 +763,17 @@ def models_of(
     extra_lvars=(),
 ):
     """Bounded enumeration of (interpretation, concrete state) models of a
-    symbolic state; the ground-truth relation for the soundness harnesses."""
+    symbolic state; the ground-truth relation for the soundness harnesses.
+    The search also asks the memory's `pure_facts`, which every model
+    makes true, so an interpretation under which the memory denotes
+    nothing is cut off at the variable that decides it. The domain stays
+    the path condition's: the result is that of searching `state.pc`
+    alone, in the same order."""
     lvars = sorted(state.lvars(bundle.smm) | set(extra_lvars))
     domain = enumeration_domain(state.pc, bounds, _state_values(state))
+    facts = tuple(bundle.smm.pure_facts(state.mem))
     out = []
-    for theta in models(state.pc, lvars, domain, bounds):
+    for theta in models(state.pc + facts, lvars, domain, bounds):
         for st in models_under(theta, state, bundle, preds, bounds):
             out.append((theta, st))
     return out

@@ -61,13 +61,22 @@ class Bounds:
             raise ValueError("bounds must be positive")
 
     def key(self):
-        return (
+        """A hashable key of the fields, with the domain by `value_key`.
+        Computed once per instance and kept off the fields, so `==`,
+        `hash`, `repr` and `dataclasses.replace` see only the fields."""
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        key = (
             tuple(value_key(v) for v in self.value_domain),
             self.max_cells,
             self.max_addresses,
             self.trials,
             self.seed,
         )
+        object.__setattr__(self, "_key", key)
+        return key
 
     def sorted_domain(self) -> list:
         return sorted(self.value_domain, key=value_key)
@@ -165,7 +174,8 @@ class ResourceModel:
 
 
 class SymbolicMemoryModel:
-    """Symbolic state type, satisfaction, actions, consume/produce."""
+    """Symbolic state type, satisfaction, actions, consume/produce, and
+    the pure facts under which a symbolic memory denotes a concrete one."""
 
     @property
     def empty(self):
@@ -183,6 +193,15 @@ class SymbolicMemoryModel:
 
     def lvars(self, smem) -> frozenset:
         raise NotImplementedError
+
+    def pure_facts(self, smem) -> list:
+        """Conjuncts over `lvars(smem)` that every interpretation under
+        which smem denotes a memory makes true: whenever
+        `concretize(theta, smem)` is not None, each fact evaluates to
+        TRUE under theta. They are necessary, not sufficient, so a search
+        for models of a state may prune by them (`engine.models_of`)
+        and still find every one. This default states none."""
+        return []
 
     def exec_action(self, smem, name, args, fresh):
         """All symbolic results [(Outcome, smem', pc-conjunct tuple, outs)].

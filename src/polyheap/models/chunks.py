@@ -235,6 +235,19 @@ class ChunkSymbolic(SymbolicMemoryModel):
             out |= lv_expr(a) | lv_expr(b)
         return out
 
+    def pure_facts(self, smem) -> list:
+        """Every chunk starts at a natural; a points-to chunk holds a value
+        and starts where no other one does; a block has a positive size."""
+        out = []
+        for kind, a, b in smem:
+            out.append(InType(a, "nat"))
+            if kind == "pt":
+                out.append(InVal(b))
+            else:
+                out += [InType(b, "nat"), Bin("<=", Lit(1), b)]
+        pts = [c[1] for c in smem if c[0] == "pt"]
+        return out + [Not(eq(a1, a2)) for a1, a2 in itertools.combinations(pts, 2)]
+
     def concretize(self, theta, smem):
         out = {}
         for (kind, a, b), count in smem.items():

@@ -238,6 +238,12 @@ class MapSymbolic(SymbolicMemoryModel):
                     out |= lv_expr(e)
         return out
 
+    def pure_facts(self, smem) -> list:
+        """Every key is a natural, and no two keys are equal."""
+        return [InType(k, "nat") for k in smem] + [
+            Not(eq(k1, k2)) for k1, k2 in itertools.combinations(smem, 2)
+        ]
+
     def concretize(self, theta, smem):
         out = {}
         for k, v in smem.items():

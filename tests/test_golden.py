@@ -7,7 +7,8 @@ stays fast; `linear-cut` is also run with two cells, which its action/ox
 refutation needs. The find-bugs cases run at default bounds, so their
 reports carry the bounded oracle's verdicts; `read_two.ph` makes it compose
 the footprints of two resources. `verify_pred.ph` is the one bundled
-program that folds, unfolds and consumes a user-defined predicate. To
+program that folds, unfolds and consumes a user-defined predicate.
+`swap.ph` runs at the bounds of the benchmark's verify-pass job. To
 regenerate a file after an announced change of output:
 
     PYTHONPATH=src python -m polyheap.cli <argv...> > tests/golden/<name>.json
@@ -41,6 +42,9 @@ CASES = [
         ("verify_block", "block-offset"),
         ("verify_objects", "objects"),
     )
+] + [
+    # aliasing paths: `models_of` searches them with the memory's pure facts
+    ("verify-swap", ("verify", os.path.join(programs_dir(), "swap.ph"), "--bounds-values", "0,1,2,3"), 0),
 ] + [
     # a predicate unfolded and folded back; its third spec fails: exit 1
     ("verify-verify_pred", ("verify", os.path.join(programs_dir(), "verify_pred.ph"), "--model", "linear"), 1),

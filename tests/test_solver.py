@@ -349,3 +349,19 @@ def test_caches_are_cleared_past_their_bound():
     cache = dict.fromkeys(range(100_001))
     solver._put(cache, "k", 1)
     assert cache == {"k": 1}
+
+
+def test_bounds_key_is_computed_once_and_off_the_fields():
+    """`check_sat` and `entails` key their caches by `Bounds.key()`; the
+    key is kept on the instance, and equality, hashing, repr and
+    `dataclasses.replace` still see only the fields."""
+    from dataclasses import replace
+
+    b = Bounds(value_domain=(NIL, TRUE, 0, "a"), seed=3)
+    k = b.key()
+    assert b.key() is k
+    fresh = Bounds(value_domain=(NIL, TRUE, 0, "a"), seed=3)
+    assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+    assert fresh.key() == k
+    moved = replace(b, seed=4)
+    assert moved.key() == k[:-1] + (4,) and moved != b
