@@ -15,7 +15,7 @@ against the concrete semantics over bounded models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .assertions import (
     Assertion,
@@ -33,7 +33,7 @@ from .assertions import (
     star_conjuncts,
     subst_assertion_pvars,
 )
-from .concrete import ConcreteState, run
+from .concrete import ConcreteState, run, unreached
 from .engine import (
     Branch,
     EngineContext,
@@ -398,23 +398,19 @@ def _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds) -> bool:
     resources."""
     bundle = ctx.bundle
     initial = state0.with_(pc=final_state.pc)
-    models = models_of(final_state, bundle, ctx.preds, bounds)
-    for theta, target in models:
-        starts = models_under(theta, initial, bundle, ctx.preds, bounds)
-        matched = False
+
+    def runs_from(theta, target):
         # the fix heap may involve values that only occur in this model
         vals = bounds.domain_with(theta.values(), bundle.cmm.mem_values(target.mem))
-        addr_cap = max(
-            [bounds.max_addresses] + [v + 1 for v in vals if is_nat(v) and v < 8]
-        )
-        fix_bounds = Bounds(
+        fix_bounds = replace(
+            bounds,
             value_domain=tuple(vals),
             max_cells=max(bounds.max_cells, len(star_conjuncts(anti))),
-            max_addresses=addr_cap,
-            trials=bounds.trials,
-            seed=bounds.seed,
+            max_addresses=max(
+                [bounds.max_addresses] + [v + 1 for v in vals if is_nat(v) and v < 8]
+            ),
         )
-        for start in starts:
+        for start in models_under(theta, initial, bundle, ctx.preds, bounds):
             try:
                 fix_heaps = heap_models(
                     theta, start.store, anti,
@@ -424,22 +420,10 @@ def _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds) -> bool:
                 continue
             for fix_mem in fix_heaps:
                 whole = bundle.cmm.compose(start.mem, fix_mem)
-                if whole is None:
-                    continue
-                results = run(
-                    gamma, ConcreteState(start.store, whole), f.body, bundle.cmm,
-                    budget=ctx.budget, max_addresses=bounds.max_addresses,
-                )
-                for o, st in results:
-                    if o is outcome and st.mem == target.mem and all(
-                        st.store.get(x) == v for x, v in target.store.items()
-                    ):
-                        matched = True
-                        break
-                if matched:
-                    break
-            if matched:
-                break
-        if not matched:
-            return False
-    return True
+                if whole is not None:
+                    yield run(
+                        gamma, ConcreteState(start.store, whole), f.body, bundle.cmm,
+                        budget=ctx.budget, max_addresses=bounds.max_addresses,
+                    )
+
+    return unreached(models_of(final_state, bundle, ctx.preds, bounds), runs_from, outcome) is None

@@ -5,6 +5,10 @@ nondeterminism are memory actions (e.g. the choice of fresh address in
 allocation, enumerated up to `max_addresses`). Results are ordered
 deterministically. Used both for direct execution and as the ground-truth
 oracle in the differential soundness harnesses.
+
+`unreached` states under-approximate validity once, for the engine
+harness and the replay of bug reports: each model of a result is reached
+by a run, from a model of the start, with a state that `covers` it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,24 @@ class ConcreteState:
 
     def with_store(self, **updates) -> "ConcreteState":
         return ConcreteState({**self.store, **updates}, self.mem)
+
+    def covers(self, final: "ConcreteState") -> bool:
+        """The same memory as `final`, and every variable of `final`'s
+        store at its value here (this store may bind more)."""
+        return self.mem == final.mem and all(self.store.get(x) == v for x, v in final.store.items())
+
+
+def unreached(models, runs_from, outcome):
+    """The first `(theta, final)` of `models` that no result list of
+    `runs_from(theta, final)` reaches with `outcome` and a state that
+    covers `final`, or None. Lazy: `models` is read no further than the
+    answer, and `runs_from`'s lists are asked for one at a time and no
+    further than the first that reaches, so a generator runs no more."""
+    for theta, final in models:
+        ends = (st for results in runs_from(theta, final) for o, st in results if o is outcome)
+        if not any(st.covers(final) for st in ends):
+            return theta, final
+    return None
 
 
 def run(

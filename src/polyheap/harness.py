@@ -1,11 +1,11 @@
 """Differential soundness harnesses.
 
-Random command programs run both concretely and symbolically from related
-states; over-approximate soundness demands every concrete run has a
-matching symbolic path, under-approximate soundness demands every model
-of a symbolic result is concretely reachable. The command-level frame
-property is checked directly against the interpreter, with the same
-`conformance.frame_breach` that checks it for actions.
+Random command programs (`_trials`) run both concretely and symbolically
+from related states; over-approximate soundness demands every concrete run
+has a matching symbolic path, under-approximate soundness demands every
+model of a symbolic result is concretely reachable (`concrete.unreached`).
+The command-level frame property is checked directly against the
+interpreter, with the same `conformance.frame_breach` as for actions.
 
 Programs are generated over the core constructs plus memory actions; the
 side conditions are applied literally: abort-free (over-approximate
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from .concrete import ConcreteState, run
+from .concrete import ConcreteState, run, unreached
 from .conformance import frame_breach
 from .engine import (
     EngineContext,
@@ -116,29 +116,35 @@ def _branch_matches(bundle, preds, bounds, branch, theta, known, final: Concrete
     state = branch.state
     new = state.lvars(bundle.smm) - known
     domain = witness_domain(final.store, final.mem, bundle.cmm, bounds)
-    for th in extensions(state.pc, theta, new, domain):
-        for model in models_under(th, state, bundle, preds, bounds):
-            if model.mem == final.mem and all(
-                model.store.get(x) == v for x, v in final.store.items()
-            ):
-                return True
-    return False
+    return any(
+        model.covers(final)
+        for th in extensions(state.pc, theta, new, domain)
+        for model in models_under(th, state, bundle, preds, bounds)
+    )
+
+
+def _trials(mode, bundle, bounds: Bounds, trials: int, seed: int, preds, specs):
+    """`(trial, cmd, concrete, sym, theta, branches)` per trial: a random
+    program, related start states, and the program's branches in `mode`
+    from `sym`. Both modes draw the same random numbers in the same order."""
+    rng = Random(seed)
+    mems = list(bundle.cmm.generator(bounds))
+    for trial in range(trials):
+        cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
+        concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
+        ctx = EngineContext(mode, specs or {}, bundle, preds, bounds)
+        ctx.seed_fresh(sym)
+        yield trial, cmd, concrete, sym, theta, sym_exec(ctx, Oracle.constant(0), sym, cmd)
 
 
 def check_engine_ox(bundle, bounds: Bounds, trials: int, seed: int, preds=None, specs=None):
     """Bounded over-approximate engine soundness over random programs.
     Returns a list of failure descriptions (empty = no counterexample)."""
     preds = preds or {}
-    specs = specs or {}
-    rng = Random(seed)
-    mems = list(bundle.cmm.generator(bounds))
     failures = []
-    for trial in range(trials):
-        cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
-        concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
-        ctx = EngineContext(Mode.OX, specs, bundle, preds, bounds)
-        ctx.seed_fresh(sym)
-        branches = sym_exec(ctx, Oracle.constant(0), sym, cmd)
+    for trial, cmd, concrete, sym, theta, branches in _trials(
+        Mode.OX, bundle, bounds, trials, seed, preds, specs
+    ):
         # side conditions: no satisfiable abort; missing-resource outcomes
         # only with an empty predicate multiset (always true here)
         if any(
@@ -169,49 +175,30 @@ def check_engine_ox(bundle, bounds: Bounds, trials: int, seed: int, preds=None, 
 
 
 def check_engine_ux(bundle, bounds: Bounds, trials: int, seed: int, preds=None, specs=None):
-    """Bounded under-approximate engine soundness over random programs."""
+    """Bounded under-approximate engine soundness over random programs: each
+    model of a branch is reached from a model of the start under the same
+    interpretation. At most one failure per branch."""
     preds = preds or {}
-    specs = specs or {}
-    rng = Random(seed)
-    mems = list(bundle.cmm.generator(bounds))
     failures = []
-    for trial in range(trials):
-        cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
-        concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
-        ctx = EngineContext(Mode.UX, specs, bundle, preds, bounds)
-        ctx.seed_fresh(sym)
-        branches = sym_exec(ctx, Oracle.constant(0), sym, cmd)
+    for trial, cmd, _, sym, _, branches in _trials(
+        Mode.UX, bundle, bounds, trials, seed, preds, specs
+    ):
+        def runs_from(th, final):
+            for start in models_under(th, sym, bundle, preds, bounds):
+                yield run({}, start, cmd, bundle.cmm, budget=8, max_addresses=bounds.max_addresses)
+
+        extra = sorted(sym.lvars(bundle.smm))
         for br in branches:
             if br.outcome is ABORT:
                 continue
-            for th, final in models_of(
-                br.state, bundle, preds, bounds, extra_lvars=sorted(sym.lvars(bundle.smm))
-            ):
-                reachable = False
-                for start in models_under(th, sym, bundle, preds, bounds):
-                    results = run(
-                        {}, start, cmd, bundle.cmm, budget=8,
-                        max_addresses=bounds.max_addresses,
-                    )
-                    if any(
-                        o is br.outcome
-                        and st.mem == final.mem
-                        and all(st.store.get(x) == v for x, v in final.store.items())
-                        for o, st in results
-                    ):
-                        reachable = True
-                        break
-                if not reachable:
-                    failures.append(
-                        {
-                            "trial": trial,
-                            "cmd": cmd,
-                            "outcome": br.outcome.value,
-                            "final": final,
-                            "theta": th,
-                        }
-                    )
-                    break
+            miss = unreached(
+                models_of(br.state, bundle, preds, bounds, extra_lvars=extra),
+                runs_from, br.outcome,
+            )
+            if miss is not None:
+                th, final = miss
+                failures.append({"trial": trial, "cmd": cmd, "outcome": br.outcome.value,
+                                 "final": final, "theta": th})
     return failures
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from polyheap.concrete import BudgetExhausted, ConcreteState, run, run_function
+from polyheap.concrete import BudgetExhausted, ConcreteState, run, run_function, unreached
 from polyheap.models import get_model
 from polyheap.outcomes import ERR, MISS, OK
 from polyheap.parser import parse_program
@@ -117,3 +117,42 @@ def test_use_after_free(lin):
     from polyheap.models.linear import FREED
 
     assert mem == {1: FREED}
+
+
+def test_covers_reads_the_memory_and_the_final_store():
+    st = ConcreteState({"x": 1, "y": 2}, {0: 1})
+    assert st.covers(ConcreteState({"x": 1}, {0: 1}))
+    assert st.covers(ConcreteState({}, {0: 1}))
+    assert not st.covers(ConcreteState({"x": 2}, {0: 1}))
+    assert not st.covers(ConcreteState({"z": NIL}, {0: 1}))
+    assert not st.covers(ConcreteState({"x": 1}, {}))
+
+
+def test_unreached_stops_at_the_first_list_that_reaches():
+    """Each model's result lists are asked for one at a time and no further
+    than the first that reaches the model with the outcome; the answer is
+    the first model no list reaches, and the models after it are not read."""
+    hit = ConcreteState({"x": 1}, {})
+    lists = {
+        "a": [[(OK, ConcreteState({"x": 0}, {}))], [(ERR, hit), (OK, hit)], [(OK, hit)]],
+        "b": [[(ERR, hit)], [(MISS, hit)]],
+        "c": [[(OK, hit)]],
+    }
+    yielded = []
+
+    def runs_from(theta, final):
+        for results in lists[theta]:
+            yielded.append(theta)
+            yield results
+
+    def models():
+        for theta in ("a", "b", "c"):
+            yielded.append("model " + theta)
+            yield theta, ConcreteState({"x": 1}, {})
+
+    assert unreached(models(), runs_from, OK) == ("b", ConcreteState({"x": 1}, {}))
+    assert yielded == ["model a", "a", "a", "model b", "b", "b"]
+    yielded.clear()
+    assert unreached([("a", hit), ("c", hit)], runs_from, OK) is None
+    assert yielded == ["a", "a", "c"]
+    assert unreached([], runs_from, OK) is None

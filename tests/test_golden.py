@@ -6,8 +6,10 @@ recorded one. The check-model cases use small bounds so the whole matrix
 stays fast; `linear-cut` is also run with two cells, which its action/ox
 refutation needs. The find-bugs cases run at default bounds, so their
 reports carry the bounded oracle's verdicts; `read_two.ph` makes it compose
-the footprints of two resources. `verify_pred.ph` is the one bundled
-program that folds, unfolds and consumes a user-defined predicate.
+the footprints of two resources, and `verify_block.ph` under block-offset
+makes the replay compose fix heaps of several cells. `verify_pred.ph` is
+the one bundled program that folds, unfolds and consumes a user-defined
+predicate.
 `swap.ph` runs at the bounds of the benchmark's verify-pass job. To
 regenerate a file after an announced change of output:
 
@@ -56,6 +58,10 @@ CASES = [
 ] + [
     (name, ("find-bugs", os.path.join(programs_dir(), "read_two.ph"), "--model", m), 0)
     for name, m in (("find-bugs-read_two", "linear"), ("find-bugs-read_two-frac", "frac"))
+] + [
+    # nested memories: replay composes fix heaps of several cells
+    ("find-bugs-verify_block-block-offset",
+     ("find-bugs", os.path.join(programs_dir(), "verify_block.ph"), "--model", "block-offset"), 3),
 ]
 
 

@@ -7,16 +7,32 @@ import pytest
 
 from polyheap.assertions import PredTable
 from polyheap.concrete import ConcreteState, run
-from polyheap.engine import EngineContext, Mode, PredInstance, SymbolicState, models_of, sym_exec
-from polyheap.harness import check_cmd_frame, check_engine_ox, check_engine_ux, random_command
+from polyheap.engine import (
+    EngineContext,
+    Mode,
+    PredInstance,
+    SymbolicState,
+    models_of,
+    models_under,
+    sym_exec,
+)
+from polyheap.harness import (
+    check_cmd_frame,
+    check_engine_ox,
+    check_engine_ux,
+    random_command,
+    random_state_pair,
+)
 from polyheap.memmodel import Bounds
 from polyheap.models import get_model, sabotage
 from polyheap.oracle import Oracle
-from polyheap.outcomes import MISS, OK
+from polyheap.outcomes import ABORT, MISS, OK
 from polyheap.parser import parse_program
-from polyheap.solver import Sat, check_sat
+from polyheap.satisfaction import witness_domain
+from polyheap.solver import Sat, check_sat, extensions
 from polyheap.syntax import Action, Lit
 from polyheap.values import NIL
+from test_mutations import drops_miss_branch, invents_results
 
 B = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3, trials=100, seed=5)
 
@@ -153,3 +169,128 @@ def test_cmd_frame_matches_reference(name):
             assert check_cmd_frame(bundle, B, 60, seed, mode) == _old_check_cmd_frame(
                 bundle, B, 60, seed, mode
             ), (mode, seed)
+
+
+# ---------------------------------------------------------------------------
+# check_engine_ox and check_engine_ux before they shared `_trials` and
+# `concrete.unreached`, kept as the reference: each trial loop and the
+# reachability test written out by hand.
+# ---------------------------------------------------------------------------
+
+
+def _old_branch_matches(bundle, preds, bounds, branch, theta, known, final):
+    state = branch.state
+    new = state.lvars(bundle.smm) - known
+    domain = witness_domain(final.store, final.mem, bundle.cmm, bounds)
+    for th in extensions(state.pc, theta, new, domain):
+        for model in models_under(th, state, bundle, preds, bounds):
+            if model.mem == final.mem and all(
+                model.store.get(x) == v for x, v in final.store.items()
+            ):
+                return True
+    return False
+
+
+def _old_check_engine_ox(bundle, bounds, trials, seed, preds=None, specs=None):
+    preds = preds or {}
+    specs = specs or {}
+    rng = Random(seed)
+    mems = list(bundle.cmm.generator(bounds))
+    failures = []
+    for trial in range(trials):
+        cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
+        concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
+        ctx = EngineContext(Mode.OX, specs, bundle, preds, bounds)
+        ctx.seed_fresh(sym)
+        branches = sym_exec(ctx, Oracle.constant(0), sym, cmd)
+        if any(
+            br.outcome is ABORT and isinstance(check_sat(br.state.pc, bounds), Sat)
+            for br in branches
+        ):
+            continue
+        known = sym.lvars(bundle.smm) | set(theta)
+        for o, final in run(
+            {}, concrete, cmd, bundle.cmm, budget=8, max_addresses=bounds.max_addresses
+        ):
+            if not any(
+                br.outcome is o
+                and _old_branch_matches(bundle, preds, bounds, br, theta, known, final)
+                for br in branches
+            ):
+                failures.append(
+                    {"trial": trial, "cmd": cmd, "state": concrete, "outcome": o.value, "final": final}
+                )
+                break
+    return failures
+
+
+def _old_check_engine_ux(bundle, bounds, trials, seed, preds=None, specs=None):
+    preds = preds or {}
+    specs = specs or {}
+    rng = Random(seed)
+    mems = list(bundle.cmm.generator(bounds))
+    failures = []
+    for trial in range(trials):
+        cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
+        concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
+        ctx = EngineContext(Mode.UX, specs, bundle, preds, bounds)
+        ctx.seed_fresh(sym)
+        branches = sym_exec(ctx, Oracle.constant(0), sym, cmd)
+        for br in branches:
+            if br.outcome is ABORT:
+                continue
+            for th, final in models_of(
+                br.state, bundle, preds, bounds, extra_lvars=sorted(sym.lvars(bundle.smm))
+            ):
+                reachable = False
+                for start in models_under(th, sym, bundle, preds, bounds):
+                    results = run(
+                        {}, start, cmd, bundle.cmm, budget=8,
+                        max_addresses=bounds.max_addresses,
+                    )
+                    if any(
+                        o is br.outcome
+                        and st.mem == final.mem
+                        and all(st.store.get(x) == v for x, v in final.store.items())
+                        for o, st in results
+                    ):
+                        reachable = True
+                        break
+                if not reachable:
+                    failures.append(
+                        {
+                            "trial": trial,
+                            "cmd": cmd,
+                            "outcome": br.outcome.value,
+                            "final": final,
+                            "theta": th,
+                        }
+                    )
+                    break
+    return failures
+
+
+ENGINE_BUNDLES = {
+    "linear": lambda: get_model("linear"),
+    "frac": lambda: get_model("frac"),
+    "drops_miss_branch": drops_miss_branch,
+    "invents_results": invents_results,
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_BUNDLES)
+def test_engine_checks_match_reference(name):
+    """The same failures, trial by trial, as the reference in both
+    directions at three seeds; the mutant that drops miss branches fails
+    the over-approximate check and the one that invents lookup results
+    fails the under-approximate check at every seed."""
+    bundle = ENGINE_BUNDLES[name]()
+    for seed in (1, 3, 7):
+        ox = check_engine_ox(bundle, B, 40, seed)
+        ux = check_engine_ux(bundle, B, 25, seed)
+        assert ox == _old_check_engine_ox(bundle, B, 40, seed), seed
+        assert ux == _old_check_engine_ux(bundle, B, 25, seed), seed
+        if name == "drops_miss_branch":
+            assert ox, seed
+        if name == "invents_results":
+            assert ux, seed
