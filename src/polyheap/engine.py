@@ -263,7 +263,7 @@ def sym_exec(ctx: EngineContext, oracle: Oracle, state: SymbolicState, cmd: Cmd)
 def _exec_assign(ctx, oracle, state, cmd: Assign):
     e = sym_eval(cmd.expr, state.store)
     out = []
-    ok_guards = _guards([state.store[cmd.var]]) if cmd.var in state.store else []
+    ok_guards = _guards([e])
     st_ok = state.with_(store={**state.store, cmd.var: e}).extend_pc(ok_guards)
     if ctx.keep_path(st_ok):
         ctx.note("assign", OK, ok_guards)

@@ -295,8 +295,6 @@ def test_biabduct_requires_capability():
 def test_biabduct_anti_heap_monotone_along_paths():
     cmd = Seq(Action(("x",), "lookup", (Lit(1),)), Action(("z",), "lookup", (Lit(2),)))
     reports = biabduct({}, {}, cmd, get_model("linear"), None, B, validate=False)
-    from polyheap.assertions import star_conjuncts
-
     ok = [r for r in reports if r.outcome == "ok"]
     assert ok and all(len(star_conjuncts(r.anti_heap)) == 2 for r in ok)
 
@@ -308,6 +306,17 @@ def test_biabduct_fixture_file():
     assert any(r.outcome == "err" and r.replayed for r in reports)
     reports2 = biabduct(prog.functions, prog.specs, "read_missing", b, prog.preds, B)
     assert all(r.replayed for r in reports2 if r.quadruple is not None)
+
+
+def test_assignment_guards_the_value_it_stores():
+    """The ok branch of `x := e` needs `e` to be a value, not the value `x`
+    held. Guarding the old value let the second increment fail after a
+    first one that had already failed: a second, vacuous `err` report."""
+    prog = parse_program("func inc(x) { x := x + 1; x := x + 1; return x }")
+    reports = biabduct(prog.functions, prog.specs, "inc", get_model("linear"), prog.preds, Bounds())
+    errs = [r for r in reports if r.outcome == "err"]
+    assert [r.witness_pc for r in errs] == [["#x in Val", "not ((#x + 1) in Val)"]]
+    assert errs[0].replayed and errs[0].quadruple_verdict == "Valid"
 
 
 def test_esl_spec_verifies_in_exact_mode():
