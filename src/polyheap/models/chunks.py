@@ -189,7 +189,7 @@ class ChunkConcrete(ConcreteMemoryModel):
             cases.append(("free", (a,)))
             for v in vals:
                 cases.append(("mutate", (a, v)))
-        cases.append(("lookup", ("x",)))
+        cases += [("lookup", ("x",)), ("mutate", ("x", 0)), ("free", ("x",))]
         return cases
 
     def mem_values(self, mem):
