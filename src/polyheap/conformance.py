@@ -18,14 +18,20 @@ side can make.
 
 The checks compute once per call what does not depend on the trial:
 the lifts of each memory, where memories of one shape share one variable
-lift; each symbolic step (action, consume, produce) from a lifted memory
-with given arguments; the argument vectors of each action case; the heaps
-on which each resource holds; and, in the frame check, each memory's
-runs and each (memory, frame) composition. A step's new logical variables
-are the names its namer minted (consume and produce mint none), so a
-witness domain is built only when the step minted a name. Model
-operations are pure, so sharing changes no verdict, trial count or
-witness.
+lift; the memory each lift denotes, which every branch that keeps the
+lifted memory and every satisfaction test against it reads (`concretize`
+reads an interpretation only on the memory's own variables); each
+symbolic step (action, consume, produce) from a lifted memory with given
+arguments; the argument vectors of each action case; the concrete step
+of each (memory, action case) in the OX action check; the heaps on which
+each resource holds; each ordered pair's composition, in the PCM laws;
+and, in the frame check, each memory's runs and each (memory, frame)
+composition. A step's new logical variables are the names its namer
+minted (consume and produce mint none). Matching a concrete outcome binds
+a new variable that is an output by itself to that output's value
+instead of enumerating it, and a witness domain is built only for the new
+variables left. Model operations are pure, so sharing changes no
+verdict, trial count or witness.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ def _mems(cmm, bounds: Bounds, cap: int = 4096) -> list:
 # ---------------------------------------------------------------------------
 
 
+# past this many ordered pairs of memories, commutativity is sampled
+_PAIR_CAP = 250_000
+
+
 def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckResult:
     mems = _mems(cmm, bounds)
     trials = 0
@@ -107,16 +117,23 @@ def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckRes
         a, b = pair
         return cmm.compose(a, b) != cmm.compose(b, a)
 
-    for i, j in _sample_product((len(mems), len(mems)), 250_000, bounds.seed):
+    # every ordered pair's composition, when every pair is tested: the
+    # commutativity, well-formedness and associativity tests read it
+    n = len(mems)
+    table = [[cmm.compose(a, b) for b in mems] for a in mems] if n * n <= _PAIR_CAP or n**3 <= assoc_cap else None
+    for i, j in _sample_product((n, n), _PAIR_CAP, bounds.seed):
         trials += 1
-        if commut_fails((mems[i], mems[j])):
-            w = _shrink(lambda xs: commut_fails(xs), (mems[i], mems[j]), cmm, bounds)
+        if table is not None:
+            ab, ba = table[i][j], table[j][i]
+        else:
+            ab, ba = cmm.compose(mems[i], mems[j]), cmm.compose(mems[j], mems[i])
+        if ab != ba:
+            w = _shrink(commut_fails, (mems[i], mems[j]), cmm, bounds)
             return CheckResult(
                 "pcm", "-", "fail", trials,
                 {"law": "commutativity", "mems": [repr(m) for m in w]},
             )
-        comp = cmm.compose(mems[i], mems[j])
-        if comp is not None and not cmm.is_wf(comp):
+        if ab is not None and not cmm.is_wf(ab):
             return CheckResult(
                 "pcm", "-", "fail", trials,
                 {"law": "wf-compose", "mems": [repr(mems[i]), repr(mems[j])]},
@@ -130,14 +147,12 @@ def check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckRes
         rhs = cmm.compose(a, bc) if bc is not None else None
         return lhs != rhs
 
-    n = len(mems)
     if n**3 <= assoc_cap:
-        pair_table = [[cmm.compose(a, b) for b in mems] for a in mems]
         for i in range(n):
-            row_i = pair_table[i]
+            row_i = table[i]
             for j in range(n):
                 ab = row_i[j]
-                row_j = pair_table[j]
+                row_j = table[j]
                 for k in range(n):
                     trials += 1
                     bc = row_j[k]
@@ -313,8 +328,11 @@ def _lift_styles(smm, mem):
 
 
 def _lifts(smm, mems):
-    """`i` -> the `_lift_styles` of `mems[i]` as (smem, theta, steps)
-    triples, where `steps` memoises the steps run from `smem` (`_step`).
+    """`i` -> the `_lift_styles` of `mems[i]` as (smem, theta, steps, den)
+    quadruples, where `steps` memoises the steps run from `smem` (`_step`)
+    and `den` is `smm.concretize(theta, smem)`. `concretize` reads `theta`
+    only on `lvars(smem)`, so `den` is also what `smem` denotes under any
+    extension of `theta` by argument or minted names.
     A check's sample has `i` outermost, so only the current `i`'s lifts
     are kept. The variable lift names every value, so it depends only on
     the memory's shape: memories of one shape share one lifted memory, and
@@ -336,7 +354,10 @@ def _lifts(smm, mems):
         if i != current_i:
             (ground, theta_g), (shaped, theta_h) = _lift_styles(smm, mems[i])
             shaped, steps = intern(shaped)
-            current_i, current = i, [(ground, theta_g, {}), (shaped, theta_h, steps)]
+            current_i, current = i, [
+                (ground, theta_g, {}, smm.concretize(theta_g, ground)),
+                (shaped, theta_h, steps, smm.concretize(theta_h, shaped)),
+            ]
         return current
 
     return lifts
@@ -368,17 +389,48 @@ def _eval_vec(exprs, theta):
     return tuple(vals)
 
 
-def _branch_models(smm, theta, new, domain, pc, smem, outs, want=None):
+def _denoter(smm, lifted, den):
+    """`smm.concretize`, except that the lifted memory `lifted` itself
+    gives its stored denotation `den` (`_lifts`): a branch that keeps the
+    lifted memory, such as a lookup, a miss or an error, is not denoted
+    again. Branch models extend the lift's interpretation by names that
+    `lifted` does not read."""
+    return lambda theta, smem: den if smem is lifted else smm.concretize(theta, smem)
+
+
+def _branch_models(denote, theta, new, domain, pc, smem, outs, want=None):
     """(th, memory, values) for each extension `th` of `theta` over the
     variables `new` that makes `pc` true and under which `smem` denotes a
-    memory and every expression of `outs` a value (the values `want`, when
-    given: then no memory is built for other values). `domain` is read
-    only when some variable is new: `theta` alone needs no values."""
-    for th in extensions(pc, theta, new, domain):
+    memory (`denote(th, smem)`) and every expression of `outs` a value.
+    `domain()` gives the values a variable ranges over; it is called only
+    when some variable is left to decide.
+
+    With `want` given, only models whose values are `want` are sought, and
+    no memory is built for other values. A new variable that is an output
+    by itself can take only its wanted value, so it is bound to that value
+    instead of enumerated, and one wanted at two values leaves no model.
+    A caller that gives `want` asks only whether some model exists and
+    puts `want`'s values in `domain()`, so binding finds one exactly when
+    the enumeration would."""
+    if want is not None:
+        bound = {}
+        for e, v in zip(outs, want):
+            if isinstance(e, LVar) and e.name in new and bound.setdefault(e.name, v) != v:
+                return
+        if bound:
+            theta = {**theta, **bound}
+            new = [x for x in new if x not in bound]
+        if not new:
+            if _eval_vec(outs, theta) == want and all_true(pc, theta):
+                mem = denote(theta, smem)
+                if mem is not None:
+                    yield theta, mem, want
+            return
+    for th in extensions(pc, theta, new, domain() if new else ()):
         vals = _eval_vec(outs, th)
         if vals is None or want is not None and vals != want:
             continue
-        mem = smm.concretize(th, smem)
+        mem = denote(th, smem)
         if mem is not None:
             yield th, mem, vals
 
@@ -391,15 +443,28 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
     lifts = _lifts(smm, mems)
     arg_styles = [_arg_styles(args) for _, args in cases]
     trials = 0
+    # the concrete run of (mems[i], cases[c]), once a trial needs it: the
+    # sample has `s` and the lifts innermost, so it is kept while (i, c)
+    # stays the same
+    run, run_of = None, None
+
+    def concrete():
+        nonlocal run, run_of
+        if run_of != (i, c):
+            run, run_of = cmm.exec_action(mem, name, args, bounds.max_addresses), (i, c)
+        return run
+
     for i, c, s in _sample_product((len(mems), len(cases), 2), cap, bounds.seed):
         mem = mems[i]
         name, args = cases[c]
         sym_args, theta_a = arg_styles[c][s]
-        for smem, theta0, steps in lifts(i):
+        for smem, theta0, steps, den in lifts(i):
             trials += 1
             branches, new = _step(steps, (name, sym_args), lambda: _run_action(smm, smem, name, sym_args))
             theta = {**theta0, **theta_a}
-            witness = _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args, branches, new)
+            witness = _action_case(
+                bundle, mode, bounds, mem, smem, den, theta, name, args, sym_args, branches, new, concrete
+            )
             if witness is not None:
                 witness.update({"action": name, "args": [repr(a) for a in args], "mem": repr(mem)})
                 return CheckResult("action", mode, "fail", trials, witness)
@@ -414,10 +479,16 @@ def _run_action(smm, smem, name, sym_args):
     return smm.exec_action(smem, name, sym_args, namer), namer.minted()
 
 
-def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args, branches, new):
-    cmm, smm = bundle.cmm, bundle.smm
-    domain = bounds.domain_with(cmm.mem_values(mem), args) if new else ()
+def _action_case(bundle, mode, bounds, mem, smem, den, theta, name, args, sym_args, branches, new, concrete):
+    """The witness of a failed trial of the step `branches`, minting `new`,
+    from the lifted memory `smem` (denoting `den`) under `theta`, or None.
+    `concrete()` gives the concrete run of `mem`."""
+    cmm = bundle.cmm
+    denote = _denoter(bundle.smm, smem, den)
     wide = bounds.max_addresses + bounds.max_cells
+
+    def domain():
+        return bounds.domain_with(cmm.mem_values(mem), args)
 
     # side condition: miss/abort branches leave the memory unchanged
     for o, smem2, pc, outs in branches:
@@ -425,15 +496,13 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args, b
             return {"kind": "miss-changes-memory", "outcome": o.value}
 
     if mode == "ox":
-        # vacuous when some abort branch is plausible under an extension;
-        # an abort branch keeps the lifted memory, which always denotes
+        # vacuous when some abort branch is plausible under an extension
         for o, smem2, pc, outs in branches:
-            if o is ABORT and any(_branch_models(smm, theta, new, domain, pc, smem2, outs)):
+            if o is ABORT and any(_branch_models(denote, theta, new, domain, pc, smem2, outs)):
                 return None
-        concrete = cmm.exec_action(mem, name, args, bounds.max_addresses)
-        for o, mem2, outs_c in concrete:
-            search_domain = _outcome_domain(cmm, bounds, domain, mem, mem2, outs_c) if new else ()
-            if not _ox_matched(smm, branches, new, theta, search_domain, o, mem2, outs_c):
+        for o, mem2, outs_c in concrete():
+            search_domain = functools.partial(_outcome_domain, cmm, bounds, mem, args, mem2, outs_c)
+            if not _ox_matched(denote, branches, new, theta, search_domain, o, mem2, outs_c):
                 return {
                     "kind": "unmatched-concrete-step",
                     "outcome": o.value,
@@ -449,16 +518,15 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args, b
     args_v = _eval_vec(sym_args, theta)
     if args_v is None or args_v != tuple(args):
         return None
-    mem0 = smm.concretize(theta, smem)
     results = None
     for o, smem2, pc, outs in branches:
         if o is ABORT:
             continue
-        for th, mem2, outs_v in _branch_models(smm, theta, new, domain, pc, smem2, outs):
-            if mem0 is None:
+        for th, mem2, outs_v in _branch_models(denote, theta, new, domain, pc, smem2, outs):
+            if den is None:
                 return {"kind": "no-initial-model", "outcome": o.value}
             if results is None:
-                results = [(x, y, tuple(z)) for x, y, z in cmm.exec_action(mem0, name, args_v, wide)]
+                results = [(x, y, tuple(z)) for x, y, z in cmm.exec_action(den, name, args_v, wide)]
             if (o, mem2, outs_v) not in results:
                 return {
                     "kind": "unrealisable-symbolic-step",
@@ -469,19 +537,24 @@ def _action_case(bundle, mode, bounds, mem, smem, theta, name, args, sym_args, b
     return None
 
 
-def _outcome_domain(cmm, bounds, domain, mem, mem2, outs_c):
-    """`domain` widened by the values, results and new addresses of the
-    concrete outcome `mem2`, `outs_c` of a step from `mem`."""
+def _outcome_domain(cmm, bounds, mem, args, mem2, outs_c):
+    """The values of `mem` and `args` and the values, results and new
+    addresses of the concrete outcome `mem2`, `outs_c` of a step from
+    `mem`, with the bounds' domain."""
     extra = set(mem2.keys()) - set(mem.keys()) if isinstance(mem2, dict) else set()
-    return bounds.domain_with(domain, cmm.mem_values(mem2), outs_c, extra)
+    return bounds.domain_with(cmm.mem_values(mem), args, cmm.mem_values(mem2), outs_c, extra)
 
 
-def _ox_matched(smm, branches, new, theta, domain, o, mem2, outs_c):
+def _ox_matched(denote, branches, new, theta, domain, o, mem2, outs_c):
+    """Whether some branch of outcome `o` has a model whose memory is
+    `mem2` and whose values are `outs_c` (`_branch_models`, whose
+    `domain()` holds `outs_c`)."""
+    want = tuple(outs_c)
     return any(
         m == mem2
         for o2, smem2, pc, outs in branches
-        if o2 is o and len(outs) == len(outs_c)
-        for _, m, _ in _branch_models(smm, theta, new, domain, pc, smem2, outs, tuple(outs_c))
+        if o2 is o and len(outs) == len(want)
+        for _, m, _ in _branch_models(denote, theta, new, domain, pc, smem2, outs, want)
     )
 
 
@@ -536,25 +609,28 @@ def check_cp_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds, cap
         mem = mems[i]
         name, ins_v, outs_v = cases[c]
         ins, outs = lits[c]
-        for smem, theta0, steps in lifts(i):
+        for smem, theta0, steps, den in lifts(i):
             trials += 1
             branches = _step(
                 steps, ("consume", name, ins), lambda: _consume_branches(smm, emode, name, ins, smem)
             )
-            w = _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, theta0, name, ins_v, branches)
+            w = _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, den, theta0, name, ins_v, branches)
             if w is None:
                 results = _step(
                     steps, ("produce", name, ins, outs), lambda: smm.produce_res(name, ins, outs, smem)
                 )
-                w = _cp_produce_case(bundle, mode, res_heaps, mem, smem, theta0, name, ins_v, outs_v, results)
+                w = _cp_produce_case(bundle, mode, res_heaps, mem, den, theta0, name, ins_v, outs_v, results)
             if w is not None:
                 w.update({"resource": name, "ins": [repr(v) for v in ins_v], "mem": repr(mem)})
                 return CheckResult("cp", mode, "fail", trials, w)
     return CheckResult("cp", mode, "pass", trials)
 
 
-def _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, theta, name, ins_v, branches):
-    cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
+def _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, den, theta, name, ins_v, branches):
+    """The witness of a failed consume from the lifted memory `smem`, which
+    denotes `den` under `theta`, or None."""
+    cmm, rm = bundle.cmm, bundle.rm
+    denote = _denoter(bundle.smm, smem, den)
     # a consume mints no variable (`SymbolicMemoryModel.consume_res`), so
     # `theta` decides each branch: no variable is new and no domain is read
 
@@ -562,12 +638,12 @@ def _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, theta, name, in
         for o, _, outs, (smem_f, checks, pc) in branches:
             if o is not OK:
                 continue
-            for th, mem_f, outs_th in _branch_models(smm, theta, (), (), pc, smem_f, outs):
+            for th, mem_f, outs_th in _branch_models(denote, theta, (), None, pc, smem_f, outs):
                 for mem_r in res_heaps(name, ins_v, outs_th):
                     whole = cmm.compose(mem_r, mem_f)
                     if whole is None:
                         continue
-                    if not all_true(checks, th) or not smm.sat_mem(th, whole, smem):
+                    if not all_true(checks, th) or whole != den:
                         return {
                             "kind": "consume-ux",
                             "outs": [repr(v) for v in outs_th],
@@ -577,12 +653,12 @@ def _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, theta, name, in
         return None
 
     # OX: some consume branch must cover the model
-    if not smm.sat_mem(theta, mem, smem):
+    if den != mem:
         return None
     # vacuous when some abort branch has a model; its values are not read
     for o, _, outs, (smem_f, checks, pc) in branches:
         if o is ABORT and all_true(checks, theta):
-            if any(_branch_models(smm, theta, (), (), pc, smem_f, ())):
+            if any(_branch_models(denote, theta, (), None, pc, smem_f, ())):
                 return None
     covered = False
     for o, _, outs, (smem_f, checks, pc) in branches:
@@ -594,7 +670,7 @@ def _cp_consume_case(bundle, mode, bounds, res_heaps, mem, smem, theta, name, in
         outs_th = _eval_vec(outs, theta)
         if outs_th is None or not all_true(pc, theta):
             continue
-        mem_f = smm.concretize(theta, smem_f)
+        mem_f = denote(theta, smem_f)
         if mem_f is None:
             continue
         for mem_r, mem_f2 in cmm.enumerate_splits(mem):
@@ -621,21 +697,19 @@ def _outs_present(rm, name, ins_v, mem_r, bounds):
     return None
 
 
-def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v, outs_v, results):
+def _cp_produce_case(bundle, mode, res_heaps, mem_f, den, theta, name, ins_v, outs_v, results):
+    """The witness of a failed produce of `results` onto a lifted memory
+    that denotes `den` under `theta`, or None."""
     cmm, rm, smm = bundle.cmm, bundle.rm, bundle.smm
     if mode == "ox":
-        if not smm.sat_mem(theta, mem_f, smem_f):
+        if den != mem_f:
             return None
-        for mem_r in res_heaps(name, ins_v, outs_v):
+        heaps = res_heaps(name, ins_v, outs_v)
+        # the memories the results denote where their conditions hold
+        dens = [smm.concretize(theta, smem2) for smem2, pc in results if all_true(pc, theta)] if heaps else ()
+        for mem_r in heaps:
             whole = cmm.compose(mem_r, mem_f)
-            if whole is None:
-                continue
-            hit = False
-            for smem2, pc in results:
-                if all_true(pc, theta) and smm.sat_mem(theta, whole, smem2):
-                    hit = True
-                    break
-            if not hit:
+            if whole is not None and whole not in dens:
                 return {"kind": "produce-ox-uncovered", "res-heap": repr(mem_r), "outs": [repr(v) for v in outs_v]}
         return None
     # UX: every produced state's models split into resource + frame models
@@ -647,7 +721,7 @@ def _cp_produce_case(bundle, mode, res_heaps, mem_f, smem_f, theta, name, ins_v,
             continue
         found = False
         for mem_r, mem_f2 in cmm.enumerate_splits(whole):
-            if rm.holds_resource(mem_r, name, ins_v, outs_v) and smm.sat_mem(theta, mem_f2, smem_f):
+            if rm.holds_resource(mem_r, name, ins_v, outs_v) and mem_f2 == den:
                 found = True
                 break
         if not found:

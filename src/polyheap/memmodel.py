@@ -184,7 +184,10 @@ class SymbolicMemoryModel:
     def concretize(self, theta, smem):
         """The unique concrete memory denoted by smem under theta, or None.
         All bundled models are symbolic liftings, so denotation is
-        pointwise evaluation plus disjointness of the composition."""
+        pointwise evaluation plus disjointness of the composition. It reads
+        `theta` only on `lvars(smem)`: two interpretations that agree there
+        give the same result (the conformance harness denotes each lifted
+        memory once and reuses it under extensions of its interpretation)."""
         raise NotImplementedError
 
     def sat_mem(self, theta, mem, smem) -> bool:

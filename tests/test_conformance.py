@@ -1,24 +1,35 @@
 """Conformance harness behaviour: passing models pass, broken models are
 refuted with small witnesses, and the declared-soundness pattern holds."""
 
+import collections
+import copy
 import functools
 import itertools
 
 import pytest
 
+from random import Random
+
+from polyheap import conformance
 from polyheap.conformance import (
     CheckResult,
     _arg_styles,
+    _branch_models,
     _consume_branches,
+    _denoter,
     _eval_vec,
     _frame_witness,
     _lift_styles,
     _lifts,
     _mems,
     _Namer,
+    _outcome_domain,
+    _ox_matched,
     _outs_present,
     _resource_cases,
+    _run_action,
     _sample_product,
+    _shrink,
     check_action_soundness,
     check_cp_soundness,
     check_frame,
@@ -30,9 +41,10 @@ from polyheap.memmodel import Bounds, MemoryModelBundle
 from polyheap.models import MODEL_NAMES, get_model, sabotage
 from polyheap.oracle import Oracle
 from polyheap.outcomes import ABORT, MISS, OK
-from polyheap.syntax import Lit, lv_expr
-from polyheap.values import NIL, value_key
-from test_mutations import consume_wrong_out, drops_miss_branch, invents_results, produce_ignores_input
+from polyheap.solver import extensions
+from polyheap.syntax import Lit, LVar, lv_expr
+from polyheap.values import FALSE, NIL, value_key
+from test_mutations import consume_wrong_out, drops_miss_branch, invents_results, produce_ignores_input, rebundle
 
 SMALL = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3, trials=400, seed=0)
 
@@ -460,11 +472,26 @@ def test_symbolic_checks_match_reference(name, bounds):
         )
 
 
+def produce_guarded_false():
+    """linear with a produce whose results hold under no interpretation:
+    the OX check must not count them as covering a model."""
+    b = get_model("linear")
+    broken = copy.copy(b.smm)
+
+    class _Broken(type(b.smm)):
+        def produce_res(self, name, ins, outs, smem):
+            return [(smem2, (*pc, Lit(FALSE))) for smem2, pc in super().produce_res(name, ins, outs, smem)]
+
+    broken.__class__ = _Broken
+    return rebundle(b, smm=broken)
+
+
 MUTANTS = {
     "drops-miss-branch": drops_miss_branch,
     "invents-results": invents_results,
     "consume-wrong-out": consume_wrong_out,
     "produce-ignores-input": produce_ignores_input,
+    "produce-guarded-false": produce_guarded_false,
     "sabotaged-compose": lambda: sabotage(get_model("linear")),
 }
 
@@ -720,15 +747,17 @@ def test_symbolic_steps_run_once_per_lifted_memory(monkeypatch):
 def test_variable_lifts_of_one_shape_share_one_memory():
     """On block-offset, whose payloads hold dicts (unhashable), every
     memory of one shape gets one variable-lifted memory and one step memo,
-    and no two shapes share them."""
+    and no two shapes share them. Each lift stores the memory it denotes,
+    which is the memory lifted."""
     bundle = get_model("block-offset")
     mems = _mems(bundle.cmm, DIFF_BOUNDS[0], cap=256)
     lifts = _lifts(bundle.smm, mems)
     shapes = {}  # repr of a fresh variable lift -> the interned (smem, steps)
     for i, mem in enumerate(mems):
-        (_, _, ground_steps), (smem, _, steps) = lifts(i)
+        (_, _, ground_steps, ground_den), (smem, _, steps, den) = lifts(i)
         fresh = _lift_styles(bundle.smm, mem)[1][0]
         assert smem == fresh and ground_steps is not steps
+        assert ground_den == mem and den == mem
         first = shapes.setdefault(repr(fresh), (smem, steps))
         assert first[0] is smem and first[1] is steps
     objects = {id(smem) for smem, _ in shapes.values()}
@@ -738,3 +767,266 @@ def test_variable_lifts_of_one_shape_share_one_memory():
         for smem, _ in shapes.values()
         for entry in smem.values()
     )
+
+
+# ---------------------------------------------------------------------------
+# The OX match before it bound minted outputs and read each lift's stored
+# denotation, kept as the reference: it enumerates every new variable over
+# the outcome's domain and concretizes every branch model.
+# ---------------------------------------------------------------------------
+
+
+def _enumerated_branch_models(smm, theta, new, domain, pc, smem, outs, want=None):
+    for th in extensions(pc, theta, new, domain):
+        vals = _eval_vec(outs, th)
+        if vals is None or want is not None and vals != want:
+            continue
+        mem = smm.concretize(th, smem)
+        if mem is not None:
+            yield th, mem, vals
+
+
+def _enumerated_ox_matched(smm, branches, new, theta, domain, o, mem2, outs_c):
+    return any(
+        m == mem2
+        for o2, smem2, pc, outs in branches
+        if o2 is o and len(outs) == len(outs_c)
+        for _, m, _ in _enumerated_branch_models(smm, theta, new, domain, pc, smem2, outs, tuple(outs_c))
+    )
+
+
+def _unreachable_domain():
+    raise AssertionError("a domain was built although no variable is left to decide")
+
+
+@pytest.mark.parametrize("name", BUNDLES)
+def test_binding_match_equals_enumerated_match(name):
+    """On both lifts of every generated memory, under both argument styles
+    of every action case, the OX match that binds minted outputs gives the
+    enumerating match's answer for each concrete outcome's memory paired
+    with its own outputs, with each other outcome's and with each that
+    differs from its own in one position (so both answers occur). Steps
+    that mint names (`new`) are among them, and no bundled step needs a
+    domain once its minted outputs are bound."""
+    bundle = get_model(name)
+    cmm, smm = bundle.cmm, bundle.smm
+    bounds = DIFF_BOUNDS[0]
+    mems = _mems(cmm, bounds, cap=256)
+    cases = list(cmm.action_cases(bounds))
+    lifts = _lifts(smm, mems)
+    answers, minting = set(), 0
+    for i, mem in enumerate(mems):
+        for name_, args in cases:
+            concrete = cmm.exec_action(mem, name_, args, bounds.max_addresses)
+            for sym_args, theta_a in _arg_styles(args):
+                for smem, theta0, _, den in lifts(i):
+                    branches, new = _run_action(smm, smem, name_, sym_args)
+                    minting += bool(new)
+                    theta = {**theta0, **theta_a}
+                    for o, mem2, own in concrete:
+                        others = {tuple(outs) for _, _, outs in concrete}
+                        others |= {
+                            (*own[:k], v, *own[k + 1 :]) for k in range(len(own)) for v in bounds.value_domain
+                        }
+                        for outs_c in sorted(others, key=repr):
+                            domain = _outcome_domain(cmm, bounds, mem, args, mem2, outs_c)
+                            got = _ox_matched(
+                                _denoter(smm, smem, den), branches, new, theta, _unreachable_domain, o, mem2, outs_c
+                            )
+                            want = _enumerated_ox_matched(smm, branches, new, theta, domain, o, mem2, outs_c)
+                            assert got == want, (name_, args, sym_args, smem, o, mem2, outs_c)
+                            answers.add(got)
+    assert minting and answers == {True, False}
+
+
+def test_minted_output_wanted_at_two_values_has_no_model():
+    """A branch that returns one minted variable twice matches only equal
+    outputs; wanted at two values it has no model, and no domain is built."""
+    smm = get_model("linear").smm
+    outs = (LVar("f0"), LVar("f0"))
+    branch = ((), smm.empty, outs)  # (pc, memory, outputs)
+    assert list(_branch_models(smm.concretize, {}, ["f0"], _unreachable_domain, *branch, want=(0, 1))) == []
+    assert list(_branch_models(smm.concretize, {}, ["f0"], _unreachable_domain, *branch, want=(1, 1))) == [
+        ({"f0": 1}, {}, (1, 1))
+    ]
+    for want in ((0, 1), (1, 1)):
+        assert [m for _, m, _ in _enumerated_branch_models(smm, {}, ["f0"], [0, 1], *branch, want)] == (
+            [] if want == (0, 1) else [{}]
+        )
+
+
+@pytest.mark.parametrize("check", [check_action_soundness, check_cp_soundness])
+@pytest.mark.parametrize("mode", ["ox", "ux"])
+def test_each_lift_is_denoted_once_per_check(monkeypatch, check, mode):
+    """With every trial taken, `concretize` is asked once per lift what the
+    lifted memory denotes under its interpretation or an extension of it.
+    Branches that keep the lifted memory read the stored denotation; a
+    branch that builds an equal memory anew is denoted on its own."""
+    bundle = get_model("frac")
+    smm = bundle.smm
+    lifted, calls = [], []  # (smem, theta) per lift; (theta, smem) per concretize call
+    lifts_of, concretize = conformance._lifts, smm.concretize
+
+    def recording_lifts(*a):
+        lifts, seen = lifts_of(*a), []
+
+        def recorded(i):
+            out = lifts(i)
+            if not seen or seen[-1] is not out:  # the lifts of a new memory
+                seen.append(out)
+                lifted.extend((smem, theta) for smem, theta, *_ in out)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(conformance, "_lifts", recording_lifts)
+    monkeypatch.setattr(smm, "concretize", lambda theta, smem: calls.append((theta, smem)) or concretize(theta, smem))
+    r = check(bundle, mode, DIFF_BOUNDS[0], cap=10**6)
+    assert r.passed and len(lifted) == 2 * len(_mems(bundle.cmm, DIFF_BOUNDS[0]))
+
+    def key(theta, smem):
+        """The memory object and `theta` on its variables, which is all
+        that `concretize` reads; `lifted` and `calls` keep the objects
+        alive, so their ids stay unique."""
+        return id(smem), repr(sorted((x, theta[x]) for x in smm.lvars(smem) if x in theta))
+
+    lifts = collections.Counter(key(theta, smem) for smem, theta in lifted)
+    asked = collections.Counter(key(theta, smem) for theta, smem in calls)
+    assert {k: asked[k] for k in lifts} == lifts
+
+
+def test_ox_action_check_runs_each_concrete_case_once(monkeypatch):
+    """The OX action check runs the concrete step of a (memory, case) once,
+    not once per argument style and lift."""
+    bundle = get_model("frac")
+    cmm = bundle.cmm
+    calls = []
+    run = cmm.exec_action
+    monkeypatch.setattr(cmm, "exec_action", lambda *a: calls.append(a) or run(*a))
+    r = check_action_soundness(bundle, "ox", DIFF_BOUNDS[0], cap=10**6)
+    mems, cases = _mems(cmm, DIFF_BOUNDS[0], cap=256), list(cmm.action_cases(DIFF_BOUNDS[0]))
+    assert r.passed and r.trials == 4 * len(mems) * len(cases)
+    keys = [(id(mem), name, args) for mem, name, args, _ in calls]
+    assert len(set(keys)) == len(keys) <= len(mems) * len(cases) < r.trials
+
+
+# ---------------------------------------------------------------------------
+# check_pcm_laws before it composed each ordered pair once, kept as the
+# reference: it composes a commutativity pair three times and builds the
+# associativity table again.
+# ---------------------------------------------------------------------------
+
+
+def _old_check_pcm_laws(cmm, bounds: Bounds, assoc_cap: int = 12_000_000) -> CheckResult:
+    mems = _mems(cmm, bounds)
+    trials = 0
+    if not cmm.is_wf(cmm.empty):
+        return CheckResult("pcm", "-", "fail", 0, {"law": "wf-empty"})
+
+    def unit_fails(a):
+        return cmm.compose(a, cmm.empty) != a or cmm.compose(cmm.empty, a) != a
+
+    for a in mems:
+        trials += 1
+        if unit_fails(a):
+            (a2,) = _shrink(lambda xs: unit_fails(xs[0]), (a,), cmm, bounds)
+            return CheckResult("pcm", "-", "fail", trials, {"law": "unit", "mem": repr(a2)})
+
+    def commut_fails(pair):
+        a, b = pair
+        return cmm.compose(a, b) != cmm.compose(b, a)
+
+    for i, j in _sample_product((len(mems), len(mems)), conformance._PAIR_CAP, bounds.seed):
+        trials += 1
+        if commut_fails((mems[i], mems[j])):
+            w = _shrink(commut_fails, (mems[i], mems[j]), cmm, bounds)
+            return CheckResult("pcm", "-", "fail", trials, {"law": "commutativity", "mems": [repr(m) for m in w]})
+        comp = cmm.compose(mems[i], mems[j])
+        if comp is not None and not cmm.is_wf(comp):
+            witness = {"law": "wf-compose", "mems": [repr(mems[i]), repr(mems[j])]}
+            return CheckResult("pcm", "-", "fail", trials, witness)
+
+    def assoc_fails(triple):
+        a, b, c = triple
+        ab = cmm.compose(a, b)
+        bc = cmm.compose(b, c)
+        lhs = cmm.compose(ab, c) if ab is not None else None
+        rhs = cmm.compose(a, bc) if bc is not None else None
+        return lhs != rhs
+
+    n = len(mems)
+    if n**3 <= assoc_cap:
+        triples = itertools.product(mems, repeat=3)
+    else:
+        rng = Random(bounds.seed)
+        triples = ((rng.choice(mems), rng.choice(mems), rng.choice(mems)) for _ in range(bounds.trials))
+    for triple in triples:
+        trials += 1
+        if assoc_fails(triple):
+            w = _shrink(assoc_fails, triple, cmm, bounds)
+            return CheckResult("pcm", "-", "fail", trials, {"law": "associativity", "mems": [repr(m) for m in w]})
+    return CheckResult("pcm", "-", "pass", trials)
+
+
+class _WfComposeBreaks(type(get_model("linear").cmm)):
+    """Composition stays a PCM's, but a composition of two cells is not
+    well-formed: the law `wf-compose` is the one that fails."""
+
+    def is_wf(self, mem):
+        return len(mem) < 2 and super().is_wf(mem)
+
+
+PCM_CMMS = {
+    **FRAME_CMMS,
+    "wf-compose-breaks": _WfComposeBreaks,
+}
+
+
+@pytest.mark.parametrize("pair_cap", [conformance._PAIR_CAP, 50])
+@pytest.mark.parametrize("name", PCM_CMMS)
+def test_pcm_laws_match_reference(monkeypatch, name, pair_cap):
+    """Same verdict, trial count and witness as the reference, with every
+    pair tested (one table) and with the pairs sampled; with the smaller
+    associativity cap the triples are sampled too."""
+    monkeypatch.setattr(conformance, "_PAIR_CAP", pair_cap)
+    cmm = PCM_CMMS[name]()
+    for assoc_cap in (12_000_000, 100):
+        _same_result(
+            check_pcm_laws(cmm, DIFF_BOUNDS[0], assoc_cap), _old_check_pcm_laws(cmm, DIFF_BOUNDS[0], assoc_cap)
+        )
+
+
+@pytest.mark.parametrize(
+    "pair_cap, assoc_cap", [(conformance._PAIR_CAP, 12_000_000), (conformance._PAIR_CAP, 100), (50, 100)]
+)
+def test_pcm_laws_compose_each_ordered_pair_once(monkeypatch, pair_cap, assoc_cap):
+    """With every pair tested, each ordered pair of memories is composed
+    once, for commutativity and well-formedness, and associativity reads
+    the same compositions when it tests every triple. Sampled, each tested
+    pair is composed once each way, and each sampled triple composes two
+    pairs of its own."""
+    monkeypatch.setattr(conformance, "_PAIR_CAP", pair_cap)
+    cmm = get_model("frac").cmm
+    bounds = DIFF_BOUNDS[0]
+    mems = _mems(cmm, bounds)
+    ids = {id(m) for m in mems}
+    compose, pairs = cmm.compose, []  # the compositions of two generated memories
+
+    def counting_compose(a, b):
+        if id(a) in ids and id(b) in ids:
+            pairs.append((id(a), id(b)))
+        return compose(a, b)
+
+    # the check composes these very objects, so they are told apart by id
+    monkeypatch.setattr(cmm, "generator", lambda b: iter(mems))
+    monkeypatch.setattr(cmm, "compose", counting_compose)
+    r = check_pcm_laws(cmm, bounds, assoc_cap)
+    assert r.passed
+    n = len(mems)
+    assert n**2 > 50 and n**3 > 100
+    triples = 0 if n**3 <= assoc_cap else 2 * bounds.trials
+    if n**2 <= pair_cap:
+        assert len(set(pairs)) == n**2 and len(pairs) == n**2 + triples
+    else:
+        sampled = len(list(_sample_product((n, n), pair_cap, bounds.seed)))
+        assert len(pairs) == 2 * sampled + triples
