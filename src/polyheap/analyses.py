@@ -33,7 +33,7 @@ from .assertions import (
     star_conjuncts,
     subst_assertion_pvars,
 )
-from .concrete import ConcreteState, run, unreached
+from .concrete import ConcreteState, endings, run, unreached
 from .engine import (
     Branch,
     EngineContext,
@@ -421,9 +421,10 @@ def _replay(ctx, gamma, f, state0, final_state, outcome, anti, bounds) -> bool:
             for fix_mem in fix_heaps:
                 whole = bundle.cmm.compose(start.mem, fix_mem)
                 if whole is not None:
-                    yield run(
+                    runs = run(
                         gamma, ConcreteState(start.store, whole), f.body, bundle.cmm,
                         budget=ctx.budget, max_addresses=bounds.max_addresses,
                     )
+                    yield [(o, st) for o, st, _ in endings(f, runs)]
 
     return unreached(models_of(final_state, bundle, ctx.preds, bounds), runs_from, outcome) is None

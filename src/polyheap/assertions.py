@@ -26,7 +26,7 @@ from .syntax import (
     subst_expr,
     subst_pvars,
 )
-from .values import FALSE, TRUE
+from .values import FALSE
 
 
 class Assertion:
@@ -87,7 +87,6 @@ class Pred(Assertion):
 
 
 FALSE_A = Bool(Lit(FALSE))
-TRUE_BOOL = Bool(Lit(TRUE))
 
 
 def star_all(parts) -> Assertion:

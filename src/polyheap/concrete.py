@@ -164,16 +164,20 @@ def run_function(
     callee_store = dict(zip(f.params, args))
     for z in f.locals():
         callee_store[z] = NIL
-    results = []
-    for o, st in run(
-        gamma, ConcreteState(callee_store, mem), f.body, cmm, budget - 1, max_addresses
-    ):
-        if o is OK:
-            ret = eval_expr(f.ret, st.store)
-            if ret is UNDEF:
-                results.append((ERR, "ExprEval", st.mem))
-            else:
-                results.append((OK, ret, st.mem))
+    runs = run(gamma, ConcreteState(callee_store, mem), f.body, cmm, budget - 1, max_addresses)
+    return [(o, v, st.mem) for o, st, v in endings(f, runs)]
+
+
+def endings(f, runs):
+    """The (Outcome, state, return-value-or-err-payload) ends of `f` after
+    the (Outcome, state) runs of its body: an ok run whose return
+    expression fails to evaluate ends in an ExprEval error."""
+    for o, st in runs:
+        if o is not OK:
+            yield o, st, st.store.get("err")
+            continue
+        ret = eval_expr(f.ret, st.store)
+        if ret is UNDEF:
+            yield ERR, st.with_store(err="ExprEval"), "ExprEval"
         else:
-            results.append((o, st.store.get("err"), st.mem))
-    return results
+            yield OK, st, ret

@@ -443,6 +443,10 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
     lifts = _lifts(smm, mems)
     arg_styles = [_arg_styles(args) for _, args in cases]
     trials = 0
+    # the allocation window of the concrete runs; UX widens it by
+    # `max_cells`, since a model of a UX branch may allocate past the
+    # `max_addresses` least free addresses
+    window = bounds.max_addresses + (bounds.max_cells if mode == "ux" else 0)
     # the concrete run of (mems[i], cases[c]), once a trial needs it: the
     # sample has `s` and the lifts innermost, so it is kept while (i, c)
     # stays the same
@@ -451,7 +455,8 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
     def concrete():
         nonlocal run, run_of
         if run_of != (i, c):
-            run, run_of = cmm.exec_action(mem, name, args, bounds.max_addresses), (i, c)
+            run = [(o, m, tuple(outs)) for o, m, outs in cmm.exec_action(mem, name, args, window)]
+            run_of = (i, c)
         return run
 
     for i, c, s in _sample_product((len(mems), len(cases), 2), cap, bounds.seed):
@@ -463,7 +468,8 @@ def check_action_soundness(bundle: MemoryModelBundle, mode: str, bounds: Bounds,
             branches, new = _step(steps, (name, sym_args), lambda: _run_action(smm, smem, name, sym_args))
             theta = {**theta0, **theta_a}
             witness = _action_case(
-                bundle, mode, bounds, mem, smem, den, theta, name, args, sym_args, branches, new, concrete
+                bundle, mode, bounds, mem, smem, den, theta, name, args, sym_args, branches, new,
+                concrete, window,
             )
             if witness is not None:
                 witness.update({"action": name, "args": [repr(a) for a in args], "mem": repr(mem)})
@@ -479,13 +485,15 @@ def _run_action(smm, smem, name, sym_args):
     return smm.exec_action(smem, name, sym_args, namer), namer.minted()
 
 
-def _action_case(bundle, mode, bounds, mem, smem, den, theta, name, args, sym_args, branches, new, concrete):
+def _action_case(
+    bundle, mode, bounds, mem, smem, den, theta, name, args, sym_args, branches, new, concrete, window
+):
     """The witness of a failed trial of the step `branches`, minting `new`,
     from the lifted memory `smem` (denoting `den`) under `theta`, or None.
-    `concrete()` gives the concrete run of `mem`."""
+    `concrete()` gives the concrete run of `mem` in the allocation window
+    `window`, as (outcome, memory, output tuple) triples."""
     cmm = bundle.cmm
     denote = _denoter(bundle.smm, smem, den)
-    wide = bounds.max_addresses + bounds.max_cells
 
     def domain():
         return bounds.domain_with(cmm.mem_values(mem), args)
@@ -526,7 +534,9 @@ def _action_case(bundle, mode, bounds, mem, smem, den, theta, name, args, sym_ar
             if den is None:
                 return {"kind": "no-initial-model", "outcome": o.value}
             if results is None:
-                results = [(x, y, tuple(z)) for x, y, z in cmm.exec_action(den, name, args_v, wide)]
+                results = concrete() if den == mem else [
+                    (x, y, tuple(z)) for x, y, z in cmm.exec_action(den, name, args_v, window)
+                ]
             if (o, mem2, outs_v) not in results:
                 return {
                     "kind": "unrealisable-symbolic-step",

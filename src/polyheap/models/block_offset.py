@@ -20,7 +20,7 @@ from ..memmodel import (
     UnknownActionError,
 )
 from ..outcomes import ABORT, ERR, MISS, OK
-from ..syntax import Bin, InType, InVal, LVar, Lit, NIL_E, Not, eq, not_in
+from ..syntax import Bin, InType, InVal, Lit, NIL_E, Not, eq, not_in
 from ..values import NIL, UNDEF, is_nat, is_value
 from ..evaluation import eval_lexpr
 from .maps import (
@@ -28,7 +28,6 @@ from .maps import (
     TYPE,
     NestedConcrete,
     NestedSymbolic,
-    fresh_addresses,
     produce_new,
     sorted_exprs,
 )
@@ -64,11 +63,7 @@ class BlockConcrete(NestedConcrete):
             (n,) = args
             if not is_nat(n):
                 return [(ERR, mem, ("Type",))]
-            block = ({i: NIL for i in range(n)}, n)
-            return [
-                (OK, {**mem, nb: block}, (nb,))
-                for nb in fresh_addresses(mem, max_addresses)
-            ]
+            return self._new(mem, ({i: NIL for i in range(n)}, n), max_addresses)
         if name == "free":
             (nb,) = args
             return self._match(
@@ -152,6 +147,12 @@ class BlockSymbolic(NestedSymbolic):
 
     fits = staticmethod(_fits)
     inner_key_ok = staticmethod(is_nat)
+    fix_resources = {
+        _MISSING_BLOCK: ("cell", 1, 2, 1),
+        MISSING_CELL: ("cell", 2, 2, 1),
+        _MISSING_BOUND: ("bound", 1, 1, 1),
+        Lit("MissingCells"): ("cell", 1, 2, 1),
+    }
 
     def eval_know(self, bound, theta):
         b = eval_lexpr(bound, theta, {})
@@ -177,9 +178,7 @@ class BlockSymbolic(NestedSymbolic):
         if name == "new":
             (en,) = args
             if isinstance(en, Lit) and is_nat(en.value):
-                x = LVar(fresh())
-                block = ({Lit(i): NIL_E for i in range(en.value)}, en)
-                return [(OK, {**smem, x: block}, (InVal(x),), (x,))]
+                return self._new(smem, ({Lit(i): NIL_E for i in range(en.value)}, en), fresh)
             if isinstance(en, Lit):
                 return [(ERR, smem, (), (TYPE,))]
             # dynamically sized allocations cannot be represented
@@ -239,20 +238,7 @@ class BlockSymbolic(NestedSymbolic):
                 return [(OK, oracle, (blk[1],), (frame, (), (eq(eb, k), *pc)))]
 
             return self._consume_at(oracle, smem, eb, _MISSING_BOUND, take_bound)
-        eo = ins[1]
-
-        def hit(k, blk):
-            cells = blk[0]
-            offs = sorted_exprs(cells)
-            out = []
-            for o in offs:
-                frame, pc = self._take_inner(smem, k, o)
-                out.append((OK, oracle, (cells[o],), (frame, (), (eq(eb, k), eq(eo, o), *pc))))
-            absent_pc = tuple([eq(eb, k)] + not_in(eo, offs))
-            out.append((ABORT, oracle, (MISSING_CELL, eb, eo), (smem, (), absent_pc)))
-            return out
-
-        return self._consume_at(oracle, smem, eb, _MISSING_BLOCK, hit)
+        return self._consume_inner(oracle, smem, eb, ins[1], _MISSING_BLOCK, MISSING_CELL)
 
     def produce_res(self, name, ins, outs, smem):
         eb = ins[0]
@@ -267,18 +253,6 @@ class BlockSymbolic(NestedSymbolic):
             return [] if eo in cells else [({**smem, k: ({**cells, eo: v}, bound)}, (eq(eb, k),))]
 
         return self._produce_at(eb, smem, ({eo: v}, None), (), merge)
-
-    def fixes(self, payload, state, fresh):
-        tag = payload[0] if payload else None
-        if tag == _MISSING_BLOCK and len(payload) == 2:
-            return [Res("cell", (payload[1], LVar(fresh())), (LVar(fresh()),))]
-        if tag == MISSING_CELL and len(payload) == 3:
-            return [Res("cell", (payload[1], payload[2]), (LVar(fresh()),))]
-        if tag == _MISSING_BOUND and len(payload) == 2:
-            return [Res("bound", (payload[1],), (LVar(fresh()),))]
-        if tag == Lit("MissingCells") and len(payload) == 2:
-            return [Res("cell", (payload[1], LVar(fresh())), (LVar(fresh()),))]
-        return []
 
 
 def instantiate_block_offset() -> MemoryModelBundle:

@@ -21,7 +21,7 @@ from ..memmodel import (
     UnknownActionError,
 )
 from ..outcomes import MISS, OK
-from ..syntax import Bin, InType, InVal, LVar, Lit, NIL_E, Not, eq
+from ..syntax import Bin, InType, InVal, Lit, NIL_E, Not, eq
 from ..values import NIL, Rat, UNDEF, is_nat, is_value
 from ..evaluation import eval_lexpr
 from .maps import (
@@ -29,7 +29,6 @@ from .maps import (
     MapConcrete,
     MapSymbolic,
     absent,
-    fresh_addresses,
     produce_new,
     without,
 )
@@ -67,10 +66,7 @@ class FracConcrete(MapConcrete):
                 mem, addr, "MissingCell", True, lambda v: self._whole(mem, addr, v, full)
             )
         if name == "new":
-            return [
-                (OK, {**mem, n: (NIL, Fraction(1))}, (n,))
-                for n in fresh_addresses(mem, max_addresses)
-            ]
+            return self._new(mem, (NIL, Fraction(1)), max_addresses)
         if name == "free":
             (addr,) = args
             return self._match(
@@ -138,6 +134,8 @@ class FracResources(ResourceModel):
 
 
 class FracSymbolic(MapSymbolic):
+    fix_resources = {MISSING_CELL: ("cell", 1, 2, 1), _SHORT: ("cell", 1, 2, 1)}
+
     def payload_exprs(self, v):
         return v
 
@@ -166,8 +164,7 @@ class FracSymbolic(MapSymbolic):
                 smem, e, MISSING_CELL, None, lambda k, v: self._whole(smem, e, k, v, (val, v[1]))
             )
         if name == "new":
-            x = LVar(fresh())
-            return [(OK, {**smem, x: (NIL_E, FULL)}, (InVal(x),), (x,))]
+            return self._new(smem, (NIL_E, FULL), fresh)
         if name == "free":
             (e,) = args
             return self._matching(
@@ -215,11 +212,6 @@ class FracSymbolic(MapSymbolic):
 
         q_ok = (InType(e_q, "rat"), Bin("<=", e_q, FULL))
         return self._produce_at(e_l, smem, (val, e_q), q_ok, merge)
-
-    def fixes(self, payload, state, fresh):
-        if len(payload) == 2 and payload[0] in (MISSING_CELL, _SHORT):
-            return [Res("cell", (payload[1], LVar(fresh())), (LVar(fresh()),))]
-        return []
 
 
 def instantiate_frac() -> MemoryModelBundle:

@@ -24,14 +24,13 @@ from ..memmodel import (
     UnknownActionError,
 )
 from ..outcomes import ERR, OK
-from ..syntax import InVal, LVar, NIL_E, eq
+from ..syntax import InVal, NIL_E, eq
 from ..values import NIL, is_nat, is_value
 from .maps import (
     MISSING_CELL,
     MapConcrete,
     MapSymbolic,
     bipartitions,
-    fresh_addresses,
     produce_new,
     without,
 )
@@ -56,10 +55,7 @@ class LinearConcrete(MapConcrete):
                 mem, addr, "MissingCell", True, lambda v: [(OK, {**mem, addr: val}, ())]
             )
         if name == "new":
-            return [
-                (OK, {**mem, n: NIL}, (n,))
-                for n in fresh_addresses(mem, max_addresses)
-            ]
+            return self._new(mem, NIL, max_addresses)
         if name == "free":
             (addr,) = args
 
@@ -117,6 +113,8 @@ class LinearResources(ResourceModel):
 
 
 class LinearSymbolic(MapSymbolic):
+    fix_resources = {MISSING_CELL: ("cell", 1, 1, 1)}
+
     def __init__(self, variant: str = "exact"):
         assert variant in ("exact", "unique", "cut", "noneg")
         self.variant = variant
@@ -147,8 +145,7 @@ class LinearSymbolic(MapSymbolic):
             e, val = args
             return self._overwrite(smem, e, lambda k: {**smem, k: val})
         if name == "new":
-            x = LVar(fresh())
-            return [(OK, {**smem, x: NIL_E}, (InVal(x),), (x,))]
+            return self._new(smem, NIL_E, fresh)
         if name == "free":
             (e,) = args
             if self.track_freed:
@@ -197,11 +194,6 @@ class LinearSymbolic(MapSymbolic):
 
     def produce_res(self, name, ins, outs, smem):
         return produce_new(ins[0], smem, outs[0] if name == "cell" else FREED)
-
-    def fixes(self, payload, state, fresh):
-        if len(payload) == 2 and payload[0] == MISSING_CELL:
-            return [Res("cell", (payload[1],), (LVar(fresh()),))]
-        return []
 
 
 def instantiate_linear(variant: str = "exact") -> MemoryModelBundle:

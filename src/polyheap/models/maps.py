@@ -21,6 +21,10 @@ Symbolic hooks (`MapSymbolic`):
   eval_payload(v, theta)    its concrete payload, or UNDEF
   lift_payload(v, name)     a symbolic payload, naming each value by `name`
   payload_assertions(k, v)  the resource assertions owning the entry
+  fix_resources             miss tag -> (resource, n, in-arity, out-arity),
+                            the table `fixes` reads
+`_new(mem, payload, ...)` on both sides allocates `payload` at the least
+free keys (concrete) or at a fresh key (symbolic).
 Per-key walks (`MapSymbolic`), each taking the per-entry step `hit`/`merge`:
   _matching(smem, e, tag, guard, hit)        an action on the entry at `e`
   _consume_at(oracle, smem, e, tag, hit, freed=False)
@@ -31,6 +35,8 @@ Per-key walks (`MapSymbolic`), each taking the per-entry step `hit`/`merge`:
 
 `NestedConcrete`/`NestedSymbolic` specialise both to entries that are an
 inner map plus optional knowledge about it (block-offset, objects).
+`NestedSymbolic._consume_inner(oracle, smem, e, i, tag, inner_tag,
+freed=False)` is `_consume_at` one level down, at inner key `i`.
 
 Enumeration order is observable (witnesses print memories, samplers pick
 by index), so every enumeration here keeps key order and option order.
@@ -44,22 +50,12 @@ from ..assertions import Res
 from ..evaluation import eval_lexpr
 from ..memmodel import FREED, Bounds, ConcreteMemoryModel, SymbolicMemoryModel
 from ..outcomes import ABORT, ERR, MISS, OK
-from ..syntax import Bin, InType, LVar, Lit, Not, eq, format_expr, lv_expr, not_in
+from ..syntax import Bin, InType, InVal, LVar, Lit, Not, eq, format_expr, lv_expr, not_in
 from ..values import UNDEF, is_nat
 
 MISSING_CELL = Lit("MissingCell")
 USE_AFTER_FREE = Lit("UseAfterFree")
 TYPE = Lit("Type")
-
-
-def fresh_addresses(mem: dict, count: int):
-    out = []
-    n = 0
-    while len(out) < count:
-        if n not in mem:
-            out.append(n)
-        n += 1
-    return out
 
 
 def bipartitions(d: dict):
@@ -218,9 +214,17 @@ class MapConcrete(ConcreteMemoryModel):
             return [(ERR, mem, ("UseAfterFree", addr))]
         return hit(v)
 
+    def _new(self, mem, payload, max_addresses):
+        """Allocation: `payload` at each of the `max_addresses` least keys
+        not in `mem`, which is the output."""
+        free = (n for n in itertools.count() if n not in mem)
+        return [(OK, {**mem, n: payload}, (n,)) for n in itertools.islice(free, max_addresses)]
+
 
 class MapSymbolic(SymbolicMemoryModel):
     """The pointwise lifting of `MapConcrete` to expression keys."""
+
+    fix_resources = {}
 
     @property
     def empty(self):
@@ -305,6 +309,11 @@ class MapSymbolic(SymbolicMemoryModel):
     def _order(self, branches):
         return branches
 
+    def _new(self, smem, payload, fresh):
+        """Allocation: `payload` at a fresh key, which is the output."""
+        x = LVar(fresh())
+        return [(OK, {**smem, x: payload}, (InVal(x),), (x,))]
+
     def _consume_at(self, oracle, smem, e, tag, hit, freed=False):
         """Consuming a resource at key `e`: per entry, in key order, the
         `hit(k, payload)` branches when the entry is FREED exactly when
@@ -333,6 +342,18 @@ class MapSymbolic(SymbolicMemoryModel):
             return [(OK, oracle, (), (without(smem, k), (), (eq(e, k),)))]
 
         return self._consume_at(oracle, smem, e, tag, hit, freed=True)
+
+    def fixes(self, payload, state, fresh):
+        """Bi-abduction: a payload `(tag, e1, ..., en)` whose row in
+        `fix_resources` is `(resource, n, in-arity, out-arity)` asks for
+        one resource. Its first ins are `e1 ... en`; its other ins, then
+        its outs, are fresh. Any other payload gets none."""
+        row = self.fix_resources.get(payload[0]) if payload else None
+        if row is None or len(payload) != row[1] + 1:
+            return []
+        name, n, n_in, n_out = row
+        ins = (*payload[1:], *(LVar(fresh()) for _ in range(n_in - n)))
+        return [Res(name, ins, tuple(LVar(fresh()) for _ in range(n_out)))]
 
 
 class _Nested:
@@ -456,6 +477,29 @@ class NestedSymbolic(_Nested, MapSymbolic):
             frame = without(smem, k)
             return frame, absent(k, frame)
         return {**smem, k: (without(inner, i), know)}, []
+
+    def _consume_inner(self, oracle, smem, e, i, tag, inner_tag, freed=False):
+        """`_consume_at` one level down: consuming inner key `i` of the
+        entry at `e`. Per inner key, in key order, that part is taken when
+        its value is FREED exactly when `freed` is, else an abort; then
+        the abort `(inner_tag, e, i)` for an `i` that is none of them."""
+
+        def hit(k, entry):
+            inner = entry[0]
+            keys = sorted_exprs(inner)
+            out = []
+            for ie in keys:
+                v = inner[ie]
+                at = (eq(e, k), eq(i, ie))
+                if (v is FREED) != freed:
+                    out.append((ABORT, oracle, (), (smem, (), at)))
+                else:
+                    frame, pc = self._take_inner(smem, k, ie)
+                    out.append((OK, oracle, () if freed else (v,), (frame, (), (*at, *pc))))
+            out.append((ABORT, oracle, (inner_tag, e, i), (smem, (), (eq(e, k), *not_in(i, keys)))))
+            return out
+
+        return self._consume_at(oracle, smem, e, tag, hit)
 
     def _take_know(self, smem, k):
         """As `_take_inner`, for the knowledge of entry `k`. Removing a

@@ -21,13 +21,12 @@ from ..memmodel import (
     UnknownActionError,
 )
 from ..outcomes import ABORT, MISS, OK
-from ..syntax import InType, InVal, LVar, Lit, LstE, NIL_E, eq, not_in
+from ..syntax import InType, InVal, Lit, LstE, NIL_E, eq, not_in
 from ..values import NIL, UNDEF, is_nat, is_string, is_value
 from ..evaluation import eval_lexpr
 from .maps import (
     NestedConcrete,
     NestedSymbolic,
-    fresh_addresses,
     one_of,
     sorted_exprs,
 )
@@ -56,10 +55,7 @@ class ObjectConcrete(NestedConcrete):
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "newObj":
-            return [
-                (OK, {**mem, o: ({}, frozenset())}, (o,))
-                for o in fresh_addresses(mem, max_addresses)
-            ]
+            return self._new(mem, ({}, frozenset()), max_addresses)
         if name == "lookup":
             o, f = args
             return self._with_field(mem, o, f, self._read)
@@ -151,6 +147,7 @@ class ObjectResources(ResourceModel):
 class ObjectSymbolic(NestedSymbolic):
     fits = staticmethod(_fits)
     inner_key_ok = staticmethod(is_string)
+    fix_resources = {_MISSING_OBJECT: ("field", 1, 2, 1), _MISSING_FIELD: ("field", 2, 2, 1)}
 
     def eval_know(self, dom, theta):
         d = set()
@@ -183,8 +180,7 @@ class ObjectSymbolic(NestedSymbolic):
 
     def exec_action(self, smem, name, args, fresh):
         if name == "newObj":
-            x = LVar(fresh())
-            return [(OK, {**smem, x: ({}, frozenset())}, (InVal(x),), (x,))]
+            return self._new(smem, ({}, frozenset()), fresh)
         if name == "lookup":
             eo, ef = args
             return self._field_action(smem, eo, ef, self._sym_read)
@@ -244,28 +240,7 @@ class ObjectSymbolic(NestedSymbolic):
     def consume_res(self, mode, oracle, name, ins, smem):
         if name == "domain":
             return self._consume_domain(oracle, ins, smem)
-        return self._consume_field(oracle, ins, smem, want_unset=name == "unset")
-
-    def _consume_field(self, oracle, ins, smem, want_unset):
-        eo, ef = ins
-
-        def hit(k, entry):
-            fields = entry[0]
-            names = sorted_exprs(fields)
-            out = []
-            for fe in names:
-                v = fields[fe]
-                if (v is FREED) != want_unset:
-                    out.append((ABORT, oracle, (), (smem, (), (eq(eo, k), eq(ef, fe)))))
-                    continue
-                frame, pc = self._take_inner(smem, k, fe)
-                outs = () if want_unset else (v,)
-                out.append((OK, oracle, outs, (frame, (), (eq(eo, k), eq(ef, fe), *pc))))
-            absent_pc = tuple([eq(eo, k)] + not_in(ef, names))
-            out.append((ABORT, oracle, (_MISSING_FIELD, eo, ef), (smem, (), absent_pc)))
-            return out
-
-        return self._consume_at(oracle, smem, eo, _MISSING_OBJECT, hit)
+        return self._consume_inner(oracle, smem, *ins, _MISSING_OBJECT, _MISSING_FIELD, name == "unset")
 
     def _consume_domain(self, oracle, ins, smem):
         eo, elist = ins
@@ -304,14 +279,6 @@ class ObjectSymbolic(NestedSymbolic):
             return [({**smem, k: ({**fields, ef: payload}, dom)}, pc)]
 
         return self._produce_at(eo, smem, ({ef: payload}, None), (), merge)
-
-    def fixes(self, payload, state, fresh):
-        tag = payload[0] if payload else None
-        if tag == _MISSING_OBJECT and len(payload) == 2:
-            return [Res("field", (payload[1], LVar(fresh())), (LVar(fresh()),))]
-        if tag == _MISSING_FIELD and len(payload) == 3:
-            return [Res("field", (payload[1], payload[2]), (LVar(fresh()),))]
-        return []
 
 
 def _ground_strings(exprs):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .values import NIL, TRUE, FALSE, is_value, format_value, value_key
+from .values import NIL, TRUE, is_value, format_value, value_key
 
 # type names usable in membership tests  e in <type>
 TYPE_NAMES = ("nil", "bool", "nat", "rat", "str", "list")
@@ -145,7 +145,6 @@ class LstE(Expr):
 
 
 TRUE_E = Lit(TRUE)
-FALSE_E = Lit(FALSE)
 NIL_E = Lit(NIL)
 
 

@@ -319,6 +319,18 @@ def test_assignment_guards_the_value_it_stores():
     assert errs[0].replayed and errs[0].quadruple_verdict == "Valid"
 
 
+def test_return_expression_errors_replay():
+    """An err report whose error is the return expression's replays: the
+    body's run ends ok, and `concrete.endings` turns the failing return
+    expression into the ExprEval error the report names."""
+    prog = parse_program("func f(x) { skip; return x + 1 }")
+    bounds = Bounds(value_domain=(NIL, 0, 1))
+    reports = biabduct(prog.functions, prog.specs, "f", get_model("linear"), prog.preds, bounds)
+    errs = [r for r in reports if r.outcome == "err"]
+    assert [r.witness_pc for r in errs] == [["#x in Val", "not ((#x + 1) in Val)"]]
+    assert errs[0].quadruple_verdict == "Valid" and errs[0].replayed
+
+
 def test_esl_spec_verifies_in_exact_mode():
     prog = parse_program(
         """

@@ -895,19 +895,23 @@ def test_each_lift_is_denoted_once_per_check(monkeypatch, check, mode):
     assert {k: asked[k] for k in lifts} == lifts
 
 
-def test_ox_action_check_runs_each_concrete_case_once(monkeypatch):
-    """The OX action check runs the concrete step of a (memory, case) once,
-    not once per argument style and lift."""
+@pytest.mark.parametrize("mode", ["ox", "ux"])
+def test_action_check_runs_each_concrete_case_once(monkeypatch, mode):
+    """The action check runs the concrete step of a (memory, case) once,
+    not once per argument style and lift, and in one window per mode. A
+    UX trial whose lift denotes the memory reads that run."""
     bundle = get_model("frac")
     cmm = bundle.cmm
     calls = []
     run = cmm.exec_action
     monkeypatch.setattr(cmm, "exec_action", lambda *a: calls.append(a) or run(*a))
-    r = check_action_soundness(bundle, "ox", DIFF_BOUNDS[0], cap=10**6)
+    r = check_action_soundness(bundle, mode, DIFF_BOUNDS[0], cap=10**6)
     mems, cases = _mems(cmm, DIFF_BOUNDS[0], cap=256), list(cmm.action_cases(DIFF_BOUNDS[0]))
     assert r.passed and r.trials == 4 * len(mems) * len(cases)
     keys = [(id(mem), name, args) for mem, name, args, _ in calls]
     assert len(set(keys)) == len(keys) <= len(mems) * len(cases) < r.trials
+    b = DIFF_BOUNDS[0]
+    assert {w for *_, w in calls} == {b.max_addresses + (b.max_cells if mode == "ux" else 0)}
 
 
 # ---------------------------------------------------------------------------

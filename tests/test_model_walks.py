@@ -4,8 +4,9 @@ replaced.
 The `_old_*` functions below are those copies, kept as references: the
 linear model's own consume walk and symbolic actions, the map models'
 hand-written consume of a `freed` resource (with the consume walk of the
-time), and the chunk model's concrete and symbolic actions, each of which
-wrote its miss and type branches out. Branch order is observable (witnesses
+time), block-offset's and objects' own consumes of an inner key, the map
+models' allocations, and the chunk model's concrete and symbolic actions,
+each of which wrote its miss and type branches out. Branch order is observable (witnesses
 and the oracle search follow it), so the branch lists must be equal in
 order, and under `linear-cut` the oracles' read logs must be equal too.
 
@@ -14,6 +15,7 @@ memory, with ground and variable arguments.
 """
 
 import copy
+from fractions import Fraction
 import types
 
 import pytest
@@ -22,11 +24,11 @@ from polyheap.conformance import _arg_styles, _lift_styles, _Namer, _resource_ca
 from polyheap.memmodel import FREED, Bounds, UnknownActionError
 from polyheap.models import get_model
 from polyheap.models.chunks import _add, _remove, _skey, _used_addresses
-from polyheap.models.maps import MISSING_CELL, missing, without
+from polyheap.models.maps import MISSING_CELL, missing, sorted_exprs, without
 from polyheap.oracle import Oracle
 from polyheap.outcomes import ABORT, ERR, MISS, OK
 from polyheap.syntax import InType, InVal, LVar, Lit, NIL_E, Not, eq, not_in
-from polyheap.values import NIL, is_nat
+from polyheap.values import NIL, Rat, is_nat
 
 BOUNDS = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3)
 LINEAR = ("linear", "linear-unique", "linear-cut", "linear-ox")
@@ -243,6 +245,86 @@ def _old_chunk_free(self, smem, e):
     return out
 
 
+def _old_block_consume_cell(self, oracle, ins, smem):
+    eb, eo = ins
+
+    def hit(k, blk):
+        cells = blk[0]
+        offs = sorted_exprs(cells)
+        out = []
+        for o in offs:
+            frame, pc = self._take_inner(smem, k, o)
+            out.append((OK, oracle, (cells[o],), (frame, (), (eq(eb, k), eq(eo, o), *pc))))
+        absent_pc = tuple([eq(eb, k)] + not_in(eo, offs))
+        out.append((ABORT, oracle, (MISSING_CELL, eb, eo), (smem, (), absent_pc)))
+        return out
+
+    return self._consume_at(oracle, smem, eb, Lit("MissingBlock"), hit)
+
+
+def _old_consume_field(self, oracle, ins, smem, want_unset):
+    eo, ef = ins
+
+    def hit(k, entry):
+        fields = entry[0]
+        names = sorted_exprs(fields)
+        out = []
+        for fe in names:
+            v = fields[fe]
+            if (v is FREED) != want_unset:
+                out.append((ABORT, oracle, (), (smem, (), (eq(eo, k), eq(ef, fe)))))
+                continue
+            frame, pc = self._take_inner(smem, k, fe)
+            outs = () if want_unset else (v,)
+            out.append((OK, oracle, outs, (frame, (), (eq(eo, k), eq(ef, fe), *pc))))
+        absent_pc = tuple([eq(eo, k)] + not_in(ef, names))
+        out.append((ABORT, oracle, (Lit("MissingField"), eo, ef), (smem, (), absent_pc)))
+        return out
+
+    return self._consume_at(oracle, smem, eo, Lit("MissingObject"), hit)
+
+
+def _old_nested_consume_res(self, mode, oracle, name, ins, smem):
+    if name == "cell":
+        return _old_block_consume_cell(self, oracle, ins, smem)
+    if name in ("field", "unset"):
+        return _old_consume_field(self, oracle, ins, smem, name == "unset")
+    return type(self).consume_res(self, mode, oracle, name, ins, smem)
+
+
+def _old_fresh_addresses(mem, count):
+    out = []
+    n = 0
+    while len(out) < count:
+        if n not in mem:
+            out.append(n)
+        n += 1
+    return out
+
+
+# model: (allocating action, its concrete payload, its symbolic payload),
+# each payload a function of the action's arguments
+_OLD_NEW = {
+    "linear": ("new", lambda args: NIL, lambda args: NIL_E),
+    "frac": ("new", lambda args: (NIL, Fraction(1)), lambda args: (NIL_E, Lit(Rat(1)))),
+    "block-offset": (
+        "new",
+        lambda args: ({i: NIL for i in range(args[0])}, args[0]),
+        lambda args: ({Lit(i): NIL_E for i in range(args[0].value)}, args[0]),
+    ),
+    "objects": ("newObj", lambda args: ({}, frozenset()), lambda args: ({}, frozenset())),
+}
+
+
+def _old_concrete_new(payload, mem, max_addresses):
+    return [(OK, {**mem, n: payload}, (n,)) for n in _old_fresh_addresses(mem, max_addresses)]
+
+
+def _old_symbolic_new(payload, smem, fresh):
+    x = LVar(fresh())
+    return [(OK, {**smem, x: payload}, (InVal(x),), (x,))]
+
+
 # --- the comparisons ---------------------------------------------------------
 
 
@@ -296,6 +378,46 @@ def test_map_consume_matches_reference(model):
             cases.append((name, ins))
     assert "freed" in {name for name, _ in cases}
     _same_consumes(old.consume_res, bundle.smm.consume_res, bundle, cases)
+
+
+@pytest.mark.parametrize("model", ("block-offset", "objects"))
+def test_inner_key_consume_matches_reference(model):
+    """Block-offset's cell consume and objects' field and unset consumes
+    through `NestedSymbolic._consume_inner`; the generated memories hold
+    unset fields, so objects' aborts at a part of the wrong kind are seen."""
+    bundle = get_model(model)
+    old = types.MethodType(_old_nested_consume_res, bundle.smm)
+    cases = []
+    for name, ins, _ in _resource_cases(bundle.rm, BOUNDS):
+        if name in ("cell", "field", "unset") and (name, ins) not in cases:
+            cases.append((name, ins))
+    assert cases
+    _same_consumes(old, bundle.smm.consume_res, bundle, cases)
+    if model == "objects":
+        assert any(
+            v is FREED for smem in _lifted(bundle) for entry in smem.values() for v in entry[0].values()
+        )
+
+
+@pytest.mark.parametrize("model", sorted(_OLD_NEW))
+def test_allocation_matches_reference(model):
+    """`MapConcrete._new` and `MapSymbolic._new` against each model's own
+    allocation, in allocation windows of 1 to 5 addresses."""
+    bundle = get_model(model)
+    cmm, smm = bundle.cmm, bundle.smm
+    name, concrete, symbolic = _OLD_NEW[model]
+    cases = [args for n, args in cmm.action_cases(BOUNDS) if n == name and all(map(is_nat, args))]
+    assert cases
+    for mem in cmm.generator(BOUNDS):
+        for args in cases:
+            for window in range(1, 6):
+                want = _old_concrete_new(concrete(args), mem, window)
+                assert cmm.exec_action(mem, name, args, window) == want, (mem, args, window)
+    for smem in _lifted(bundle):
+        for args_v in cases:
+            args = tuple(map(Lit, args_v))
+            want = _old_symbolic_new(symbolic(args), smem, _Namer("f"))
+            assert smm.exec_action(smem, name, args, _Namer("f")) == want, (smem, args)
 
 
 @pytest.mark.parametrize("model", LINEAR)

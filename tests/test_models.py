@@ -257,3 +257,67 @@ def test_frac_produce_twice_then_mutate():
     assert merged, "expected the permissions to merge"
     branches = sym_exec(ctx, Oracle.constant(0), merged[0], Action((), "mutate", (Lit(1), Lit(1))))
     assert any(br.outcome is OK for br in branches)
+
+
+# every bi-abductive fix of the map models: (payload tag, payload length) to
+# the resource asked for, with a1, a2 the payload's expressions and f1, f2
+# the names minted in order
+_LINEAR_FIXES = {("MissingCell", 1): ("cell", ("a1",), ("f1",))}
+FIXES = {
+    "linear": _LINEAR_FIXES,
+    "linear-unique": _LINEAR_FIXES,
+    "linear-cut": _LINEAR_FIXES,
+    "frac": {
+        ("MissingCell", 1): ("cell", ("a1", "f1"), ("f2",)),
+        ("InsufficientPermission", 1): ("cell", ("a1", "f1"), ("f2",)),
+    },
+    "block-offset": {
+        ("MissingBlock", 1): ("cell", ("a1", "f1"), ("f2",)),
+        ("MissingCell", 2): ("cell", ("a1", "a2"), ("f1",)),
+        ("MissingBound", 1): ("bound", ("a1",), ("f1",)),
+        ("MissingCells", 1): ("cell", ("a1", "f1"), ("f2",)),
+    },
+    "objects": {
+        ("MissingObject", 1): ("field", ("a1", "f1"), ("f2",)),
+        ("MissingField", 2): ("field", ("a1", "a2"), ("f1",)),
+    },
+}
+
+
+def _fixes_of(smm, tag, n):
+    from polyheap.syntax import Lit, LVar
+
+    minted = []
+
+    def fresh():
+        minted.append(f"f{len(minted) + 1}")
+        return minted[-1]
+
+    payload = (Lit(tag), *(LVar(f"a{j + 1}") for j in range(n)))
+    return smm.fixes(payload, None, fresh), minted
+
+
+@pytest.mark.parametrize("model", sorted(FIXES))
+def test_map_fixes_follow_their_table(model):
+    """Each row gives its one resource, minting exactly the names it uses;
+    a row's tag with a payload of any other length, any other tag and the
+    empty payload give no fix."""
+    from polyheap.assertions import Res
+    from polyheap.syntax import LVar
+
+    smm = get_model(model).smm
+    rows = FIXES[model]
+    for (tag, n), (name, ins, outs) in rows.items():
+        fixes, minted = _fixes_of(smm, tag, n)
+        assert fixes == [Res(name, tuple(map(LVar, ins)), tuple(map(LVar, outs)))], (tag, n)
+        assert minted == [x for x in ("f1", "f2") if x in ins + outs]
+    for tag in {t for t, _ in rows} | {"UseAfterFree", "MissingDomain", "Type"}:
+        for n in range(5):
+            if (tag, n) not in rows:
+                assert _fixes_of(smm, tag, n) == ([], []), (tag, n)
+    assert smm.fixes((), None, None) == []
+
+
+def test_verification_only_models_have_no_fixes():
+    assert get_model("linear-ox").smm.fixes is None
+    assert get_model("chunks").smm.fixes is None
