@@ -2,10 +2,11 @@
 and bi-abductive true bug-finding (under-approximate).
 
 Verification produces the precondition into a fresh symbolic state,
-executes the body, and consumes the postcondition on every path; a path
-verifies when all surviving consume aborts are unsatisfiable and every
-successful consumption leaves nothing behind (a trailing `True` in the
-postcondition absorbs leftovers).
+executes the body, and consumes the postcondition on every ending of a
+path (`_endings`, which bug-finding shares); a path verifies when all
+surviving consume aborts are unsatisfiable and every successful
+consumption leaves nothing behind. A top-level `True` conjunct of an SL
+postcondition absorbs leftovers; an ESL postcondition keeps the check.
 
 Bug-finding executes from an empty heap; missing-resource faults are
 patched by the model's fixes, which accumulate into an anti-heap that
@@ -20,11 +21,11 @@ from dataclasses import dataclass, field, replace
 from .assertions import (
     Assertion,
     Bool,
-    Emp,
     FALSE_A,
     Pred as PredAssertion,
     Quadruple,
     SpecContext,
+    TrueA,
     format_assertion,
     lv_assertion,
     normalize,
@@ -49,10 +50,10 @@ from .engine import (
 )
 from .memmodel import Bounds, MemoryModelBundle
 from .oracle import Oracle, explore
-from .outcomes import ABORT, ERR, MISS, OK, Outcome
+from .outcomes import ABORT, ERR, MISS, OK
 from .quadcheck import Inconclusive, check_quadruple_bounded
 from .satisfaction import DepthExceeded, heap_models
-from .solver import Sat, UNSAT, check_sat
+from .solver import UNSAT, check_sat
 from .syntax import (
     FunctionDef,
     ImplContext,
@@ -165,17 +166,25 @@ def _entry_state(f, lvar_of, smm) -> SymbolicState:
     return SymbolicState(store, smm.empty, (), pc)
 
 
-def _ret_states(f, state):
-    """(ret, ok_state, err_state) at the end of a body that finished with
-    `state`: its return expression, and the state narrowed to the return
-    value being a value or failing to evaluate."""
-    ret = sym_eval(f.ret, state.store)
-    return ret, state.extend_pc([InVal(ret)]), state.extend_pc([Not(InVal(ret))])
+def _endings(ctx, f, br: Branch):
+    """(outcome, state, value) for each ending of `f` on the finished
+    branch `br`, the symbolic twin of `concrete.endings`: an ok branch
+    ends ok or with ExprEval, as its return expression evaluates or not, on
+    each path the mode keeps; any other branch ends with its payload."""
+    if br.outcome is not OK:
+        yield br.outcome, br.state, br.state.store.get("err", Lit("Unknown"))
+        return
+    ret = sym_eval(f.ret, br.state.store)
+    for outcome, fact, value in ((OK, InVal(ret), ret), (ERR, Not(InVal(ret)), Lit("ExprEval"))):
+        state = br.state.extend_pc([fact])
+        if ctx.keep_path(state):
+            yield outcome, state, value
 
 
 def _verify_once(specs, f, q, bundle, preds, bounds, mode, spatial_pre, state0, oracle):
     ctx = EngineContext(mode, specs, bundle, preds, bounds)
-    ctx.seed_fresh(state0)
+    # engine names must not capture any variable of the quadruple
+    ctx.seed_fresh(lv_assertion(q.pre) | lv_assertion(q.post_ok) | lv_assertion(q.post_err))
     subst = {x: LVar(x) for x in lv_assertion(q.pre)}
     try:
         produced = produce(ctx, spatial_pre, subst, state0)
@@ -207,40 +216,24 @@ def _verify_branch(ctx, f, q, subst, br: Branch, failing, unknown):
                 "pc": [format_expr(c) for c in state.pc],
             })
 
-    if br.outcome is ABORT:
-        classify(br.state, f"abort: {_fmt_reason(br.reason)}", ABORT)
-        return
-    if br.outcome is MISS:
-        classify(br.state, f"missing resource: {_fmt_reason(br.reason)}", MISS)
-        return
-    if br.outcome is OK:
-        ret, ok_state, err_state = _ret_states(f, br.state)
-        if check_sat(ok_state.pc, ctx.bounds) is not UNSAT:
-            post = subst_assertion_pvars(q.post_ok, {"ret": ret})
-            subst2 = {**subst, **{x: LVar(x) for x in lv_expr(ret) if x not in subst}}
-            _consume_post(ctx, br.oracle, post, subst2, ok_state, OK, classify)
-        if check_sat(err_state.pc, ctx.bounds) is not UNSAT:
-            post = subst_assertion_pvars(q.post_err, {"err": Lit("ExprEval")})
-            _consume_post(ctx, br.oracle, post, subst, err_state, ERR, classify)
-        return
-    # ERR branch: the error payload sits in the store
-    payload = br.state.store.get("err", Lit("Unknown"))
-    post = subst_assertion_pvars(q.post_err, {"err": payload})
-    subst2 = {**subst, **{x: LVar(x) for x in lv_expr(payload) if x not in subst}}
-    _consume_post(ctx, br.oracle, post, subst2, br.state, ERR, classify)
-
-
-def _consume_post(ctx, oracle, post, subst, state, outcome: Outcome, classify):
-    results = consume(ctx, oracle, post, subst, state)
-    for o, _, _, st, reason in results:
-        # failure models live in the branch state (full memory) under the
-        # consume result's path condition: consumption only removes state,
-        # and removed cells carry aliasing information with them
-        witness_state = state.with_(pc=st.pc)
-        if o is ABORT:
-            classify(witness_state, f"postcondition not consumed: {_fmt_reason(reason)}", outcome)
-        else:
-            if st.mem != ctx.bundle.smm.empty or st.preds:
+    for outcome, state, value in _endings(ctx, f, br):
+        if outcome in (ABORT, MISS):
+            what = "abort" if outcome is ABORT else "missing resource"
+            classify(state, f"{what}: {_fmt_reason(br.reason)}", outcome)
+            continue
+        var, post = ("ret", q.post_ok) if outcome is OK else ("err", q.post_err)
+        # an SL post with a top-level True absorbs whatever is left over
+        absorbs = ctx.mode is Mode.OX and any(isinstance(a, TrueA) for a in star_conjuncts(post))
+        post = subst_assertion_pvars(post, {var: value})
+        subst2 = {**subst, **{x: LVar(x) for x in lv_expr(value) if x not in subst}}
+        for o, _, _, st, reason in consume(ctx, br.oracle, post, subst2, state):
+            # failure models live in the branch state (full memory) under the
+            # consume result's path condition: consumption only removes state,
+            # and removed cells carry aliasing information with them
+            witness_state = state.with_(pc=st.pc)
+            if o is ABORT:
+                classify(witness_state, f"postcondition not consumed: {_fmt_reason(reason)}", outcome)
+            elif not absorbs and (st.mem != ctx.bundle.smm.empty or st.preds):
                 classify(witness_state, "state left over after the postcondition", outcome)
 
 
@@ -311,7 +304,7 @@ def biabduct(
 
     state0 = _entry_state(f, {x: x for x in f.params}, bundle.smm)
     ctx = EngineContext(Mode.UX, specs, bundle, preds, bounds, budget=budget, fixing=True)
-    ctx.seed_fresh(state0)
+    ctx.seed_fresh(state0.lvars(bundle.smm))
 
     reports = []
     for br in sym_exec(ctx, Oracle.constant(0), state0, f.body):
@@ -324,46 +317,28 @@ def biabduct(
 
 
 def _branch_reports(ctx, gamma, f, state0, br: Branch, bounds, validate):
-    anti = star_all(br.fixes) if br.fixes else Emp()
-    if br.outcome in (MISS, ABORT):
-        return [
-            BugReport(
+    out = []
+    for outcome, state, value in _endings(ctx, f, br):
+        if outcome in (MISS, ABORT):
+            out.append(BugReport(
                 fid=f.fid,
-                outcome=br.outcome.value,
-                anti_heap=anti,
-                witness_pc=[format_expr(c) for c in br.state.pc],
+                outcome=outcome.value,
+                anti_heap=star_all(br.fixes),
+                witness_pc=[format_expr(c) for c in state.pc],
                 unrecoverable=True,
                 detail=_fmt_reason(br.reason),
-            )
-        ]
-    out = []
-    if br.outcome is OK:
-        ret, ok_state, err_state = _ret_states(f, br.state)
-        if isinstance(check_sat(ok_state.pc, ctx.bounds), Sat):
-            out.append(
-                _make_report(ctx, gamma, f, state0, ok_state, br, OK, Bool(eq(PVar("ret"), ret)), bounds, validate)
-            )
-        if isinstance(check_sat(err_state.pc, ctx.bounds), Sat):
-            err_state = err_state.with_(store={**err_state.store, "err": Lit("ExprEval")})
-            out.append(
-                _make_report(
-                    ctx, gamma, f, state0, err_state, br, ERR,
-                    Bool(eq(PVar("err"), Lit("ExprEval"))), bounds, validate,
-                )
-            )
-    else:
-        payload = br.state.store.get("err", Lit("Unknown"))
-        out.append(
-            _make_report(
-                ctx, gamma, f, state0, br.state, br, ERR,
-                Bool(eq(PVar("err"), payload)), bounds, validate,
-            )
-        )
-    return [r for r in out if r is not None]
+            ))
+            continue
+        if outcome is ERR:
+            # the report's models read the payload from the store
+            state = state.with_(store={**state.store, "err": value})
+        binding = Bool(eq(PVar("ret" if outcome is OK else "err"), value))
+        out.append(_make_report(ctx, gamma, f, state0, state, br, outcome, binding, bounds, validate))
+    return out
 
 
 def _make_report(ctx, gamma, f, state0, final_state, br: Branch, outcome, binding, bounds, validate):
-    anti = star_all(br.fixes) if br.fixes else Emp()
+    anti = star_all(br.fixes)
     pc_bools = [Bool(c) for c in final_state.pc]
     pre_parts = [Bool(eq(PVar(x), LVar(x))) for x in f.params] + pc_bools + [anti]
     pre = star_all(pre_parts)

@@ -173,15 +173,13 @@ class EngineContext:
         self._fresh_counter += 1
         return name
 
-    def seed_fresh(self, *states: SymbolicState):
-        """Start the fresh counter above every fresh_<n> already in use."""
-        best = self._fresh_counter
-        for st in states:
-            for name in st.lvars(self.bundle.smm):
-                m = re.fullmatch(r"fresh_(\d+)", name)
-                if m:
-                    best = max(best, int(m.group(1)) + 1)
-        self._fresh_counter = best
+    def seed_fresh(self, names):
+        """Start the fresh counter above every fresh_<n> among `names`, the
+        logical variables already in use."""
+        for name in names:
+            m = re.fullmatch(r"fresh_(\d+)", name)
+            if m:
+                self._fresh_counter = max(self._fresh_counter, int(m.group(1)) + 1)
 
     def note(self, rule, outcome, pc_delta):
         if self.trace is not None:
@@ -200,6 +198,14 @@ class EngineContext:
         if self.mode is Mode.UX:
             return isinstance(verdict, Sat)
         return verdict is not UNSAT
+
+    def branch(self, rule, outcome, oracle, state, delta) -> list:
+        """[the branch] when the mode keeps its path, noting `rule` with
+        the path-condition conjuncts `delta`; [] otherwise."""
+        if not self.keep_path(state):
+            return []
+        self.note(rule, outcome, delta)
+        return [Branch(outcome, oracle, state)]
 
     def implied(self, state: SymbolicState, e: Expr) -> bool:
         return entails(state.pc, e, self.bounds) is Entail.YES
@@ -262,12 +268,9 @@ def sym_exec(ctx: EngineContext, oracle: Oracle, state: SymbolicState, cmd: Cmd)
 
 def _exec_assign(ctx, oracle, state, cmd: Assign):
     e = sym_eval(cmd.expr, state.store)
-    out = []
     ok_guards = _guards([e])
     st_ok = state.with_(store={**state.store, cmd.var: e}).extend_pc(ok_guards)
-    if ctx.keep_path(st_ok):
-        ctx.note("assign", OK, ok_guards)
-        out.append(Branch(OK, oracle, st_ok))
+    out = ctx.branch("assign", OK, oracle, st_ok, ok_guards)
     return out + _eval_error(ctx, oracle, state, [e], "assign-err-eval")
 
 
@@ -276,27 +279,20 @@ def _eval_error(ctx, oracle, state, exprs, rule) -> list:
     it is feasible."""
     bad = Not(conj([InVal(e) for e in exprs]))
     st = state.with_(store={**state.store, "err": Lit("ExprEval")}).extend_pc([bad])
-    if not ctx.keep_path(st):
-        return []
-    ctx.note(rule, ERR, (bad,))
-    return [Branch(ERR, oracle, st)]
+    return ctx.branch(rule, ERR, oracle, st, (bad,))
 
 
 def _exec_if(ctx, oracle, state, cmd: IfElse):
     e = sym_eval(cmd.cond, state.store)
     out = []
     for val, branch_cmd, rule in ((TRUE, cmd.then, "if-then"), (FALSE, cmd.els, "if-else")):
-        st = state.extend_pc([eq(e, Lit(val))])
-        if ctx.keep_path(st):
-            ctx.note(rule, OK, (eq(e, Lit(val)),))
-            out.extend(sym_exec(ctx, oracle, st, branch_cmd))
+        guard = (eq(e, Lit(val)),)
+        for br in ctx.branch(rule, OK, oracle, state.extend_pc(guard), guard):
+            out.extend(sym_exec(ctx, oracle, br.state, branch_cmd))
     out += _eval_error(ctx, oracle, state, [e], "if-err-eval")
     ty = [InVal(e), Not(InType(e, "bool"))]
     st_ty = state.with_(store={**state.store, "err": Lit("Type")}).extend_pc(ty)
-    if ctx.keep_path(st_ty):
-        ctx.note("if-err-type", ERR, ty)
-        out.append(Branch(ERR, oracle, st_ty))
-    return out
+    return out + ctx.branch("if-err-type", ERR, oracle, st_ty, ty)
 
 
 def _exec_action(ctx, oracle, state, cmd: Action, fix_depth: int = 0):
@@ -304,32 +300,18 @@ def _exec_action(ctx, oracle, state, cmd: Action, fix_depth: int = 0):
     smm = ctx.bundle.smm
     out = []
     for o, mem2, pc_frag, outs in smm.exec_action(state.mem, cmd.name, tuple(args), ctx.fresh):
-        if o is OK:
-            if len(outs) != len(cmd.targets):
-                guards = _guards(args) + _guards(outs)
-                st = state.with_(
-                    store={**state.store, "err": Lit("ActionArgsLength")}, mem=mem2
-                ).extend_pc(list(pc_frag) + guards)
-                if ctx.keep_path(st):
-                    ctx.note("action-err-length", ERR, pc_frag)
-                    out.append(Branch(ERR, oracle, st))
-                continue
-            guards = (
-                _guards([state.store[x] for x in cmd.targets if x in state.store])
-                + _guards(args)
-                + _guards(outs)
-            )
-            st = state.with_(
-                store={**state.store, **dict(zip(cmd.targets, outs))}, mem=mem2
-            ).extend_pc(list(pc_frag) + guards)
-            if ctx.keep_path(st):
-                ctx.note("action", OK, pc_frag)
-                out.append(Branch(OK, oracle, st))
+        if o is OK and len(outs) == len(cmd.targets):
+            old = [state.store[x] for x in cmd.targets if x in state.store]
+            st = state.with_(store={**state.store, **dict(zip(cmd.targets, outs))}, mem=mem2)
+            st = st.extend_pc([*pc_frag, *_guards([*old, *args, *outs])])
+            out += ctx.branch("action", OK, oracle, st, pc_frag)
+        elif o is OK:
+            st = state.with_(store={**state.store, "err": Lit("ActionArgsLength")}, mem=mem2)
+            st = st.extend_pc([*pc_frag, *_guards([*args, *outs])])
+            out += ctx.branch("action-err-length", ERR, oracle, st, pc_frag)
         else:
-            guards = _guards(args)
-            st = state.with_(
-                store={**state.store, "err": LstE(tuple(outs))}, mem=mem2
-            ).extend_pc(list(pc_frag) + guards)
+            st = state.with_(store={**state.store, "err": LstE(tuple(outs))}, mem=mem2)
+            st = st.extend_pc([*pc_frag, *_guards(args)])
             if not ctx.keep_path(st):
                 continue
             if ctx.fixing and o in (MISS, ABORT) and fix_depth < MAX_FIXES:
@@ -415,9 +397,7 @@ def _call_post(ctx, oracle, state, subst, target_var, post_var, post, outcome):
     for st2 in produced:
         guards = _guards([st2.store[target_var]]) if target_var in st2.store else []
         st3 = st2.with_(store={**st2.store, target_var: sym}).extend_pc(guards)
-        if ctx.keep_path(st3):
-            ctx.note(f"call-{outcome.value}", outcome, ())
-            out.append(Branch(outcome, oracle, st3))
+        out += ctx.branch(f"call-{outcome.value}", outcome, oracle, st3, ())
     return out
 
 
@@ -453,9 +433,7 @@ def _exec_fold(ctx, oracle, state, cmd: Fold):
         outs = tuple(subst2[x] for x in d.outs)
         inst = PredInstance(cmd.pred, tuple(args), outs)
         st3 = st2.with_(preds=st2.preds + (inst,)).extend_pc(_guards(outs))
-        if ctx.keep_path(st3):
-            ctx.note("fold", OK, ())
-            out.append(Branch(OK, oracle2, st3))
+        out += ctx.branch("fold", OK, oracle2, st3, ())
     return out
 
 
@@ -468,9 +446,7 @@ def _exec_unfold(ctx, oracle, state, cmd: Unfold):
     st0 = state.extend_pc(_guards(args))
     if not ctx.keep_path(st0):
         return []
-    candidates = sorted(
-        (inst for inst in st0.preds if inst.name == cmd.pred), key=PredInstance.key
-    )
+    candidates = _instances(st0, cmd.pred)
     if not candidates:
         return [Branch(ABORT, oracle, state, reason=(Lit("NoPredInstance"), Lit(cmd.pred)))]
     inst, oracle = oracle.pick(candidates)
@@ -480,10 +456,7 @@ def _exec_unfold(ctx, oracle, state, cmd: Unfold):
     matched = ctx.pure_holds(st0, check)
     if matched is None or not matched:
         return [Branch(ABORT, oracle, st0, reason=(Lit("PredInsMismatch"), Lit(cmd.pred)))]
-    (st1,) = matched
-    remaining = list(st1.preds)
-    remaining.remove(inst)
-    st1 = st1.with_(preds=tuple(remaining))
+    st1 = _without(matched[0], inst)
     subst = dict(zip(d.ins, inst.ins)) | dict(zip(d.outs, inst.outs))
     try:
         produced = produce(ctx, d.body, subst, st1)
@@ -515,18 +488,20 @@ def consume(ctx: EngineContext, oracle: Oracle, assertion: Assertion, subst: dic
     if pv_assertion(assertion):
         raise EngineError(f"consume of an assertion with program variables: {format_assertion(assertion)}")
     pending = frozenset(lv_assertion(assertion) - subst.keys())
-    results = _consume(ctx, oracle, assertion, dict(subst), state, pending)
     out = []
-    for o, or2, s2, st2, reason in results:
+    for o, or2, s2, st2, reason in _consume(ctx, oracle, assertion, dict(subst), state, pending):
         if o is OK:
             # any existential still unlearned denotes an arbitrary value
-            missing = (pending | lv_assertion(assertion)) - s2.keys()
-            for x in sorted(missing):
-                witness = LVar(ctx.fresh())
-                s2 = {**s2, x: witness}
-                st2 = st2.extend_pc([InVal(witness)])
+            for x in sorted(lv_assertion(assertion) - s2.keys()):
+                s2, st2 = _witness(ctx, s2, st2, x)
         out.append((o, or2, s2, st2, reason))
     return out
+
+
+def _witness(ctx, subst, state, x):
+    """Bind the unlearned variable `x` to a fresh value."""
+    witness = LVar(ctx.fresh())
+    return {**subst, x: witness}, state.extend_pc([InVal(witness)])
 
 
 def _abort(oracle, state, *reason):
@@ -561,11 +536,9 @@ def _consume(ctx, oracle, assertion, subst, state, pending):
         )
         out = []
         for o, or2, s2, st2, reason in results:
-            if o is OK and assertion.var not in s2:
-                witness = LVar(ctx.fresh())
-                s2 = {**s2, assertion.var: witness}
-                st2 = st2.extend_pc([InVal(witness)])
             if o is OK:
+                if assertion.var not in s2:
+                    s2, st2 = _witness(ctx, s2, st2, assertion.var)
                 # restore the caller's binding for a shadowed name
                 if assertion.var in subst:
                     s2 = {**s2, assertion.var: subst[assertion.var]}
@@ -668,10 +641,7 @@ def _consume_pred(ctx, oracle, assertion: Pred, subst, state, pending):
     if unbound:
         return [_abort(oracle, state, "UnboundLVar", *sorted(unbound))]
     ins = tuple(subst_expr(e, subst) for e in assertion.ins)
-    candidates = sorted(
-        (inst for inst in state.preds if inst.name == assertion.name),
-        key=PredInstance.key,
-    )
+    candidates = _instances(state, assertion.name)
     if not candidates:
         return [_abort(oracle, state, "NoPredInstance", assertion.name)]
     inst, oracle2 = oracle.pick(candidates)
@@ -683,11 +653,20 @@ def _consume_pred(ctx, oracle, assertion: Pred, subst, state, pending):
         return [_abort(oracle2, state, "NotEntailed", check)]
     out = []
     for st in matched:
-        remaining = list(st.preds)
-        remaining.remove(inst)
-        st2 = st.with_(preds=tuple(remaining))
-        out.extend(_unify_outs(ctx, oracle2, subst, st2, assertion.outs, inst.outs, pending))
+        out.extend(_unify_outs(ctx, oracle2, subst, _without(st, inst), assertion.outs, inst.outs, pending))
     return out
+
+
+def _instances(state, name) -> list:
+    """The state's instances of predicate `name`, in a fixed order."""
+    return sorted((inst for inst in state.preds if inst.name == name), key=PredInstance.key)
+
+
+def _without(state, inst):
+    """The state with one occurrence of the instance `inst` removed."""
+    remaining = list(state.preds)
+    remaining.remove(inst)
+    return state.with_(preds=tuple(remaining))
 
 
 def produce(ctx: EngineContext, assertion: Assertion, subst: dict, state: SymbolicState) -> list:

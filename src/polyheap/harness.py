@@ -133,7 +133,7 @@ def _trials(mode, bundle, bounds: Bounds, trials: int, seed: int, preds, specs):
         cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
         concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
         ctx = EngineContext(mode, specs or {}, bundle, preds, bounds)
-        ctx.seed_fresh(sym)
+        ctx.seed_fresh(sym.lvars(bundle.smm))
         yield trial, cmd, concrete, sym, theta, sym_exec(ctx, Oracle.constant(0), sym, cmd)
 
 

@@ -344,6 +344,47 @@ def test_esl_spec_verifies_in_exact_mode():
     assert isinstance(check_quadruple_bounded(prog.functions, q, B, b, prog.preds), Valid)
 
 
+def test_fresh_names_do_not_capture_spec_variables():
+    """The cell that new() makes must not be named #fresh_0, a variable of
+    the pre: the post then wrongly reads as the old cell's value."""
+    prog = parse_program(
+        """
+        func f(x) { y := new(); v := lookup(x); return y }
+        spec SL f(x) {
+          requires: (x = #x) * cell(#x; #fresh_0);
+          ensures_ok: (ret = #fresh_0) * cell(#fresh_0; nil) * cell(#x; #fresh_0);
+        }
+        """
+    )
+    b = get_model("linear")
+    q = prog.specs["f"][0]
+    assert isinstance(verify_ox(prog.functions, prog.specs, "f", q, b, prog.preds, Bounds()), Failed)
+    assert not isinstance(check_quadruple_bounded(prog.functions, q, Bounds(), b, prog.preds), Valid)
+
+
+def test_true_in_sl_post_absorbs_leftovers():
+    """A top-level True absorbs the cells the post does not name; an ESL
+    post keeps the leftover check, and so does a True under a disjunction."""
+    source = """
+        func g(x) {{ y := new(); v := lookup(x); return v }}
+        spec {} g(x) {{ requires: (x = #x) * cell(#x; #w); ensures_ok: (ret = #w) * {}; }}
+    """
+    b = get_model("linear")
+    for flavor, rest, verdict in (
+        ("SL", "True", Verified),
+        ("SL", "(True \\/ emp)", Failed),
+        ("ESL", "True", Failed),
+    ):
+        prog = parse_program(source.format(flavor, rest))
+        q = prog.specs["g"][0]
+        r = verify_ox(prog.functions, prog.specs, "g", q, b, prog.preds, Bounds())
+        assert isinstance(r, verdict), (flavor, rest, r)
+    oracle_bounds = Bounds(value_domain=(0, 1), max_cells=3)
+    prog = parse_program(source.format("SL", "True"))
+    q = prog.specs["g"][0]
+    assert isinstance(check_quadruple_bounded(prog.functions, q, oracle_bounds, b, prog.preds), Valid)
+
+
 def test_ux_funcall_uses_isl_spec():
     from polyheap.engine import EngineContext, Mode, SymbolicState, sym_exec
     from polyheap.oracle import Oracle

@@ -46,6 +46,14 @@ def test_run_parse_error_exit_two(tmp_path):
     assert p.returncode == 2
 
 
+def test_verify_parse_error_exit_two(tmp_path):
+    bad = tmp_path / "bad.ph"
+    bad.write_text("func f( { return 0 }")
+    p = run_cli("verify", str(bad))
+    assert p.returncode == 2
+    assert p.stderr.startswith("error: ") and "Traceback" not in p.stderr
+
+
 def test_deep_program_exit_two(tmp_path):
     deep = tmp_path / "deep.ph"
     deep.write_text("func f(x) { " + "x := x + 1; " * 1500 + "return x }")

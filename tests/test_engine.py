@@ -247,3 +247,135 @@ def test_if_chain_explores_linearly_many_paths(ctx, n):
     ok = [br for br in sym_exec(ctx, O, st, chain) if br.outcome is OK]
     assert len(ok) == n + 1
     assert len(sat_branches(ctx, ok)) == n + 1
+
+
+_TRACED = parse_program(
+    """
+    pred box(+#a; #v) { cell(#a; #v) }
+    func g(x) { skip; return x }
+    spec ESL g(x) { requires: x = #x; ensures_ok: ret = #x; ensures_err: err = #x; }
+    func assign(x) { y := x + 1; return y }
+    func branch(c) { if (c) { skip } else { skip }; return c }
+    func cond_eval(p) { if (p < 2) { skip } else { skip }; return p }
+    func actions(x) { a := new(); v := lookup(a); m := lookup(x); u, w := lookup(a); return v }
+    func action_eval(x) { n := lookup(x + 1); return n }
+    func freed() { a := new(); free(a); q := lookup(a); return q }
+    func call(x) { z := g(x); return z }
+    func folds() { a := new(); fold box(a); return a }
+    """
+)
+
+_TRACES = {
+    "ox-assign": [
+        ("assign", "ok", ["(#x + 1) in Val"]),
+        ("assign-err-eval", "err", ["not ((#x + 1) in Val)"]),
+    ],
+    "ox-branch": [
+        ("if-then", "ok", ["#c = true"]),
+        ("skip", "ok", []),
+        ("if-else", "ok", ["#c = false"]),
+        ("skip", "ok", []),
+        ("if-err-type", "err", ["#c in Val", "not (#c in Bool)"]),
+    ],
+    "ox-cond_eval": [
+        ("if-then", "ok", ["#p < 2 = true"]),
+        ("skip", "ok", []),
+        ("if-else", "ok", ["#p < 2 = false"]),
+        ("skip", "ok", []),
+        ("if-err-eval", "err", ["not ((#p < 2) in Val)"]),
+    ],
+    "ox-actions": [
+        ("action", "ok", ["#fresh_0 in Val"]),
+        ("action", "ok", ["#fresh_0 = #fresh_0"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+        ("action", "ok", ["#x = #fresh_0"]),
+        ("action-miss", "miss", ["#x in Nat", "not (#x = #fresh_0)"]),
+        ("action-err", "err", ["not (#x in Nat)"]),
+        ("action-err-length", "err", ["#fresh_0 = #fresh_0"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+    ],
+    "ox-action_eval": [
+        ("action-miss", "miss", ["(#x + 1) in Nat"]),
+        ("action-err", "err", ["not ((#x + 1) in Nat)"]),
+        ("action-err-eval", "err", ["not ((#x + 1) in Val)"]),
+    ],
+    "ox-freed": [
+        ("action", "ok", ["#fresh_0 in Val"]),
+        ("action", "ok", ["#fresh_0 = #fresh_0", "nil in Val"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+        ("action-err", "err", ["#fresh_0 = #fresh_0"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+    ],
+    "ox-call": [
+        ("call-ok", "ok", []),
+        ("call-err", "err", []),
+    ],
+    "ox-folds": [
+        ("action", "ok", ["#fresh_0 in Val"]),
+        ("fold", "ok", []),
+    ],
+    "ux-assign": [
+        ("assign", "ok", ["(#x + 1) in Val"]),
+        ("assign-err-eval", "err", ["not ((#x + 1) in Val)"]),
+    ],
+    "ux-branch": [
+        ("if-then", "ok", ["#c = true"]),
+        ("skip", "ok", []),
+        ("if-else", "ok", ["#c = false"]),
+        ("skip", "ok", []),
+        ("if-err-type", "err", ["#c in Val", "not (#c in Bool)"]),
+    ],
+    "ux-cond_eval": [
+        ("if-then", "ok", ["#p < 2 = true"]),
+        ("skip", "ok", []),
+        ("if-else", "ok", ["#p < 2 = false"]),
+        ("skip", "ok", []),
+        ("if-err-eval", "err", ["not ((#p < 2) in Val)"]),
+    ],
+    "ux-actions": [
+        ("action", "ok", ["#fresh_0 in Val"]),
+        ("action", "ok", ["#fresh_0 = #fresh_0"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+        ("action", "ok", ["#x = #fresh_0"]),
+        ("action-miss", "miss", ["#x in Nat", "not (#x = #fresh_0)"]),
+        ("action-err", "err", ["not (#x in Nat)"]),
+        ("action-err-length", "err", ["#fresh_0 = #fresh_0"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+    ],
+    "ux-action_eval": [
+        ("action-miss", "miss", ["(#x + 1) in Nat"]),
+        ("action-err-eval", "err", ["not ((#x + 1) in Val)"]),
+    ],
+    "ux-freed": [
+        ("action", "ok", ["#fresh_0 in Val"]),
+        ("action", "ok", ["#fresh_0 = #fresh_0", "nil in Val"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+        ("action-err", "err", ["#fresh_0 = #fresh_0"]),
+        ("action-err", "err", ["not (#fresh_0 in Nat)"]),
+    ],
+    "ux-call": [
+        ("call-ok", "ok", []),
+        ("call-err", "err", []),
+    ],
+    "ux-folds": [
+        ("action", "ok", ["#fresh_0 in Val"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_TRACES))
+def test_engine_trace_is_pinned(key):
+    """Every rule that keeps a path records (rule, outcome, pc_delta) in
+    the trace; these bodies reach each such rule, in OX and in UX."""
+    from polyheap.analyses import _entry_state
+
+    mode, fid = key.split("-", 1)
+    f = _TRACED.functions[fid]
+    b = get_model("linear")
+    ctx = EngineContext(
+        Mode(mode), _TRACED.specs, b, _TRACED.preds,
+        Bounds(value_domain=(NIL, 0, 1, 2), max_cells=2, max_addresses=3), trace=[],
+    )
+    sym_exec(ctx, O, _entry_state(f, {x: x for x in f.params}, b.smm), f.body)
+    got = [(r["rule"], r["outcome"], r["pc_delta"]) for r in ctx.trace]
+    assert got == _TRACES[key]

@@ -201,7 +201,7 @@ def _old_check_engine_ox(bundle, bounds, trials, seed, preds=None, specs=None):
         cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
         concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
         ctx = EngineContext(Mode.OX, specs, bundle, preds, bounds)
-        ctx.seed_fresh(sym)
+        ctx.seed_fresh(sym.lvars(bundle.smm))
         branches = sym_exec(ctx, Oracle.constant(0), sym, cmd)
         if any(
             br.outcome is ABORT and isinstance(check_sat(br.state.pc, bounds), Sat)
@@ -234,7 +234,7 @@ def _old_check_engine_ux(bundle, bounds, trials, seed, preds=None, specs=None):
         cmd = random_command(rng, bundle, bounds, size=rng.randint(1, 3))
         concrete, sym, theta = random_state_pair(rng, bundle, bounds, mems)
         ctx = EngineContext(Mode.UX, specs, bundle, preds, bounds)
-        ctx.seed_fresh(sym)
+        ctx.seed_fresh(sym.lvars(bundle.smm))
         branches = sym_exec(ctx, Oracle.constant(0), sym, cmd)
         for br in branches:
             if br.outcome is ABORT:

@@ -83,7 +83,7 @@ def _states(bundle, trials, seed=5):
         out.append((sym, ()))
         for mode in (Mode.OX, Mode.UX):
             ctx = EngineContext(mode, {}, bundle, {}, BOUNDS)
-            ctx.seed_fresh(sym)
+            ctx.seed_fresh(sym.lvars(bundle.smm))
             out += [(br.state, start) for br in sym_exec(ctx, Oracle.constant(0), sym, cmd)]
     lifted = {}  # memories of one shape have one variable lift
     for mem in mems:
