@@ -352,8 +352,7 @@ def _fix_and_retry(ctx, oracle, state, cmd, miss_state, payload, fix_depth):
 def _exec_call(ctx, oracle, state, cmd: FunCall):
     specs = ctx.specs.compatible(cmd.fid, ctx.mode)
     if not specs:
-        ctx.note("call-no-spec", ABORT, ())
-        return [Branch(ABORT, oracle, state, reason=(Lit("NoSpec"), Lit(cmd.fid)))]
+        return [_abort_branch(ctx, "call-no-spec", oracle, state, (Lit("NoSpec"), Lit(cmd.fid)))]
     q, oracle = oracle.pick(specs)
     if len(cmd.args) != len(q.params):
         st = state.with_(store={**state.store, "err": Lit("FuncArgsLength")})
@@ -368,8 +367,7 @@ def _exec_call(ctx, oracle, state, cmd: FunCall):
     out = []
     for o_c, oracle2, subst2, st_frame, reason in consume(ctx, oracle, spatial_pre, subst, st0):
         if o_c is not OK:
-            ctx.note("call-consume-abort", ABORT, ())
-            out.append(Branch(ABORT, oracle2, st_frame, reason=reason))
+            out.append(_abort_branch(ctx, "call-consume-abort", oracle2, st_frame, reason))
             continue
         out.extend(
             _call_post(ctx, oracle2, st_frame, subst2, cmd.target, "ret", q.post_ok, OK)
@@ -391,8 +389,8 @@ def _call_post(ctx, oracle, state, subst, target_var, post_var, post, outcome):
     try:
         produced = produce(ctx, post_assertion, subst2, st)
     except EngineError as exc:
-        ctx.note("call-produce-abort", ABORT, ())
-        return [Branch(ABORT, oracle, state, reason=(Lit("ProduceFailed"), Lit(str(exc))))]
+        reason = (Lit("ProduceFailed"), Lit(str(exc)))
+        return [_abort_branch(ctx, "call-produce-abort", oracle, state, reason)]
     out = []
     for st2 in produced:
         guards = _guards([st2.store[target_var]]) if target_var in st2.store else []
@@ -401,13 +399,21 @@ def _call_post(ctx, oracle, state, subst, target_var, post_var, post, outcome):
     return out
 
 
+def _abort_branch(ctx, rule, oracle, state, reason) -> Branch:
+    """An abort branch, noted as `rule`."""
+    ctx.note(rule, ABORT, ())
+    return Branch(ABORT, oracle, state, reason=reason)
+
+
 def _pred_cmd_abort(ctx, oracle, state, cmd, keyword):
     """The abort of a fold or unfold outside OX mode or of an unknown
     predicate; None when neither applies."""
     if ctx.mode is not Mode.OX:
-        return [Branch(ABORT, oracle, state, reason=(Lit("UnsupportedInMode"), Lit(keyword)))]
+        reason = (Lit("UnsupportedInMode"), Lit(keyword))
+        return [_abort_branch(ctx, f"{keyword}-unsupported", oracle, state, reason)]
     if cmd.pred not in ctx.preds:
-        return [Branch(ABORT, oracle, state, reason=(Lit("UnknownPredicate"), Lit(cmd.pred)))]
+        reason = (Lit("UnknownPredicate"), Lit(cmd.pred))
+        return [_abort_branch(ctx, f"{keyword}-unknown-pred", oracle, state, reason)]
     return None
 
 
@@ -417,7 +423,7 @@ def _exec_fold(ctx, oracle, state, cmd: Fold):
         return aborted
     d = ctx.preds[cmd.pred]
     if len(cmd.args) != len(d.ins):
-        return [Branch(ABORT, oracle, state, reason=(Lit("PredArity"), Lit(cmd.pred)))]
+        return [_abort_branch(ctx, "fold-arity", oracle, state, (Lit("PredArity"), Lit(cmd.pred)))]
     args = [sym_eval(a, state.store) for a in cmd.args]
     st0 = state.extend_pc(_guards(args))
     if not ctx.keep_path(st0):
@@ -428,7 +434,7 @@ def _exec_fold(ctx, oracle, state, cmd: Fold):
     out = []
     for o_c, oracle2, subst2, st2, reason in consume(ctx, oracle, chosen, subst, st0):
         if o_c is not OK:
-            out.append(Branch(ABORT, oracle2, st2, reason=reason))
+            out.append(_abort_branch(ctx, "fold-consume-abort", oracle2, st2, reason))
             continue
         outs = tuple(subst2[x] for x in d.outs)
         inst = PredInstance(cmd.pred, tuple(args), outs)
@@ -448,20 +454,23 @@ def _exec_unfold(ctx, oracle, state, cmd: Unfold):
         return []
     candidates = _instances(st0, cmd.pred)
     if not candidates:
-        return [Branch(ABORT, oracle, state, reason=(Lit("NoPredInstance"), Lit(cmd.pred)))]
+        reason = (Lit("NoPredInstance"), Lit(cmd.pred))
+        return [_abort_branch(ctx, "unfold-no-instance", oracle, state, reason)]
     inst, oracle = oracle.pick(candidates)
     if len(args) != len(inst.ins):
-        return [Branch(ABORT, oracle, state, reason=(Lit("PredArity"), Lit(cmd.pred)))]
+        return [_abort_branch(ctx, "unfold-arity", oracle, state, (Lit("PredArity"), Lit(cmd.pred)))]
     check = conj([eq(a, i) for a, i in zip(args, inst.ins)])
     matched = ctx.pure_holds(st0, check)
     if matched is None or not matched:
-        return [Branch(ABORT, oracle, st0, reason=(Lit("PredInsMismatch"), Lit(cmd.pred)))]
+        reason = (Lit("PredInsMismatch"), Lit(cmd.pred))
+        return [_abort_branch(ctx, "unfold-ins-mismatch", oracle, st0, reason)]
     st1 = _without(matched[0], inst)
     subst = dict(zip(d.ins, inst.ins)) | dict(zip(d.outs, inst.outs))
     try:
         produced = produce(ctx, d.body, subst, st1)
     except EngineError as exc:
-        return [Branch(ABORT, oracle, st1, reason=(Lit("ProduceFailed"), Lit(str(exc))))]
+        reason = (Lit("ProduceFailed"), Lit(str(exc)))
+        return [_abort_branch(ctx, "unfold-produce-abort", oracle, st1, reason)]
     out = []
     for st2 in produced:
         ctx.note("unfold", OK, ())

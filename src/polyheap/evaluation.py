@@ -6,6 +6,11 @@ store-only program-expression evaluator; `eval_lexpr` additionally
 interprets logical variables and the membership tests. `all_true` decides
 a conjunction: the solver's path conditions and the pure conjuncts of an
 assertion.
+
+Every layer calls this evaluator, so it dispatches on the exact node type
+(`type(e) is Bin`), not on `isinstance`. That is the same test only while
+the `syntax` node classes stay final: a subclass of a node class would not
+be evaluated.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .values import (
+    FALSE,
     TRUE,
     UNDEF,
     Rat,
@@ -25,7 +31,7 @@ from .values import (
 from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar
 
 
-_LEAVES = (Lit, PVar, LVar)
+_LEAF_TYPES = frozenset((Lit, PVar, LVar))
 
 
 def eval_lexpr(e: Expr, theta: dict, store: dict, memo: dict | None = None):
@@ -38,31 +44,32 @@ def eval_lexpr(e: Expr, theta: dict, store: dict, memo: dict | None = None):
     + 1`); a node over leaves, or a unary node over a held one, costs less
     to evaluate again than to look up. The caller keeps the expressions
     alive, and `theta` and the store unchanged, while the memo is in use."""
-    if isinstance(e, Lit):
+    t = type(e)
+    if t is Lit:
         return e.value
-    if isinstance(e, PVar):
-        return store.get(e.name, UNDEF)
-    if isinstance(e, LVar):
+    if t is LVar:
         return theta.get(e.name, UNDEF)
-    if isinstance(e, Bin):
-        if memo is None or (isinstance(e.left, _LEAVES) and isinstance(e.right, _LEAVES)):
+    if t is Bin:
+        if memo is None or (type(e.left) in _LEAF_TYPES and type(e.right) in _LEAF_TYPES):
             return _eval_bin(e, theta, store, memo)
         k = id(e)
         v = memo.get(k)  # no value is None
         if v is None:
             v = memo[k] = _eval_bin(e, theta, store, memo)
         return v
-    if isinstance(e, Not):
+    if t is PVar:
+        return store.get(e.name, UNDEF)
+    if t is Not:
         v = eval_lexpr(e.arg, theta, store, memo)
-        if isinstance(v, VBool):
+        if type(v) is VBool:
             return vbool(not v.b)
         return UNDEF
-    if isinstance(e, InVal):
+    if t is InVal:
         return vbool(eval_lexpr(e.arg, theta, store, memo) is not UNDEF)
-    if isinstance(e, InType):
+    if t is InType:
         v = eval_lexpr(e.arg, theta, store, memo)
         return vbool(v is not UNDEF and type_name(v) == e.tau)
-    if isinstance(e, LstE):
+    if t is LstE:
         items = []
         for i in e.items:
             v = eval_lexpr(i, theta, store, memo)
@@ -81,7 +88,10 @@ def all_true(exprs, theta: dict, store=_NO_STORE) -> bool:
     serves the call, so a subterm shared by the expressions (`x + 1 + ...
     + 1` along a path) is evaluated once."""
     memo = {}
-    return all(eval_lexpr(e, theta, store, memo) is TRUE for e in exprs)
+    for e in exprs:
+        if eval_lexpr(e, theta, store, memo) is not TRUE:
+            return False
+    return True
 
 
 def eval_expr(e: Expr, store: dict):
@@ -98,7 +108,7 @@ def _eval_bin(e: Bin, theta, store, memo):
             return UNDEF
         # cross-type equality is false, not an error; wrappers make ==
         # structural across all constructors
-        return vbool(a == b)
+        return TRUE if a == b else FALSE
     if op in ("and", "or"):
         if isinstance(a, VBool) and isinstance(b, VBool):
             return vbool(a.b and b.b) if op == "and" else vbool(a.b or b.b)
@@ -126,8 +136,10 @@ def _eval_bin(e: Bin, theta, store, memo):
             return Rat(d) if d > 0 else UNDEF
         if op == "/":
             return Rat(a.q / b.q)
+        # denominators are positive, so cross-multiplying keeps the order
+        x, y = a.q, b.q
         if op == "<":
-            return vbool(a.q < b.q)
+            return vbool(x.numerator * y.denominator < y.numerator * x.denominator)
         if op == "<=":
-            return vbool(a.q <= b.q)
+            return vbool(x.numerator * y.denominator <= y.numerator * x.denominator)
     return UNDEF

@@ -190,10 +190,6 @@ class SymbolicMemoryModel:
         memory once and reuses it under extensions of its interpretation)."""
         raise NotImplementedError
 
-    def sat_mem(self, theta, mem, smem) -> bool:
-        got = self.concretize(theta, smem)
-        return got is not None and got == mem
-
     def lvars(self, smem) -> frozenset:
         raise NotImplementedError
 

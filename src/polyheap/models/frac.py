@@ -5,6 +5,10 @@ adds permissions of equal-valued cells up to 1. Insufficient permission
 on a write/free is a missing-resource outcome (the remainder of the
 permission is the missing resource), with its own payload so fixes can
 distinguish it from an absent cell.
+
+Concrete permissions are `Fraction` payloads, but the arithmetic on them
+(composition, the whole-permission test) is done on their numerators and
+denominators, which costs less than `Fraction`'s own operators.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .maps import (
 
 _SHORT = Lit("InsufficientPermission")
 FULL = Lit(Rat(1))
+_ONE = Fraction(1)
 
 
 class FracConcrete(MapConcrete):
@@ -52,8 +57,9 @@ class FracConcrete(MapConcrete):
         (val1, q1), (val2, q2) = u, v
         if val1 != val2:
             return None
-        q = q1 + q2
-        return (val1, q) if q <= 1 else None
+        d1, d2 = q1.denominator, q2.denominator
+        n, d = q1.numerator * d2 + q2.numerator * d1, d1 * d2
+        return (val1, Fraction(n, d)) if n <= d else None
 
     def exec_action(self, mem, name, args, max_addresses):
         if name == "lookup":
@@ -61,12 +67,12 @@ class FracConcrete(MapConcrete):
             return self._match(mem, addr, "MissingCell", True, lambda v: [(OK, mem, (v[0],))])
         if name == "mutate":
             addr, val = args
-            full = (val, Fraction(1))
+            full = (val, _ONE)
             return self._match(
                 mem, addr, "MissingCell", True, lambda v: self._whole(mem, addr, v, full)
             )
         if name == "new":
-            return self._new(mem, (NIL, Fraction(1)), max_addresses)
+            return self._new(mem, (NIL, _ONE), max_addresses)
         if name == "free":
             (addr,) = args
             return self._match(
@@ -77,7 +83,8 @@ class FracConcrete(MapConcrete):
     def _whole(self, mem, addr, v, new):
         """Writes and frees need the whole permission; the rest of it is
         the missing resource."""
-        if v[1] == 1:
+        q = v[1]
+        if q.numerator == q.denominator:
             return [(OK, {**mem, addr: new}, ())]
         return [(MISS, mem, ("InsufficientPermission", addr))]
 
@@ -142,7 +149,8 @@ class FracSymbolic(MapSymbolic):
     def eval_payload(self, v, theta):
         val = eval_lexpr(v[0], theta, {})
         qv = eval_lexpr(v[1], theta, {})
-        if val is UNDEF or not isinstance(qv, Rat) or not (0 < qv.q <= 1):
+        # a Rat is positive, so this is 0 < q <= 1
+        if val is UNDEF or type(qv) is not Rat or qv.q.numerator > qv.q.denominator:
             return UNDEF
         return (val, qv.q)
 

@@ -22,3 +22,9 @@ def small_bounds():
 
 def programs_dir():
     return os.path.join(os.path.dirname(__file__), "..", "programs")
+
+
+def sat_mem(smm, theta, mem, smem) -> bool:
+    """smem denotes exactly mem under theta."""
+    got = smm.concretize(theta, smem)
+    return got is not None and got == mem

@@ -44,6 +44,7 @@ from polyheap.outcomes import ABORT, MISS, OK
 from polyheap.solver import extensions
 from polyheap.syntax import Lit, LVar, lv_expr
 from polyheap.values import FALSE, NIL, value_key
+from conftest import sat_mem
 from test_mutations import consume_wrong_out, drops_miss_branch, invents_results, produce_ignores_input, rebundle
 
 SMALL = Bounds(value_domain=(NIL, 0, 1), max_cells=2, max_addresses=3, trials=400, seed=0)
@@ -286,7 +287,7 @@ def _old_ox_matched(smm, branches, theta, known, domain, o, mem2, outs_c):
                 continue
             if _eval_vec(outs, th) != tuple(outs_c):
                 continue
-            if smm.sat_mem(th, mem2, smem2):
+            if sat_mem(smm, th, mem2, smem2):
                 return True
     return False
 
@@ -351,7 +352,7 @@ def _old_cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, n
                     whole = cmm.compose(mem_r, mem_f)
                     if whole is None:
                         continue
-                    if not _holds_all(checks, th) or not smm.sat_mem(th, whole, smem):
+                    if not _holds_all(checks, th) or not sat_mem(smm, th, whole, smem):
                         return {
                             "kind": "consume-ux",
                             "outs": [repr(v) for v in outs_th],
@@ -361,7 +362,7 @@ def _old_cp_consume_case(bundle, emode, mode, bounds, heaps, mem, smem, theta, n
         return None
 
     # OX: some consume branch must cover the model
-    if not smm.sat_mem(theta, mem, smem):
+    if not sat_mem(smm, theta, mem, smem):
         return None
     plausible_abort = False
     for o, _, outs, (smem_f, checks, pc) in branches:
@@ -409,7 +410,7 @@ def _old_cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v,
     outs = tuple(Lit(v) for v in outs_v)
     results = smm.produce_res(name, ins, outs, smem_f)
     if mode == "ox":
-        if not smm.sat_mem(theta, mem_f, smem_f):
+        if not sat_mem(smm, theta, mem_f, smem_f):
             return None
         for mem_r in _old_resource_heaps(rm, heaps, name, ins_v, outs_v):
             whole = cmm.compose(mem_r, mem_f)
@@ -417,7 +418,7 @@ def _old_cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v,
                 continue
             hit = False
             for smem2, pc in results:
-                if _holds_all(pc, theta) and smm.sat_mem(theta, whole, smem2):
+                if _holds_all(pc, theta) and sat_mem(smm, theta, whole, smem2):
                     hit = True
                     break
             if not hit:
@@ -432,7 +433,7 @@ def _old_cp_produce_case(bundle, mode, heaps, mem_f, smem_f, theta, name, ins_v,
             continue
         found = False
         for mem_r, mem_f2 in cmm.enumerate_splits(whole):
-            if rm.holds_resource(mem_r, name, ins_v, outs_v) and smm.sat_mem(theta, mem_f2, smem_f):
+            if rm.holds_resource(mem_r, name, ins_v, outs_v) and sat_mem(smm, theta, mem_f2, smem_f):
                 found = True
                 break
         if not found:

@@ -262,6 +262,8 @@ _TRACED = parse_program(
     func freed() { a := new(); free(a); q := lookup(a); return q }
     func call(x) { z := g(x); return z }
     func folds() { a := new(); fold box(a); return a }
+    func fold_empty(x) { fold box(x); return x }
+    func unfolds(x) { unfold box(x); return x }
     """
 )
 
@@ -314,6 +316,12 @@ _TRACES = {
         ("action", "ok", ["#fresh_0 in Val"]),
         ("fold", "ok", []),
     ],
+    "ox-fold_empty": [
+        ("fold-consume-abort", "abort", []),
+    ],
+    "ox-unfolds": [
+        ("unfold-no-instance", "abort", []),
+    ],
     "ux-assign": [
         ("assign", "ok", ["(#x + 1) in Val"]),
         ("assign-err-eval", "err", ["not ((#x + 1) in Val)"]),
@@ -359,14 +367,19 @@ _TRACES = {
     ],
     "ux-folds": [
         ("action", "ok", ["#fresh_0 in Val"]),
+        ("fold-unsupported", "abort", []),
+    ],
+    "ux-unfolds": [
+        ("unfold-unsupported", "abort", []),
     ],
 }
 
 
 @pytest.mark.parametrize("key", sorted(_TRACES))
 def test_engine_trace_is_pinned(key):
-    """Every rule that keeps a path records (rule, outcome, pc_delta) in
-    the trace; these bodies reach each such rule, in OX and in UX."""
+    """Every rule that keeps a path, and every abort, records (rule,
+    outcome, pc_delta) in the trace; these bodies reach each such rule, in
+    OX and in UX."""
     from polyheap.analyses import _entry_state
 
     mode, fid = key.split("-", 1)

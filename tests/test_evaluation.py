@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 from hypothesis import given, strategies as st
 
 from polyheap.evaluation import eval_expr, eval_lexpr
-from polyheap.syntax import Bin, InType, InVal, Lit, LstE, LVar, Not, PVar, eq
-from polyheap.values import FALSE, NIL, Rat, TRUE, UNDEF
+from polyheap.syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, eq
+from polyheap.values import FALSE, NIL, Rat, TRUE, UNDEF, vbool
 
 
 def test_constant_folding():
@@ -49,6 +51,38 @@ def test_rational_arithmetic_stays_positive():
 
 def test_mixed_numeric_types_do_not_compare():
     assert eval_expr(Bin("<", Lit(1), Lit(Rat(2))), {}) is UNDEF
+
+
+def test_rational_comparison_agrees_with_fraction():
+    """`<` and `<=` on rationals cross-multiply; they must give what
+    `Fraction` comparison gives, mostly over pairs with unequal
+    denominators (equal values have equal ones, which tells `<` from
+    `<=`)."""
+    qs = [Fraction(n, d) for d in (1, 2, 3, 4, 6, 7) for n in range(1, 2 * d + 1)]
+    for x in qs:
+        for y in qs:
+            a, b = Lit(Rat(x)), Lit(Rat(y))
+            assert eval_expr(Bin("<", a, b), {}) is vbool(x < y), (x, y)
+            assert eval_expr(Bin("<=", a, b), {}) is vbool(x <= y), (x, y)
+
+
+def test_not_of_a_non_boolean_is_undefined():
+    for v in (0, Rat(1), NIL, "a", ()):
+        assert eval_expr(Not(Lit(v)), {}) is UNDEF
+    assert eval_expr(Not(Lit(TRUE)), {}) is FALSE
+
+
+def test_expression_node_classes_are_final():
+    """`eval_lexpr` dispatches on `type(e) is Lit` and so on, which is the
+    `isinstance` test only while no node class has a subclass."""
+    import polyheap.cli  # noqa: F401  (loads every module that could subclass a node)
+    from polyheap import syntax
+
+    nodes = [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, (Expr, syntax.Cmd))]
+    assert {Lit, PVar, LVar, Bin, Not, InVal, InType, LstE} <= set(nodes)
+    for c in nodes:
+        if c not in (Expr, syntax.Cmd):
+            assert c.__subclasses__() == [], c
 
 
 def test_membership_tests():

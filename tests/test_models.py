@@ -8,6 +8,7 @@ from polyheap.memmodel import FREED, Bounds
 from polyheap.models import MODEL_NAMES, get_model
 from polyheap.outcomes import ERR, MISS, OK
 from polyheap.values import FALSE, NIL, Rat
+from conftest import sat_mem
 
 
 def test_registry_contents():
@@ -99,6 +100,40 @@ def test_frac_total_permission_never_exceeds_one():
             for v in got.values():
                 if v is not FREED:
                     assert 0 < v[1] <= 1
+
+
+_PERMS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+_PAYLOADS = [(v, q) for q in _PERMS for v in (0, 1)]
+
+
+def test_frac_join_agrees_with_fraction_sums():
+    """`join` adds permissions on numerators and denominators; it must
+    give what `Fraction` addition gives, payload bytes included."""
+    cmm = get_model("frac").cmm
+    for v1, q1 in _PAYLOADS:
+        for v2, q2 in _PAYLOADS:
+            want = (v1, q1 + q2) if v1 == v2 and q1 + q2 <= 1 else None
+            got = cmm.join((v1, q1), (v2, q2))
+            assert got == want and repr(got) == repr(want), (v1, q1, v2, q2)
+            if got is not None:
+                assert type(got[1]) is Fraction
+
+
+def test_frac_whole_and_eval_payload_agree_with_fraction_tests():
+    """Writes need q = 1, and a symbolic payload denotes a cell only when
+    0 < q <= 1, over the permissions of the join grid and their sums."""
+    from polyheap.syntax import Lit
+    from polyheap.values import UNDEF
+
+    b = get_model("frac")
+    qs = sorted(set(_PERMS) | {q1 + q2 for q1 in _PERMS for q2 in _PERMS})
+    for v in (0, 1):
+        for q in qs:
+            if q <= 1:
+                [(o, _, _)] = b.cmm._whole({0: (v, q)}, 0, (v, q), FREED)
+                assert (o is OK) == (q == 1), q
+            got = b.smm.eval_payload((Lit(v), Lit(Rat(q))), {})
+            assert got == ((v, q) if 0 < q <= 1 else UNDEF), q
 
 
 # -- block-offset ------------------------------------------------------------
@@ -233,9 +268,9 @@ def test_chunk_unique_match_consume():
 def test_sat_mem_empty_iff_empty_concrete():
     for name in ("linear", "frac", "block-offset", "objects", "chunks"):
         b = get_model(name)
-        assert b.smm.sat_mem({}, b.cmm.empty, b.smm.empty), name
+        assert sat_mem(b.smm, {}, b.cmm.empty, b.smm.empty), name
         nonempty = next(m for m in b.cmm.generator(Bounds(value_domain=(NIL, 0))) if m)
-        assert not b.smm.sat_mem({}, nonempty, b.smm.empty), name
+        assert not sat_mem(b.smm, {}, nonempty, b.smm.empty), name
 
 
 def test_frac_produce_twice_then_mutate():
