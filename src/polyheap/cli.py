@@ -21,6 +21,7 @@ by the model.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,8 +334,15 @@ _COMMANDS = {"run": cmd_run, "verify": cmd_verify, "find-bugs": cmd_findbugs,
              "check-model": cmd_checkmodel}
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    """Run one command and return its exit code. The argument parser is
+    built once per process, on first use: the bench and the tests call
+    `main` many times in one interpreter, and building it costs far more
+    than a parse."""
+    ns = _parser().parse_args(argv)
     try:
         bounds = _bounds_from(ns)
     except ValueError as exc:

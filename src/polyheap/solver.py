@@ -26,18 +26,23 @@ the longest prefix of `pc` closed before, reads only the rest, and stores
 its own; the later passes and the sweeps then run over the whole as
 before. The result is the one a closure from scratch gives, in the spirit
 of incremental congruence closure (Nieuwenhuis and Oliveras, 2007).
-`clear_caches` empties the stored states with the `check_sat` and
-`entails` verdict caches.
+Cores are shared: `check_sat` and `entails` get the closed core of a
+conjunct tuple from one lookup (`_core`), which builds it on a miss and
+stores it next to the tuple's pass-1 state. A closed core is only read,
+so `entails(pc, e)` right after `check_sat(pc)` builds no second core
+for `pc`.
+`clear_caches` empties the stored states and cores with the `check_sat`
+and `entails` verdict caches.
 
 Terms along a path share their subterms: after `x := x + 1` steps the
 path condition holds `x + 1 + ... + 1` at every depth. So each node works
 a fact out once and keeps it in a slot of `syntax.Expr`: its hash, its
-fold (`_fold`), its literal values (`_literals_in`) and, for a conjunct,
-its logical variables (`conjunct_lvars`). That is exact: nodes are frozen,
-so a cached fact never goes stale, and the hash keeps the dataclass
-formula, so set and dict orders, and the reports, do not move. Folding
-returns a node none of whose children changed as it is, so `rewrite`
-folds only the nodes it builds. `evaluation.all_true` evaluates the
+fold (`_fold`), its literal values (`_literals_in`), its variables
+(`lv_expr`, `pv_expr`) and its text (`format_expr`). That is exact:
+nodes are frozen, so a cached fact never goes stale, and the hash keeps
+the dataclass formula, so set and dict orders, and the reports, do not
+move. Folding returns a node none of whose children changed as it is, so
+`rewrite` folds only the nodes it builds. `evaluation.all_true` evaluates the
 conjuncts under one interpretation with one memo keyed by node identity, so
 a shared subterm such as `x + 1 + ... + 1` is evaluated once per
 interpretation, not once per conjunct; the memo lives only for the call,
@@ -70,7 +75,7 @@ from fractions import Fraction
 from random import Random
 
 from .evaluation import all_true, eval_lexpr
-from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr, pv_expr
+from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr, pv_expr, set_union
 from .values import FALSE, TRUE, UNDEF, is_nat, is_rat, type_name, value_key
 
 
@@ -102,7 +107,6 @@ def _with_items(e: LstE, items: tuple) -> LstE:
 
 _set_f = Expr._f.__set__
 _set_l = Expr._l.__set__
-_set_v = Expr._v.__set__
 
 
 def _fold(e: Expr):
@@ -161,20 +165,8 @@ def pc_extend(pc: tuple, conjuncts) -> tuple:
     return tuple(out)
 
 
-def conjunct_lvars(c: Expr) -> frozenset:
-    """`lv_expr(c)`, cached on `c`. Meant for path-condition conjuncts,
-    which are read again at every step of a path; small fresh terms are
-    cheaper to walk than to cache."""
-    try:
-        return c._v
-    except AttributeError:
-        vs = lv_expr(c)
-        _set_v(c, vs)
-        return vs
-
-
 def pc_lvars(pc) -> frozenset:
-    return frozenset().union(*map(conjunct_lvars, pc))
+    return frozenset().union(*map(lv_expr, pc))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +271,7 @@ class RewriteCore:
                     # as a pass that fails: the input conjuncts stay
                     self.conjuncts = [fold_expr(c) for c in conjuncts]
                     break
-        _put(_closed, conjuncts, self._pass1_state())
+        _put(_closed, conjuncts, (self._pass1_state(), None))
         self._close()
 
     def _pass1_state(self):
@@ -603,12 +595,6 @@ _ENUM_CAP = 250_000
 _NO_LITS = frozenset()
 
 
-def _union(a: frozenset, b: frozenset) -> frozenset:
-    if b <= a:
-        return a
-    return b if a <= b else a | b
-
-
 def _lits(e: Expr) -> frozenset:
     """The literal values occurring in `e`, cached on each compound node."""
     if isinstance(e, Lit):
@@ -620,13 +606,13 @@ def _lits(e: Expr) -> frozenset:
     except AttributeError:
         pass
     if isinstance(e, Bin):
-        out = _union(_lits(e.left), _lits(e.right))
+        out = set_union(_lits(e.left), _lits(e.right))
     elif isinstance(e, (Not, InVal, InType)):
         out = _lits(e.arg)
     elif isinstance(e, LstE):
         out = _NO_LITS
         for i in e.items:
-            out = _union(out, _lits(i))
+            out = set_union(out, _lits(i))
     else:
         raise TypeError(f"not an expression: {e!r}")
     _set_l(e, out)
@@ -687,7 +673,7 @@ def _backtrack(pc, theta, order, options):
     step.update((x, i + 1) for i, x in enumerate(order))
     checks = [[] for _ in range(len(order) + 1)]  # checks[i]: after deciding order[i - 1]
     for c in pc:
-        vs = conjunct_lvars(c)
+        vs = lv_expr(c)
         last = len(order) if vs - step.keys() else max((step[x] for x in vs), default=0)
         checks[last].append(c)
     th = dict(theta)
@@ -723,7 +709,7 @@ def models(pc, lvars, domain, bounds):
 
 _sat_cache: dict = {}
 _entails_cache: dict = {}
-_closed: dict = {}  # conjunct tuple -> RewriteCore pass-1 state after it
+_closed: dict = {}  # conjunct tuple -> (RewriteCore pass-1 state after it, closed core or None)
 _dump_state = {"dir": None, "n": 0}
 
 
@@ -769,10 +755,23 @@ def _resume_point(conjuncts: tuple):
     """(k, state) for the longest prefix `conjuncts[:k]` whose pass-1 state
     is stored, or (0, None)."""
     for k in range(len(conjuncts), 0, -1):
-        state = _closed.get(conjuncts[:k])
-        if state is not None:
-            return k, state
+        entry = _closed.get(conjuncts[:k])
+        if entry is not None:
+            return k, entry[0]
     return 0, None
+
+
+def _core(pc: tuple) -> RewriteCore:
+    """The closed core of `pc`, built on the first call and stored next to
+    its pass-1 state. A closed core is only read after it is built (`_find`
+    compresses paths without changing an answer), so `check_sat` and
+    `entails` share it."""
+    entry = _closed.get(pc)
+    if entry is not None and entry[1] is not None:
+        return entry[1]
+    core = RewriteCore(pc)
+    _closed[pc] = (_closed[pc][0], core)
+    return core
 
 
 def check_sat(pc, bounds):
@@ -789,7 +788,7 @@ def check_sat(pc, bounds):
 
 
 def _check_sat(pc, bounds):
-    core = RewriteCore(pc)
+    core = _core(pc)
     if core.contradiction:
         return UNSAT
     lvars = pc_lvars(pc)
@@ -819,8 +818,7 @@ def entails(pc, e: Expr, bounds) -> Entail:
 def _entails(pc, e: Expr, bounds) -> Entail:
     if e == Lit(TRUE):
         return Entail.YES
-    core = RewriteCore(pc)
-    if core.entails(e):
+    if _core(pc).entails(e):
         return Entail.YES
     # countermodel search
     lvars = pc_lvars(pc) | lv_expr(e)

@@ -27,10 +27,13 @@ class Expr:
       _h  the hash, by the formula of the dataclass hash
       _f  `(folded, ground)` from `solver._fold`
       _l  the frozenset of literal values in the node (`solver._literals_in`)
-      _v  `lv_expr` of a path-condition conjunct (`solver.conjunct_lvars`)
+      _v  `lv_expr` of a compound node
+      _p  `pv_expr` of a compound node
+      _s  `(text, precedence)` of a compound node from `format_expr`,
+          unparenthesised
     """
 
-    __slots__ = ("_h", "_v", "_f", "_l")
+    __slots__ = ("_h", "_v", "_p", "_f", "_l", "_s")
 
 
 _set_h = Expr._h.__set__
@@ -169,37 +172,53 @@ def not_in(e: Expr, candidates) -> list:
 
 
 _NO_VARS = frozenset()
+_set_v = Expr._v.__set__
+_set_p = Expr._p.__set__
 
 
-def expr_vars(e: Expr, want: type) -> frozenset:
-    if isinstance(e, Lit):  # leaves make up most calls
-        return _NO_VARS
-    if isinstance(e, want):
-        return frozenset((e.name,))
-    out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, want):
-            out.add(n.name)
-        elif isinstance(n, Not):
-            stack.append(n.arg)
-        elif isinstance(n, Bin):
-            stack.append(n.left)
-            stack.append(n.right)
-        elif isinstance(n, (InVal, InType)):
-            stack.append(n.arg)
-        elif isinstance(n, LstE):
-            stack.extend(n.items)
-    return frozenset(out)
+def set_union(a: frozenset, b: frozenset) -> frozenset:
+    """`a | b`, as `a` or `b` itself when one holds the other."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
 
 
 def pv_expr(e: Expr) -> frozenset:
-    return expr_vars(e, PVar)
+    """The program variables of `e`, cached on each compound node asked."""
+    t = type(e)
+    if t is Lit or t is LVar:  # leaves make up most calls
+        return _NO_VARS
+    if t is PVar:
+        return frozenset((e.name,))
+    vs = getattr(e, "_p", None)
+    if vs is None:
+        if t is Bin:
+            vs = set_union(pv_expr(e.left), pv_expr(e.right))
+        elif t is LstE:
+            vs = frozenset().union(*map(pv_expr, e.items))
+        else:  # Not, InVal, InType
+            vs = pv_expr(e.arg)
+        _set_p(e, vs)
+    return vs
 
 
 def lv_expr(e: Expr) -> frozenset:
-    return expr_vars(e, LVar)
+    """The logical variables of `e`, cached on each compound node asked."""
+    t = type(e)
+    if t is Lit or t is PVar:
+        return _NO_VARS
+    if t is LVar:
+        return frozenset((e.name,))
+    vs = getattr(e, "_v", None)
+    if vs is None:
+        if t is Bin:
+            vs = set_union(lv_expr(e.left), lv_expr(e.right))
+        elif t is LstE:
+            vs = frozenset().union(*map(lv_expr, e.items))
+        else:
+            vs = lv_expr(e.arg)
+        _set_v(e, vs)
+    return vs
 
 
 def _subst(e: Expr, mapping: dict, var_type: type) -> Expr:
@@ -382,28 +401,43 @@ RESERVED_VARS = ("err", "ret")
 _PREC = {"or": 1, "and": 2, "=": 3, "<": 4, "<=": 4, "+": 5, "-": 5, "/": 6}
 
 
+_NEVER = 8  # the precedence of a node that is never parenthesised
+_set_s = Expr._s.__set__
+
+
 def format_expr(e: Expr, prec: int = 0) -> str:
-    if isinstance(e, Lit):
+    """`e` as text, in parentheses when it binds less tightly than `prec`.
+    A compound node keeps its text in `_s`, so a shared subterm is
+    formatted once."""
+    t = type(e)
+    if t is Lit:
         return format_value(e.value)
-    if isinstance(e, PVar):
+    if t is PVar:
         return e.name
-    if isinstance(e, LVar):
+    if t is LVar:
         return "#" + e.name
-    if isinstance(e, Not):
-        inner = format_expr(e.arg, 7)
-        return f"not {inner}"
-    if isinstance(e, Bin):
+    text = getattr(e, "_s", None)
+    if text is None:
+        text = _format(e)
+        _set_s(e, text)
+    s, p = text
+    return f"({s})" if p < prec else s
+
+
+def _format(e: Expr) -> tuple:
+    """`(text, precedence)` of a compound node, unparenthesised."""
+    t = type(e)
+    if t is Bin:
         p = _PREC[e.op]
-        s = f"{format_expr(e.left, p)} {e.op} {format_expr(e.right, p + 1)}"
-        return f"({s})" if p < prec else s
-    if isinstance(e, InVal):
-        s = f"{format_expr(e.arg, 7)} in Val"
-        return f"({s})" if prec > 3 else s
-    if isinstance(e, InType):
-        s = f"{format_expr(e.arg, 7)} in {_TYPE_KEYWORD[e.tau]}"
-        return f"({s})" if prec > 3 else s
-    if isinstance(e, LstE):
-        return "[" + ", ".join(format_expr(i) for i in e.items) + "]"
+        return f"{format_expr(e.left, p)} {e.op} {format_expr(e.right, p + 1)}", p
+    if t is Not:
+        return f"not {format_expr(e.arg, 7)}", _NEVER
+    if t is InVal:
+        return f"{format_expr(e.arg, 7)} in Val", 3
+    if t is InType:
+        return f"{format_expr(e.arg, 7)} in {_TYPE_KEYWORD[e.tau]}", 3
+    if t is LstE:
+        return "[" + ", ".join(format_expr(i) for i in e.items) + "]", _NEVER
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -116,7 +116,7 @@ def is_nat(v) -> bool:
 
 
 def is_rat(v) -> bool:
-    return isinstance(v, Rat)
+    return type(v) is Rat
 
 
 def is_string(v) -> bool:
@@ -138,20 +138,15 @@ def is_value(v) -> bool:
 _TYPE_RANK = {"nil": 0, "bool": 1, "nat": 2, "rat": 3, "str": 4, "list": 5}
 
 
+# `_Nil`, `VBool` and `Rat` have no subclasses, so a value's exact type names it
+_TYPE_NAME = {_Nil: "nil", VBool: "bool", int: "nat", Rat: "rat", str: "str", tuple: "list"}
+
+
 def type_name(v) -> str:
-    if v is NIL:
-        return "nil"
-    if isinstance(v, VBool):
-        return "bool"
-    if type(v) is int:
-        return "nat"
-    if isinstance(v, Rat):
-        return "rat"
-    if type(v) is str:
-        return "str"
-    if type(v) is tuple:
-        return "list"
-    raise TypeError(f"not a value: {v!r}")
+    t = _TYPE_NAME.get(type(v))
+    if t is None:
+        raise TypeError(f"not a value: {v!r}")
+    return t
 
 
 def value_key(v):

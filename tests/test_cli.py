@@ -349,3 +349,28 @@ def test_verify_inconclusive_exit_four(tmp_path):
     )
     p = run_cli("verify", str(f))
     assert p.returncode == 4, (p.stdout, p.stderr)
+
+
+_ONE_PROCESS = [
+    ("run", prog("verify_suite.ph"), "identity", "7"),
+    ("verify", prog("verify_suite.ph"), "--format", "json"),
+    ("verify", prog("swap.ph"), "--budget", "1"),
+    ("find-bugs", prog("bugs.ph"), "--entry", "use_after_free", "--format", "json"),
+]
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    """`main` builds its parser once per process: a run with positional
+    arguments, a verify, a usage error (exit 2) and a find-bugs in one
+    interpreter each print what they print alone and exit as they do."""
+    from polyheap import cli
+
+    for argv in _ONE_PROCESS:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        alone = run_cli(*argv)
+        assert (code, out) == (alone.returncode, alone.stdout), argv
+    assert cli._parser.cache_info().misses == 1

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyheap import solver
+from polyheap import solver, syntax
 from polyheap.cli import main
-from polyheap.solver import RewriteCore, clear_caches, fold_expr
+from polyheap.memmodel import Bounds
+from polyheap.solver import RewriteCore, check_sat, clear_caches, entails, fold_expr
 from polyheap.syntax import Bin, InType, InVal, Lit, LVar, Not, eq, lv_expr
 from polyheap.evaluation import eval_lexpr
 from polyheap.values import FALSE, NIL, TRUE
+from test_expr_caches import _shared_pcs, _straight_line
 from test_golden import CASES
 
 
@@ -202,8 +204,60 @@ def test_clear_caches_drops_stored_states():
     clear_caches()
     RewriteCore((InVal(x),))
     assert solver._resume_point((InVal(x), InVal(y)))[0] == 1
+    core = solver._core((InVal(y),))
+    assert solver._core((InVal(y),)) is core
     clear_caches()
     assert solver._resume_point((InVal(x), InVal(y))) == (0, None)
+    assert solver._closed == {}
+    assert solver._core((InVal(y),)) is not core
+
+
+# -- one closed core per conjunct tuple -------------------------------------------
+
+
+def test_check_sat_then_entails_builds_one_core(monkeypatch):
+    pc = (eq(x, Lit(1)), Bin("<", y, Lit(3)), Not(eq(z, y)))
+    built = []
+
+    class Counted(RewriteCore):
+        def __init__(self, conjuncts):
+            built.append(tuple(conjuncts))
+            super().__init__(conjuncts)
+
+    monkeypatch.setattr(solver, "RewriteCore", Counted)
+    clear_caches()
+    b = Bounds()
+    assert check_sat(pc, b) is not solver.UNSAT
+    assert entails(pc, eq(x, Lit(1)), b) is solver.Entail.YES
+    assert entails(pc, Bin("<", y, Lit(4)), b) is solver.Entail.YES
+    assert entails(pc, eq(z, Lit(0)), b) is solver.Entail.NO
+    # `RewriteCore.entails` builds its two refutation cores for each query
+    # the core does not settle by rewriting; the core of `pc` is built once
+    assert built.count(pc) == 1
+    assert check_sat(pc, Bounds(value_domain=(0, 1))) is not solver.UNSAT
+    assert built.count(pc) == 1
+
+
+@given(_shared_pcs(), st.lists(_CONJUNCTS, min_size=1, max_size=3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_stored_core_gives_the_verdicts_of_a_fresh_one(pc, queries, prefixes_first):
+    b = Bounds(value_domain=(0, 1))
+
+    def verdicts():
+        return [solver._check_sat(pc, b)] + [solver._entails(pc, fold_expr(e), b) for e in queries]
+
+    clear_caches()
+    if prefixes_first:
+        for k in range(1, len(pc)):
+            solver._check_sat(pc[:k], b)
+    first = verdicts()
+    core = solver._closed[pc][1]
+    assert core is not None
+    stored = verdicts()  # the verdict caches are bypassed: the core is read again
+    assert solver._closed[pc][1] is core
+    assert _observed(core, pc) == _observed(_ReferenceCore(pc), pc)
+    clear_caches()
+    assert verdicts() == stored == first
 
 
 # -- pass 1 reads each conjunct of a path about once ------------------------------
@@ -237,3 +291,28 @@ def test_straight_line_find_bugs_reads_each_conjunct_once(tmp_path, monkeypatch,
     capsys.readouterr()
     # a closure from scratch at every keep_path reads about n^2 conjuncts
     assert 0 < len(pass1) <= 4 * n
+
+
+def test_straight_line_find_bugs_formats_each_node_once(tmp_path, monkeypatch, capsys):
+    """Counted, not timed: `format_expr` keeps each compound node's text,
+    so doubling the length of a straight-line path at most doubles the
+    nodes it formats (it formatted shared subterms again under every sort
+    key)."""
+    format_node = syntax._format
+    formatted = [0]
+
+    def counting(e):
+        formatted[0] += 1
+        return format_node(e)
+
+    monkeypatch.setattr(syntax, "_format", counting)
+    counts = {}
+    for n in (80, 160):
+        path = tmp_path / f"straight_{n}.ph"
+        path.write_text(_straight_line(n))
+        clear_caches()
+        formatted[0] = 0
+        assert main(["find-bugs", str(path), "--format", "json"]) == 3
+        capsys.readouterr()
+        counts[n] = formatted[0]
+    assert 0 < counts[160] <= 2 * counts[80], counts

@@ -1,10 +1,11 @@
 """The per-node caches of `syntax.Expr` and the per-call evaluation memo.
 
-A node caches its hash (`_h`), its fold (`_f`), its literals (`_l`) and,
-for a path-condition conjunct, its logical variables (`_v`). Each cached
-fact must equal what the uncached computation gives, also on terms that
-share subterms (a DAG, as along a path: `x + 1 + ... + 1`), and a node
-made by `dataclasses.replace` must start with empty caches.
+A node caches its hash (`_h`), its fold (`_f`), its literals (`_l`), its
+logical and program variables (`_v`, `_p`) and its text (`_s`). Each
+cached fact must equal what the uncached computation gives, also on terms
+that share subterms (a DAG, as along a path: `x + 1 + ... + 1`), whichever
+node was asked first, and a node made by `dataclasses.replace` must start
+with empty caches.
 """
 
 import contextlib
@@ -18,19 +19,22 @@ from polyheap import solver
 from polyheap.cli import main
 from polyheap.evaluation import all_true, eval_lexpr
 from polyheap.solver import _literals_in, fold_expr, pc_lvars
-from polyheap.syntax import BIN_OPS, TYPE_NAMES, Bin, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr
-from polyheap.values import FALSE, NIL, TRUE, Rat, value_key
+from polyheap.syntax import (
+    _TYPE_KEYWORD, BIN_OPS, TYPE_NAMES, Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar,
+    format_expr, lv_expr, pv_expr,
+)
+from polyheap.values import FALSE, NIL, TRUE, Rat, format_value, value_key
 
-_SLOTS = ("_h", "_f", "_l", "_v")
+_SLOTS = ("_h", "_f", "_l", "_v", "_p", "_s")
 _VALUES = [0, 1, 2, TRUE, FALSE, NIL, "a", Rat(1, 2), (0, NIL)]
 _ATOMS = [LVar("x"), LVar("y"), LVar("z")] + [Lit(v) for v in _VALUES]
 
 
 @st.composite
-def _dags(draw, max_nodes=12):
+def _dags(draw, max_nodes=12, atoms=_ATOMS):
     """A pool of nodes in which each new node is built over earlier ones,
     so that nodes share children."""
-    pool = list(draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=4)))
+    pool = list(draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=4)))
 
     def pick():
         return pool[draw(st.integers(0, len(pool) - 1))]
@@ -102,6 +106,8 @@ def test_replace_gives_empty_correct_caches():
     assert fold_expr(node) == Bin("=", deep, Lit(3))
     _literals_in(node, set())
     pc_lvars((node,))
+    pv_expr(node)
+    format_expr(node)
     assert set(_cached(node)) == set(_SLOTS)
 
     same = dataclasses.replace(node)
@@ -116,6 +122,9 @@ def test_replace_gives_empty_correct_caches():
     _literals_in(other, lits)
     assert lits == {1, 2}
     assert pc_lvars((other,)) == {"x"}
+    assert pv_expr(other) == frozenset()
+    assert format_expr(other) == "#x + 1 + 1 + 1 + 1 + 1 < 1 + 2"
+    assert format_expr(other, 5) == "(#x + 1 + 1 + 1 + 1 + 1 < 1 + 2)"
 
 
 @given(_shared_pcs(), _THETAS)
@@ -154,6 +163,73 @@ def test_literals_in_matches_a_fresh_walk(data):
         got = set()
         _literals_in(n, got)
         assert got == walk(n, set())
+
+
+def _children(e):
+    return [c for c in (getattr(e, "arg", None), getattr(e, "left", None),
+                        getattr(e, "right", None)) if c is not None] + list(getattr(e, "items", ()))
+
+
+def _walk_vars(e, want):
+    """The names of the `want` variables in `e`, by a plain recursive walk."""
+    if isinstance(e, want):
+        return {e.name}
+    return set().union(*(_walk_vars(c, want) for c in _children(e)))
+
+
+_PREC = {"or": 1, "and": 2, "=": 3, "<": 4, "<=": 4, "+": 5, "-": 5, "/": 6}
+
+
+def _walk_format(e, prec=0):
+    """`format_expr` as it was before it kept the text on the nodes."""
+    if isinstance(e, Lit):
+        return format_value(e.value)
+    if isinstance(e, PVar):
+        return e.name
+    if isinstance(e, LVar):
+        return "#" + e.name
+    if isinstance(e, Not):
+        return f"not {_walk_format(e.arg, 7)}"
+    if isinstance(e, Bin):
+        p = _PREC[e.op]
+        s = f"{_walk_format(e.left, p)} {e.op} {_walk_format(e.right, p + 1)}"
+        return f"({s})" if p < prec else s
+    if isinstance(e, InVal):
+        s = f"{_walk_format(e.arg, 7)} in Val"
+        return f"({s})" if prec > 3 else s
+    if isinstance(e, InType):
+        s = f"{_walk_format(e.arg, 7)} in {_TYPE_KEYWORD[e.tau]}"
+        return f"({s})" if prec > 3 else s
+    return "[" + ", ".join(_walk_format(i) for i in e.items) + "]"
+
+
+_WITH_PVARS = _ATOMS + [PVar("p"), PVar("q")]
+
+
+@given(st.data(), st.sampled_from(["children first", "parents first", "shuffled"]))
+@settings(max_examples=300, deadline=None)
+def test_cached_variables_and_text_match_plain_walks(data, order):
+    pool = data.draw(_dags(atoms=_WITH_PVARS))
+    if order == "parents first":
+        pool.reverse()
+    elif order == "shuffled":
+        pool = data.draw(st.permutations(pool))
+    for n in pool:
+        # each node is asked twice, so the second answer comes from its cache
+        for _ in range(2):
+            assert lv_expr(n) == _walk_vars(n, LVar)
+            assert pv_expr(n) == _walk_vars(n, PVar)
+            for prec in data.draw(st.permutations(range(8))):
+                assert format_expr(n, prec) == _walk_format(n, prec)
+
+
+def test_variable_walk_stops_at_cached_nodes():
+    inner = Bin("+", LVar("x"), Lit(1))
+    outer = Not(Bin("=", inner, PVar("p")))
+    Expr._v.__set__(inner, frozenset({"marked"}))
+    Expr._p.__set__(inner, frozenset({"marked"}))
+    assert lv_expr(outer) == {"marked"}
+    assert pv_expr(outer) == {"marked", "p"}
 
 
 def _straight_line(n: int) -> str:

@@ -9,8 +9,11 @@ from polyheap.values import (
     Rat,
     TRUE,
     UNDEF,
+    VBool,
+    _Nil,
     is_bool,
     is_nat,
+    is_rat,
     is_value,
     type_name,
     value_key,
@@ -75,3 +78,50 @@ def test_value_key_is_consistent_with_equality(a, b):
 
 def test_undef_is_not_a_value():
     assert not is_value(UNDEF)
+
+
+def _isinstance_type_name(v):
+    """`type_name` as an `isinstance` chain, as it was before it looked the
+    exact type up."""
+    if v is NIL:
+        return "nil"
+    if isinstance(v, VBool):
+        return "bool"
+    if type(v) is int:
+        return "nat"
+    if isinstance(v, Rat):
+        return "rat"
+    if type(v) is str:
+        return "str"
+    if type(v) is tuple:
+        return "list"
+    raise TypeError(f"not a value: {v!r}")
+
+
+def test_wrapped_value_types_have_no_subclasses():
+    # the exact-type lookup of `type_name` and `is_rat` relies on it
+    for cls in (_Nil, VBool, Rat):
+        assert cls.__subclasses__() == []
+
+
+# Python's `True`/`False` are not values (`TRUE`/`FALSE` are): both sides raise
+_GRID = [NIL, TRUE, FALSE, 0, 1, 7, Rat(1), Rat(1, 3), "", "s", (), (1, NIL), ((TRUE,),),
+         True, False, UNDEF, None, -1.5, Fraction(1, 2), [1], b"s"]
+
+
+@pytest.mark.parametrize("v", _GRID, ids=repr)
+def test_type_name_lookup_agrees_with_isinstance_chain(v):
+    try:
+        want = _isinstance_type_name(v)
+    except TypeError:
+        with pytest.raises(TypeError):
+            type_name(v)
+        assert not is_rat(v)
+        return
+    assert type_name(v) == want
+    assert is_rat(v) == (want == "rat")
+
+
+@given(values)
+def test_type_name_of_any_value_agrees_with_isinstance_chain(v):
+    assert type_name(v) == _isinstance_type_name(v)
