@@ -206,7 +206,10 @@ def _verify_branch(ctx, f, q, subst, br: Branch, failing, unknown):
     def classify(state, reason, outcome):
         # a failing path needs a bounded state-level model to count: the
         # path condition alone over-approximates satisfiability (memory
-        # and store constrain the same variables)
+        # and store constrain the same variables). `solver.refuted` would
+        # answer this; `check_sat` stays because the traced benchmark
+        # needs check_sat calls on both verify workloads
+        # (`perfbench/layertrace.py`, EXPECTED_NONZERO)
         if check_sat(state.pc, ctx.bounds) is UNSAT:
             return
         if models_of(state, ctx.bundle, ctx.preds, ctx.bounds):

@@ -50,8 +50,8 @@ from .oracle import Oracle
 from .outcomes import ABORT, ERR, MISS, OK, Outcome
 from .satisfaction import heap_models
 from .solver import (
-    Entail, Sat, UNSAT, _literals_in, check_sat, entails, enumeration_domain, models, pc_extend,
-    pc_lvars,
+    Entail, Sat, _literals_in, check_sat, entails, enumeration_domain, models, pc_extend, pc_lvars,
+    refuted,
 )
 from .syntax import (
     Action,
@@ -115,6 +115,9 @@ class PredInstance:
         )
 
 
+_KEEP = object()  # a field `SymbolicState.with_` leaves as it is
+
+
 @dataclass(frozen=True)
 class SymbolicState:
     store: dict
@@ -122,8 +125,14 @@ class SymbolicState:
     preds: tuple  # multiset of PredInstance
     pc: tuple  # conjunction of pv-free expressions
 
-    def with_(self, **kw) -> "SymbolicState":
-        return replace(self, **kw)
+    def with_(self, store=_KEEP, mem=_KEEP, preds=_KEEP, pc=_KEEP) -> "SymbolicState":
+        """`dataclasses.replace(self, ...)`, built directly."""
+        return SymbolicState(
+            self.store if store is _KEEP else store,
+            self.mem if mem is _KEEP else mem,
+            self.preds if preds is _KEEP else preds,
+            self.pc if pc is _KEEP else pc,
+        )
 
     def extend_pc(self, conjuncts) -> "SymbolicState":
         return self.with_(pc=pc_extend(self.pc, conjuncts))
@@ -194,10 +203,11 @@ class EngineContext:
     # path policy -------------------------------------------------------------
 
     def keep_path(self, state: SymbolicState) -> bool:
-        verdict = check_sat(state.pc, self.bounds)
+        """UX keeps a path the solver shows satisfiable; OX and EX keep
+        every path its core does not refute."""
         if self.mode is Mode.UX:
-            return isinstance(verdict, Sat)
-        return verdict is not UNSAT
+            return isinstance(check_sat(state.pc, self.bounds), Sat)
+        return not refuted(state.pc, self.bounds)
 
     def branch(self, rule, outcome, oracle, state, delta) -> list:
         """[the branch] when the mode keeps its path, noting `rule` with
@@ -606,7 +616,7 @@ def _consume_resource(ctx, oracle, assertion: Res, subst, state, pending):
     for o, oracle2, outs, (mem2, checks, pc_frag) in branches:
         if o is not OK:
             st = state.extend_pc(pc_frag)
-            if check_sat(st.pc, ctx.bounds) is not UNSAT:
+            if not refuted(st.pc, ctx.bounds):
                 out.append((ABORT, oracle2, dict(subst), st, tuple(outs)))
             continue
         # the check conjuncts must already be implied by the consuming state
@@ -699,7 +709,7 @@ def _produce(ctx, assertion, subst, state):
     if isinstance(assertion, Bool):
         e = subst_expr(assertion.expr, subst)
         st = state.extend_pc([e])
-        return [st] if check_sat(st.pc, ctx.bounds) is not UNSAT else []
+        return [st] if not refuted(st.pc, ctx.bounds) else []
     if isinstance(assertion, Star):
         out = []
         for st in _produce(ctx, assertion.left, subst, state):
@@ -726,7 +736,7 @@ def _produce(ctx, assertion, subst, state):
         out = []
         for mem2, pc_frag in results:
             st = state.with_(mem=mem2).extend_pc(list(pc_frag) + guards)
-            if check_sat(st.pc, ctx.bounds) is not UNSAT:
+            if not refuted(st.pc, ctx.bounds):
                 out.append(st)
         return out
     if isinstance(assertion, Pred):

@@ -9,6 +9,19 @@ bounded model enumeration:
     when the condition is ground (no logical variables) and false.
   * everything else is Unknown.
 
+The solver answers two questions. `refuted(pc, bounds)` asks the core
+alone and is True exactly when `check_sat(pc, bounds)` is Unsat. SL
+verification (OX, EX) keeps every path the core does not refute, so the
+engine asks `refuted` there, and wherever it reads only "not Unsat" (the
+consume and produce prunes). `check_sat` asks the core and then searches
+for a bounded witness: ISL bug-finding (UX) keeps only the paths it shows
+satisfiable, and the engine harness and `verify`'s failing-path
+classifier ask it too. Both read and fill one `_sat_cache` entry per
+`(pc, bounds.key())`. When the core does not refute `pc`, `refuted`
+stores a marker (`_OPEN`), so a later `check_sat` runs only the search.
+The SMT-LIB dump writes `pc` on the first question about that entry,
+whichever question it is.
+
 The core looks inside branch guards: a conjunct `g = true` also asserts
 `g`, and `g = false` asserts `Not(g)`, which is exact under `eval_lexpr`.
 So the guards of two `if`s taken on one path (`x = 7`, `x = 9`) clash in
@@ -30,7 +43,10 @@ Cores are shared: `check_sat` and `entails` get the closed core of a
 conjunct tuple from one lookup (`_core`), which builds it on a miss and
 stores it next to the tuple's pass-1 state. A closed core is only read,
 so `entails(pc, e)` right after `check_sat(pc)` builds no second core
-for `pc`.
+for `pc`. The core's hot paths lean on identity and exact types: `_find`
+tells a root by `is`, since no `parent` entry maps a node to an equal
+node (`_union` returns on equal roots), and `_fold` and `rewrite`
+dispatch on `type(e)`, since the node classes have no subclasses.
 `clear_caches` empties the stored states and cores with the `check_sat`
 and `entails` verdict caches.
 
@@ -75,8 +91,10 @@ from fractions import Fraction
 from random import Random
 
 from .evaluation import all_true, eval_lexpr
-from .syntax import Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr, pv_expr, set_union
+from .syntax import TRUE_E, Bin, Expr, InType, InVal, Lit, LstE, LVar, Not, PVar, lv_expr, pv_expr, set_union
 from .values import FALSE, TRUE, UNDEF, is_nat, is_rat, type_name, value_key
+
+FALSE_E = Lit(FALSE)
 
 
 class PathCondError(ValueError):
@@ -98,7 +116,8 @@ def _with_arg(e, arg: Expr):
     """`e` (a Not, InVal or InType) over `arg`: `e` itself when it is its own."""
     if arg is e.arg:
         return e
-    return InType(arg, e.tau) if isinstance(e, InType) else type(e)(arg)
+    t = type(e)
+    return InType(arg, e.tau) if t is InType else t(arg)
 
 
 def _with_items(e: LstE, items: tuple) -> LstE:
@@ -119,21 +138,22 @@ def _fold(e: Expr):
     result (folding is idempotent). A node none of whose children changed
     is its own result, so a folded term refolds in one cache hit and a
     term built from folded parts folds only its new nodes."""
-    if isinstance(e, Lit):
+    t = type(e)
+    if t is Lit:
         return e, True
-    if isinstance(e, (LVar, PVar)):
+    if t is LVar or t is PVar:
         return e, False
     try:
         return e._f
     except AttributeError:
         pass
-    if isinstance(e, Bin):
+    if t is Bin:
         (l, gl), (r, gr) = _fold(e.left), _fold(e.right)
         e2, ground = _with_sides(e, l, r), gl and gr
-    elif isinstance(e, (Not, InVal, InType)):
+    elif t is Not or t is InVal or t is InType:
         a, ground = _fold(e.arg)
         e2 = _with_arg(e, a)
-    elif isinstance(e, LstE):
+    elif t is LstE:
         items = [_fold(i) for i in e.items]
         e2, ground = _with_items(e, tuple(i for i, _ in items)), all(g for _, g in items)
     else:
@@ -150,19 +170,21 @@ def _fold(e: Expr):
 
 
 def pc_extend(pc: tuple, conjuncts) -> tuple:
-    """Append folded conjuncts, dropping trivial truths and duplicates."""
-    out = list(pc)
-    seen = set(out)
+    """Append folded conjuncts, dropping trivial truths and duplicates;
+    `pc` itself when nothing is added."""
+    out = None
     for c in conjuncts:
         if pv_expr(c):
             raise PathCondError(f"path condition mentions program variables: {c}")
         f = fold_expr(c)
-        if f == Lit(TRUE):
+        if f == TRUE_E:
             continue
+        if out is None:
+            out, seen = list(pc), set(pc)
         if f not in seen:
             out.append(f)
             seen.add(f)
-    return tuple(out)
+    return tuple(pc) if out is None or len(out) == len(pc) else tuple(out)
 
 
 def pc_lvars(pc) -> frozenset:
@@ -305,8 +327,10 @@ class RewriteCore:
     # union-find -------------------------------------------------------------
 
     def _find(self, e):
+        # no key maps to a node equal to it (`_union` returns on equal
+        # roots), so a miss returns `e` itself and `is` tells a root
         p = self.parent.get(e, e)
-        if p == e:
+        if p is e:
             return e
         root = self._find(p)
         self.parent[e] = root
@@ -361,28 +385,26 @@ class RewriteCore:
     def rewrite(self, e: Expr) -> Expr:
         """Substitute known-equal literals into e and refold."""
         r = self._find(e)
-        if isinstance(r, Lit):
+        if type(r) is Lit:
             return r
-        if isinstance(e, Bin):
+        t = type(e)
+        if t is Bin:
             e2 = _with_sides(e, self.rewrite(e.left), self.rewrite(e.right))
-        elif isinstance(e, (Not, InVal, InType)):
+        elif t is Not or t is InVal or t is InType:
             e2 = _with_arg(e, self.rewrite(e.arg))
-        elif isinstance(e, LstE):
+        elif t is LstE:
             e2 = _with_items(e, tuple(self.rewrite(i) for i in e.items))
         else:
             e2 = e
-        e2 = fold_expr(e2)  # only the nodes rebuilt above are new to `_fold`
-        if (
-            isinstance(e2, Bin)
-            and e2.op == "="
-            and e2.left == e2.right
-            and self.provably_defined(e2.left)
-        ):
-            return Lit(TRUE)
-        if isinstance(e2, InVal) and self.provably_defined(e2.arg):
-            return Lit(TRUE)
+        e2 = _fold(e2)[0]  # only the nodes rebuilt above are new to `_fold`
+        t = type(e2)
+        if t is Bin:
+            if e2.op == "=" and e2.left == e2.right and self.provably_defined(e2.left):
+                return TRUE_E
+        elif t is InVal and self.provably_defined(e2.arg):
+            return TRUE_E
         r2 = self._find(e2)
-        return r2 if isinstance(r2, Lit) else e2
+        return r2 if type(r2) is Lit else e2
 
     # closure ----------------------------------------------------------------
 
@@ -474,7 +496,7 @@ class RewriteCore:
         `out` and absorb it unless it is true. Returns whether the rewrite
         changed it."""
         c2 = self.rewrite(c)
-        if c2 != Lit(TRUE):
+        if c2 != TRUE_E:
             if isinstance(c2, Lit):
                 self.contradiction = True  # a non-true literal cannot hold
             elif not lv_expr(c2):
@@ -504,9 +526,9 @@ class RewriteCore:
                 # a branch guard: (g = true) holds iff g does, (g = false)
                 # iff Not(g) does
                 for g, lit in ((c.left, c.right), (c.right, c.left)):
-                    if lit == Lit(TRUE):
+                    if lit == TRUE_E:
                         self._absorb(g)
-                    elif lit == Lit(FALSE):
+                    elif lit == FALSE_E:
                         self._absorb(Not(g))
             elif c.op in ("<", "<="):
                 self._comparison(c.left, c.op, c.right)
@@ -576,7 +598,7 @@ class RewriteCore:
         if self.contradiction:
             return True
         r = self.rewrite(e)
-        if r == Lit(TRUE):
+        if r == TRUE_E:
             return True
         if r in self.pos:
             return True
@@ -707,7 +729,8 @@ def models(pc, lvars, domain, bounds):
     return iter(extensions(pc, {}, lvars, options))
 
 
-_sat_cache: dict = {}
+_sat_cache: dict = {}  # (pc, bounds key) -> check_sat's verdict, or _OPEN
+_OPEN = object()  # not refuted by the core, no witness sought yet
 _entails_cache: dict = {}
 _closed: dict = {}  # conjunct tuple -> (RewriteCore pass-1 state after it, closed core or None)
 _dump_state = {"dir": None, "n": 0}
@@ -774,23 +797,44 @@ def _core(pc: tuple) -> RewriteCore:
     return core
 
 
-def check_sat(pc, bounds):
-    """Sat(witness) | UNSAT | UNKNOWN for a conjunction of pv-free exprs."""
+def refuted(pc, bounds) -> bool:
+    """Does the rewriting core refute `pc`? Exactly `check_sat(pc, bounds)
+    is UNSAT`, without the witness search: the question of an
+    over-approximating path (OX, EX), which keeps every path not refuted."""
     pc = tuple(pc)
     key = (pc, bounds.key())
     hit = _sat_cache.get(key)
-    if hit is not None:
+    if hit is None:
+        _maybe_dump(pc)
+        hit = UNSAT if _core(pc).contradiction else _OPEN
+        _put(_sat_cache, key, hit)
+    return hit is UNSAT
+
+
+def check_sat(pc, bounds):
+    """Sat(witness) | UNSAT | UNKNOWN for a conjunction of pv-free exprs:
+    the core, then a bounded witness search. After `refuted(pc, bounds)`
+    it runs only the search."""
+    pc = tuple(pc)
+    key = (pc, bounds.key())
+    hit = _sat_cache.get(key)
+    if hit is None:
+        _maybe_dump(pc)
+        verdict = _check_sat(pc, bounds)
+    elif hit is _OPEN:
+        verdict = _witness(pc, bounds)
+    else:
         return hit
-    _maybe_dump(pc)
-    verdict = _check_sat(pc, bounds)
     _put(_sat_cache, key, verdict)
     return verdict
 
 
 def _check_sat(pc, bounds):
-    core = _core(pc)
-    if core.contradiction:
-        return UNSAT
+    return UNSAT if _core(pc).contradiction else _witness(pc, bounds)
+
+
+def _witness(pc, bounds):
+    """Sat(witness) | UNKNOWN for a `pc` the core does not refute."""
     lvars = pc_lvars(pc)
     if not lvars:
         # ground: the core already evaluated every conjunct
@@ -816,7 +860,7 @@ def entails(pc, e: Expr, bounds) -> Entail:
 
 
 def _entails(pc, e: Expr, bounds) -> Entail:
-    if e == Lit(TRUE):
+    if e == TRUE_E:
         return Entail.YES
     if _core(pc).entails(e):
         return Entail.YES

@@ -56,6 +56,8 @@ class Lit(Expr):
     # custom eq/hash so Lit(1) and Lit(TRUE) never merge even though the
     # wrappers already prevent it; keying on value_key is belt-and-braces
     def __eq__(self, other):
+        if self is other:
+            return True
         return type(other) is Lit and value_key(self.value) == value_key(other.value)
 
     def __hash__(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -317,6 +318,32 @@ def test_smtlib_dump(tmp_path):
     text = files[0].read_text()
     assert text.startswith("(set-logic ALL)")
     assert text.rstrip().endswith("(check-sat)")
+
+
+# (argv, exit code, file count, SHA-256 of the files' bytes in name order):
+# the path conditions the solver is asked about, each once, in first-asked
+# order; the bytes do not depend on the hash seed
+_SMTLIB_PINS = [
+    (("verify", "swap.ph"), 0, 123,
+     "e73477aae3858bfc259651bf4201449e616624a4742d2a6db771b876fe995eac"),
+    (("verify", "verify_suite.ph", "--bounds-values", "nil,0,1,2,7"), 0, 21,
+     "3c2bd875d346922553cf2d1f9e7859f4ac675798483a720e816960b80e69e6b5"),
+    (("find-bugs", "bugs.ph"), 3, 5,
+     "d1cf8b6c5bae619c0ff666ef1e6046e77de0b3e5cd23f659167f681f8fbbaf4c"),
+]
+
+
+@pytest.mark.parametrize("argv, code, count, sha", _SMTLIB_PINS, ids=["swap", "suite", "bugs"])
+def test_smtlib_dump_is_pinned(argv, code, count, sha, tmp_path, capsys):
+    from polyheap.cli import main
+
+    out = tmp_path / "dumps"
+    command, program, *rest = argv
+    assert main([command, prog(program), *rest, "--smtlib-out", str(out)]) == code
+    capsys.readouterr()
+    files = sorted(out.iterdir())
+    assert [f.name for f in files] == [f"pc_{n:05d}.smt2" for n in range(count)]
+    assert hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == sha
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
